@@ -11,11 +11,14 @@
 // the end the run SELF-VERIFIES: the recorded admission sequence is
 // replayed serially through Engine::run and the final state digests must
 // match -- any lost, duplicated, or reordered request changes the digest.
-// Exit status: 0 verified, 1 digest mismatch or lost requests, 2 I/O
-// error writing --metrics.
+// Exit status: 0 verified, 1 digest mismatch, lost requests, or a
+// --metrics snapshot that does not reconcile with the service's stats,
+// 2 I/O error writing --metrics.
 //
 // --metrics arms the duration timers (queue-wait and apply-latency
-// histograms) and writes a partree-metrics-v1 snapshot; validate or
+// histograms) and writes a partree-metrics-v1 snapshot of the service's
+// run alone: it is taken after stop() and before the serial replay, so
+// its round and move counts must equal ServiceStats. Validate or
 // pretty-print it with `trace_stats --metrics <file>`.
 #include <algorithm>
 #include <cstdio>
@@ -107,6 +110,41 @@ ClientResult run_client(serve::PartitionService& service, std::uint64_t seed,
   }
   harvest(in_flight, 0, result);
   return result;
+}
+
+/// Checks that the snapshot counts exactly the service's work; prints
+/// each mismatch and returns false if there is one.
+bool reconciles(const obs::MetricsSnapshot& snap,
+                const serve::ServiceStats& stats) {
+  struct Pair {
+    const char* what;
+    std::uint64_t snapshot;
+    std::uint64_t service;
+  };
+  const Pair pairs[] = {
+      {"migrations_planned.count vs reallocation_count",
+       snap.value(obs::ValueMetric::kMigrationsPlanned).count,
+       stats.reallocation_count},
+      {"realloc_round_ns.count vs reallocation_count",
+       snap.duration(obs::DurationMetric::kReallocRoundNs).count,
+       stats.reallocation_count},
+      {"migrations_applied.sum vs migration_count",
+       snap.value(obs::ValueMetric::kMigrationsApplied).sum,
+       stats.migration_count},
+      {"serve_apply_ns.count vs applied + failed",
+       snap.duration(obs::DurationMetric::kServeApplyNs).count,
+       stats.applied + stats.failed},
+  };
+  bool ok = true;
+  for (const Pair& p : pairs) {
+    if (p.snapshot != p.service) {
+      std::fprintf(stderr, "FAIL: metrics snapshot %s: %llu != %llu\n",
+                   p.what, static_cast<unsigned long long>(p.snapshot),
+                   static_cast<unsigned long long>(p.service));
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 std::uint64_t percentile(const std::vector<std::uint64_t>& sorted, double q) {
@@ -211,9 +249,29 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.reallocation_count),
       static_cast<unsigned long long>(stats.migration_count));
 
+  bool ok = true;
+  // The snapshot must describe the service alone, so it is taken before
+  // the serial replay below records its own rounds into the registry.
+  if (!metrics_path.empty()) {
+    obs::set_duration_metrics_enabled(false);
+    const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+    const std::string doc = obs::metrics_to_json(snap).dump();
+    if (!util::write_file_atomic(metrics_path, doc + "\n")) {
+      std::fprintf(stderr, "serve_loadgen: cannot write %s\n",
+                   metrics_path.c_str());
+      return 2;
+    }
+    std::printf("  wrote %s (%llu queue waits, %llu applies timed)\n",
+                metrics_path.c_str(),
+                static_cast<unsigned long long>(
+                    snap.duration(obs::DurationMetric::kServeQueueWaitNs).count),
+                static_cast<unsigned long long>(
+                    snap.duration(obs::DurationMetric::kServeApplyNs).count));
+    ok = reconciles(snap, stats);
+  }
+
   // Self-verification: no lost/duplicated requests, and the serial
   // replay of the recorded sequence lands on the same digest.
-  bool ok = true;
   if (stats.admitted != submitted || stats.applied != stats.admitted ||
       stats.failed != 0) {
     std::fprintf(stderr,
@@ -244,23 +302,6 @@ int main(int argc, char** argv) {
                 "(digest %016llx)\n",
                 service.recorded().events().size(),
                 static_cast<unsigned long long>(stats.final_digest));
-  }
-
-  if (!metrics_path.empty()) {
-    obs::set_duration_metrics_enabled(false);
-    const obs::MetricsSnapshot snap = obs::snapshot_metrics();
-    const std::string doc = obs::metrics_to_json(snap).dump();
-    if (!util::write_file_atomic(metrics_path, doc + "\n")) {
-      std::fprintf(stderr, "serve_loadgen: cannot write %s\n",
-                   metrics_path.c_str());
-      return 2;
-    }
-    std::printf("  wrote %s (%llu queue waits, %llu applies timed)\n",
-                metrics_path.c_str(),
-                static_cast<unsigned long long>(
-                    snap.duration(obs::DurationMetric::kServeQueueWaitNs).count),
-                static_cast<unsigned long long>(
-                    snap.duration(obs::DurationMetric::kServeApplyNs).count));
   }
   return ok ? 0 : 1;
 }

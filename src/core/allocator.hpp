@@ -1,6 +1,6 @@
 // The online allocation algorithm interface.
 //
-// Engine <-> allocator contract, in event order:
+// Caller <-> allocator contract, in event order:
 //
 //   arrival t:   node = alloc.place(t, state)      // state BEFORE placing t
 //                state.place(t, node)
@@ -8,6 +8,10 @@
 //                    state.migrate(*migs)
 //   departure t: alloc.on_departure(id, state)     // placement still live
 //                state.remove(id)
+//
+// core::apply_event (core/step.hpp) is the one implementation of this
+// sequence; sim::Engine, serve::PartitionService and the replay loops
+// call it rather than the methods below.
 //
 // Allocators are online: place() sees only the arriving task's size and the
 // current state -- never future events or task durations.
@@ -33,7 +37,7 @@ class Allocator {
   [[nodiscard]] virtual tree::NodeId place(const Task& task,
                                            const MachineState& state) = 0;
 
-  /// Called when `id` departs, before the engine removes it, so the
+  /// Called when `id` departs, before apply_event removes it, so the
   /// current placement is still visible via `state`.
   virtual void on_departure(TaskId id, const MachineState& state) {
     (void)id;

@@ -1,0 +1,52 @@
+// The one event-application path: everything that runs an allocator -- the
+// replay engine, the online partition service, and any hand-written
+// replay loop -- applies each event through core::apply_event, so the
+// allocator contract (allocator.hpp) and its migration accounting exist
+// exactly once. Serve == serial replay then holds by construction: both
+// front ends run the same step on the same event sequence.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "core/allocator.hpp"
+#include "core/event.hpp"
+#include "core/machine_state.hpp"
+
+namespace partree::core {
+
+/// What one applied event did, for the caller's own accounting.
+struct StepRecord {
+  /// Arrival: the node the task lives on after the step, i.e. after any
+  /// round it triggered moved it. Departure: the node the task left.
+  tree::NodeId node = tree::kInvalidNode;
+  /// Size of the arriving or departing task.
+  std::uint64_t size = 0;
+  /// True when the arrival triggered a reallocation round.
+  bool reallocated = false;
+  /// The round's migration list exactly as the allocator planned it
+  /// (self-moves included); empty unless `reallocated`.
+  std::vector<Migration> migrations;
+  /// Physical moves (from != to) the round applied.
+  std::uint64_t moves = 0;
+  /// Total size of the tasks those moves relocated.
+  std::uint64_t migrated_size = 0;
+};
+
+/// Applies one event to `state` under the allocator contract:
+///
+///   arrival:   node = allocator.place(task, state); state.place(task, node);
+///              if the allocator's maybe_reallocate returns a plan,
+///              state.migrate(plan)
+///   departure: allocator.on_departure(id, state); state.remove(id)
+///
+/// and records the instrumentation every caller shares: the place /
+/// reallocate / departure phase spans, realloc_plan_ns and
+/// realloc_round_ns for applied rounds, the migrations_planned /
+/// migrations_applied histograms, and the realloc-round, arrival and
+/// departure trace instants. A departure must name an active task;
+/// MachineState's validation aborts otherwise.
+StepRecord apply_event(MachineState& state, Allocator& allocator,
+                       const Event& event);
+
+}  // namespace partree::core

@@ -162,8 +162,6 @@ constexpr MetricHelp kDurationHelp[kNumDurationMetrics] = {
 };
 
 constexpr MetricHelp kValueHelp[kNumValueMetrics] = {
-    {"migration_batch_size",
-     "Physical task moves per applied reallocation round."},
     {"migrations_planned",
      "Migrations emitted by the planner per applied reallocation round."},
     {"migrations_applied",

@@ -51,9 +51,10 @@ enum class DurationMetric : std::size_t {
   kArrivalHandleNs = 0,
   /// Engine: one departure fully handled.
   kDepartureHandleNs,
-  /// Engine: one APPLIED reallocation round (decision + migration).
+  /// core::apply_event: one APPLIED reallocation round (decision +
+  /// migration).
   kReallocRoundNs,
-  /// Engine/serve: the allocator's planning half of one applied round
+  /// core::apply_event: the allocator's planning half of one applied round
   /// (maybe_reallocate only, before any migration is applied). Recorded
   /// only when a plan was actually produced, so realloc_round_ns minus
   /// this is the application half.
@@ -82,16 +83,12 @@ enum class DurationMetric : std::size_t {
 /// Size/count histograms (dimensionless). Always recorded while metrics
 /// are enabled -- no clock involved.
 enum class ValueMetric : std::size_t {
-  /// Engine: physical task moves (from != to) per applied reallocation.
-  kMigrationBatchSize = 0,
-  /// Engine/serve: migrations the planner EMITTED per applied round.
+  /// core::apply_event: migrations the planner EMITTED per applied round.
   /// With the delta planner this counts tasks whose node changed plus any
   /// self-moves a custom planner chose to emit; the gap to
   /// migrations_applied is planner overhead, not physical work.
-  kMigrationsPlanned,
-  /// Engine/serve: physical moves (from != to) per applied round --
-  /// migration_batch_size under a second, planner-facing name so the
-  /// planned/applied pair reads side by side in dashboards.
+  kMigrationsPlanned = 0,
+  /// core::apply_event: physical moves (from != to) per applied round.
   kMigrationsApplied,
   /// Pool: items per dispatched region.
   kPoolRegionItems,

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <utility>
 
+#include "core/step.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -234,11 +235,10 @@ void PartitionService::apply_batch(std::deque<Request>& batch,
   cv_applied_.notify_all();
 }
 
-// One request through the allocator, mirroring the Engine's event
-// contract exactly (sim/engine.cpp): an arrival is place -> state.place
-// -> maybe_reallocate -> migrate, a departure is on_departure -> remove.
-// Any deviation here would break the serve == serial-replay digest
-// equivalence the differential test pins.
+// One request through core::apply_event -- the same step Engine::run
+// takes per event, so serve == serial replay holds by construction. The
+// service only adds what is service-specific around it: rejecting
+// departures of inactive tasks, recording, and completing the future.
 void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
                                  ServiceStats& delta) {
   const obs::MetricTimer apply_timer(obs::DurationMetric::kServeApplyNs);
@@ -246,68 +246,38 @@ void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
   placement.id = req.task.id;
   placement.batch = batch_index;
 
-  if (req.kind == core::EventKind::kArrival) {
-    if (options_.record_sequence) {
+  const bool arrival = req.kind == core::EventKind::kArrival;
+  if (!arrival && !state_.is_active(req.task.id)) {
+    // Fail THIS request only, in-band (Placement::ok = false, never
+    // set_exception -- see the ServiceErrorCode comment in the header);
+    // it is not recorded, so the recorded sequence stays replayable.
+    ++delta.failed;
+    placement.ok = false;
+    placement.error = ServiceErrorCode::kBadRequest;
+    req.promise.set_value(placement);
+    return;
+  }
+  if (options_.record_sequence) {
+    if (arrival) {
       recorded_.arrive_as(req.task.id, req.task.size);
+    } else {
+      recorded_.depart(req.task.id);
     }
-    const tree::NodeId node = allocator_->place(req.task, state_);
-    state_.place(req.task, node);
-    placement.size = req.task.size;
-    placement.node = node;
-    const std::uint64_t plan_t0 =
-        obs::duration_metrics_enabled() ? obs::detail::monotonic_ns() : 0;
-    if (auto migrations = allocator_->maybe_reallocate(state_)) {
-      if (plan_t0 != 0) {
-        obs::record_duration(obs::DurationMetric::kReallocPlanNs,
-                             obs::detail::monotonic_ns() - plan_t0);
-      }
-      ++delta.reallocation_count;
-      obs::emit_instant(obs::Instant::kReallocRound, migrations->size());
-      std::uint64_t batch_moves = 0;
-      for (const core::Migration& m : *migrations) {
-        if (m.from != m.to) {
-          ++batch_moves;
-          delta.migrated_size += state_.active_task(m.id).task.size;
-        }
-      }
-      delta.migration_planned_count += migrations->size();
-      delta.migration_count += batch_moves;
-      obs::record_value(obs::ValueMetric::kMigrationsPlanned,
-                        migrations->size());
-      obs::record_value(obs::ValueMetric::kMigrationsApplied, batch_moves);
-      obs::record_value(obs::ValueMetric::kMigrationBatchSize, batch_moves);
-      state_.migrate(*migrations);
-      if (plan_t0 != 0) {
-        // Same bracket as the engine: plan start through the last
-        // applied move, so plan and round histograms pair one-to-one
-        // whichever front end ran the round.
-        obs::record_duration(obs::DurationMetric::kReallocRoundNs,
-                             obs::detail::monotonic_ns() - plan_t0);
-      }
-      // The task may have been moved by the reallocation it triggered;
-      // report where it actually lives.
-      placement.node = state_.active_task(req.task.id).node;
-    }
+  }
+  const core::StepRecord step = core::apply_event(
+      state_, *allocator_, core::Event{req.kind, req.task});
+  placement.size = step.size;
+  placement.node = step.node;
+  if (arrival) {
     ++delta.arrivals;
-    obs::emit_instant(obs::Instant::kArrival, req.task.id);
   } else {
-    if (!state_.is_active(req.task.id)) {
-      // Fail THIS request only, in-band (Placement::ok = false, never
-      // set_exception -- see the ServiceErrorCode comment in the
-      // header); it is not recorded, so the recorded sequence stays
-      // replayable.
-      ++delta.failed;
-      placement.ok = false;
-      placement.error = ServiceErrorCode::kBadRequest;
-      req.promise.set_value(placement);
-      return;
-    }
-    if (options_.record_sequence) recorded_.depart(req.task.id);
-    placement.size = state_.active_task(req.task.id).task.size;
-    allocator_->on_departure(req.task.id, state_);
-    placement.node = state_.remove(req.task.id);
     ++delta.departures;
-    obs::emit_instant(obs::Instant::kDeparture, req.task.id);
+  }
+  if (step.reallocated) {
+    ++delta.reallocation_count;
+    delta.migration_planned_count += step.migrations.size();
+    delta.migration_count += step.moves;
+    delta.migrated_size += step.migrated_size;
   }
 
   placement.max_load = state_.max_load();

@@ -8,16 +8,15 @@
 // bounded MPSC queue. One dedicated apply thread drains the queue in
 // admission order into EPOCH BATCHES (closed when the batch-size cap is
 // hit or the queue runs empty; flush()/drain() force the point), applies
-// each request through the owned core::Allocator against the owned
-// MachineState under the engine's event contract (place -> state.place ->
-// maybe_reallocate -> migrate; on_departure -> remove), and completes the
-// per-request std::future with the assigned placement and post-apply
+// each request to the owned MachineState with core::apply_event -- the
+// same step Engine::run takes per event (core/step.hpp) -- and completes
+// the per-request std::future with the assigned placement and post-apply
 // load. The paper's dN reallocation trigger lives where it always lives
 // -- inside the allocator's maybe_reallocate -- so its epoch accounting
 // runs seamlessly ACROSS batches, and a serial Engine::run replay of the
 // recorded admission sequence reproduces the exact same state evolution
-// (equal final digests; the Serve differential test pins this under
-// TSan).
+// by construction (equal final digests; the Serve differential tests
+// check this under TSan).
 //
 // A full queue exerts backpressure, configurable per service: kBlock
 // parks the submitter until space frees (optionally bounded by a

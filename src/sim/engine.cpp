@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "core/step.hpp"
 #include "obs/counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
@@ -134,14 +135,13 @@ SimResult Engine::run_interactive(core::EventSource& source,
   while (auto event = source.next(state)) {
     const std::uint64_t step = result.events;
     bool fail_alloc_once = false;
-    bool reallocated = false;
     if (injector != nullptr) {
       if (const Fault* fault = injector->on_step(step)) {
         bool applied = false;
         switch (fault->kind) {
           case FaultKind::kAllocFail:
-            // Applies to the arrival below: its first placement
-            // application fails transiently and is rolled back + retried.
+            // Applies to the arrival below: its placement fails
+            // transiently and is rolled back + re-applied after the step.
             fail_alloc_once = event->kind == core::EventKind::kArrival;
             applied = fail_alloc_once;
             break;
@@ -178,90 +178,50 @@ SimResult Engine::run_interactive(core::EventSource& source,
       }
     }
 
+    // The step applies the event; the engine observes around it.
+    core::StepRecord step_record;
     if (event->kind == core::EventKind::kArrival) {
       const obs::MetricTimer arrival_metric(
           obs::DurationMetric::kArrivalHandleNs);
       const core::Task& task = event->task;
       if (recorded != nullptr) recorded->arrive_as(task.id, task.size);
-      {
-        const obs::ScopedTimer place_timer(obs::Phase::kPlace);
-        const tree::NodeId node = allocator.place(task, state);
-        state.place(task, node);
-        if (fail_alloc_once) {
-          // Injected transient allocation failure: the decision was made
-          // but its application "failed"; roll the state back and retry
-          // the same decision. Recovery must be digest-exact -- the
-          // roll-back exercises the assign/release paths under fire.
-          state.remove(task.id);
-          state.place(task, node);
-        }
+      step_record = core::apply_event(state, allocator, *event);
+      if (fail_alloc_once) {
+        // Injected transient allocation failure: the placement "failed"
+        // to apply; roll the task back out and re-apply it at its
+        // post-step node. Recovery must be digest-exact -- the roll-back
+        // exercises the assign/release paths under fire.
+        state.remove(task.id);
+        state.place(task, step_record.node);
       }
-      reallocated = false;
-      {
-        const obs::ScopedTimer realloc_timer(obs::Phase::kReallocate);
-        // The round is only a round once maybe_reallocate says yes, so
-        // the duration metric brackets decision + application manually
-        // and records nothing for the (overwhelmingly common) no-op
-        // decisions -- kReallocRoundNs counts applied rounds only.
-        const std::uint64_t realloc_t0 = obs::duration_metrics_enabled()
-                                             ? obs::detail::monotonic_ns()
-                                             : 0;
-        if (auto migrations = allocator.maybe_reallocate(state)) {
-          // Planning half of the round: everything up to here is the
-          // allocator deciding where tasks go; what follows applies it.
-          if (realloc_t0 != 0) {
-            obs::record_duration(obs::DurationMetric::kReallocPlanNs,
-                                 obs::detail::monotonic_ns() - realloc_t0);
-          }
-          ++result.reallocation_count;
-          reallocated = true;
-          obs::bump(obs::Counter::kReallocRounds);
-          obs::emit_instant(obs::Instant::kReallocRound, migrations->size());
-          if (options_.on_reallocation) options_.on_reallocation(*migrations);
-          std::uint64_t batch_moves = 0;
-          for (const core::Migration& m : *migrations) {
-            if (m.from != m.to) {
-              ++batch_moves;
-              result.migrated_size += state.active_task(m.id).task.size;
-            }
-          }
-          result.migration_planned_count += migrations->size();
-          result.migration_count += batch_moves;
-          obs::record_value(obs::ValueMetric::kMigrationsPlanned,
-                            migrations->size());
-          obs::record_value(obs::ValueMetric::kMigrationsApplied,
-                            batch_moves);
-          obs::record_value(obs::ValueMetric::kMigrationBatchSize,
-                            batch_moves);
-          state.migrate(*migrations);
-          if (realloc_t0 != 0) {
-            obs::record_duration(obs::DurationMetric::kReallocRoundNs,
-                                 obs::detail::monotonic_ns() - realloc_t0);
-          }
+      if (step_record.reallocated) {
+        ++result.reallocation_count;
+        obs::bump(obs::Counter::kReallocRounds);
+        result.migration_planned_count += step_record.migrations.size();
+        result.migration_count += step_record.moves;
+        result.migrated_size += step_record.migrated_size;
+        if (options_.on_reallocation) {
+          options_.on_reallocation(step_record.migrations);
         }
       }
       if (slowdowns) {
-        if (reallocated) {
+        if (step_record.reallocated) {
           slowdowns->on_reallocation(state);
         } else {
-          slowdowns->on_arrival(task.id, state.active_task(task.id).node,
-                                state);
+          slowdowns->on_arrival(task.id, step_record.node, state);
         }
       }
       ++result.arrivals;
       obs::bump(obs::Counter::kArrivals);
-      obs::emit_instant(obs::Instant::kArrival, task.id);
     } else {
       const obs::MetricTimer departure_metric(
           obs::DurationMetric::kDepartureHandleNs);
-      const obs::ScopedTimer departure_timer(obs::Phase::kDeparture);
       if (recorded != nullptr) recorded->depart(event->task.id);
+      // Before the step: the tracker reads the departing placement.
       if (slowdowns) slowdowns->on_departure(event->task.id, state);
-      allocator.on_departure(event->task.id, state);
-      state.remove(event->task.id);
+      step_record = core::apply_event(state, allocator, *event);
       ++result.departures;
       obs::bump(obs::Counter::kDepartures);
-      obs::emit_instant(obs::Instant::kDeparture, event->task.id);
     }
     ++result.events;
     obs::bump(obs::Counter::kEventsProcessed);
@@ -278,7 +238,7 @@ SimResult Engine::run_interactive(core::EventSource& source,
       }
     }
     if (options_.record_series) result.load_series.push_back(load);
-    if (options_.record_digests && reallocated) {
+    if (options_.record_digests && step_record.reallocated) {
       const std::uint64_t digest = state.digest();
       result.epoch_digests.push_back({result.events, digest});
       obs::emit_instant(obs::Instant::kStateDigest, digest);

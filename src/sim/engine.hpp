@@ -1,5 +1,7 @@
-// The event-replay engine: drives an allocator over an event source,
-// validates every decision against the model, and collects metrics.
+// The event-replay engine: drives an allocator over an event source, one
+// core::apply_event step per event, and observes around each step (fault
+// injection, slowdowns, load series, digests, invariant checks) to
+// collect metrics.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +57,10 @@ struct EngineOptions {
   /// with a crash dump whose reason names the fault; the injector is
   /// begin_run()-reset at the start of every run.
   FaultInjector* faults = nullptr;
-  /// Invoked with each reallocation's migration list BEFORE it is applied
-  /// (placements in `from` are still live); used e.g. to price migrations
-  /// on a concrete interconnect.
+  /// Invoked once per reallocation round with its migration list, after
+  /// core::apply_event has applied it; each entry still names the move's
+  /// `from` and `to` nodes. Used e.g. to price migrations on a concrete
+  /// interconnect.
   std::function<void(std::span<const core::Migration>)> on_reallocation;
 };
 

@@ -13,11 +13,13 @@
 // Semantics (applied by sim::Engine via EngineOptions::faults, except
 // perturb:pool which the detsim replay layer applies to the worker pool):
 //
-//   alloc_fail          the arrival's first placement application fails
-//                       transiently: the engine applies, rolls back, and
-//                       re-applies the same decision. A correct engine
-//                       recovers digest-identically; a buggy rollback
-//                       diverges and the digest oracle flags it.
+//   alloc_fail          the arrival's placement fails transiently: after
+//                       core::apply_event has applied the arrival (and
+//                       any round it triggered), the engine rolls the
+//                       task back out and re-applies it at its post-step
+//                       node. A correct engine recovers
+//                       digest-identically; a buggy rollback diverges and
+//                       the digest oracle flags it.
 //   cancel              FaultInjectedError is thrown at the step, riding
 //                       the PR-4 pool's structured-cancellation path when
 //                       the run executes inside a parallel region.

@@ -4,6 +4,7 @@
 
 #include "adversary/det_adversary.hpp"
 #include "core/factory.hpp"
+#include "core/step.hpp"
 #include "sim/engine.hpp"
 
 namespace partree::adversary {
@@ -75,12 +76,7 @@ TEST(PotentialTest, AdversaryDrivesPotentialUp) {
   auto fresh = core::make_allocator("greedy", topo);
   core::MachineState state{topo};
   for (const core::Event& e : recorded.events()) {
-    if (e.kind == core::EventKind::kArrival) {
-      state.place(e.task, fresh->place(e.task, state));
-    } else {
-      fresh->on_departure(e.task.id, state);
-      state.remove(e.task.id);
-    }
+    core::apply_event(state, *fresh, e);
   }
   // At machine-block granularity the forced imbalance is visible:
   // P = N * l(T) - L(T) >= N * forced - N > 0 once forced >= 2.

@@ -85,8 +85,8 @@ TEST_P(AllocatorContract, FullMachineTasksAlwaysAtRoot) {
 INSTANTIATE_TEST_SUITE_P(
     Specs, AllocatorContract,
     ::testing::ValuesIn(known_allocator_specs()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
+    [](const ::testing::TestParamInfo<std::string>& param_info) {
+      std::string name = param_info.param;
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

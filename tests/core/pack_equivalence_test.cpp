@@ -90,8 +90,8 @@ INSTANTIATE_TEST_SUITE_P(AllOrders, PackEquivalenceTest,
                          ::testing::Values(PackOrder::kDecreasingSize,
                                            PackOrder::kIncreasingSize,
                                            PackOrder::kArrivalOrder),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case PackOrder::kDecreasingSize:
                                return "DecreasingSize";
                              case PackOrder::kIncreasingSize:

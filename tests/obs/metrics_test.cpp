@@ -50,10 +50,10 @@ TEST_F(MetricsTest, Log2BucketUpperBounds) {
 
 TEST_F(MetricsTest, RecordPlacesValuesInLog2Buckets) {
   for (const std::uint64_t v : {0u, 1u, 2u, 3u, 1024u}) {
-    record_value(ValueMetric::kMigrationBatchSize, v);
+    record_value(ValueMetric::kMigrationsApplied, v);
   }
   const MetricsSnapshot snap = snapshot_metrics();
-  const MetricHistogram& h = snap.value(ValueMetric::kMigrationBatchSize);
+  const MetricHistogram& h = snap.value(ValueMetric::kMigrationsApplied);
   EXPECT_EQ(h.buckets[0], 1u);  // value 0
   EXPECT_EQ(h.buckets[1], 1u);  // value 1
   EXPECT_EQ(h.buckets[2], 2u);  // values 2, 3
@@ -92,19 +92,19 @@ TEST_F(MetricsTest, EmptyHistogramQuantileIsZero) {
 
 TEST_F(MetricsTest, MasterSwitchGatesEverything) {
   set_metrics_enabled(false);
-  record_value(ValueMetric::kMigrationBatchSize, 5);
+  record_value(ValueMetric::kMigrationsApplied, 5);
   record_duration(DurationMetric::kSweepShardNs, 100);
   gauge_max(GaugeMetric::kPoolQueueDepthHwm, 77);
   const MetricsSnapshot off = snapshot_metrics();
-  EXPECT_EQ(off.value(ValueMetric::kMigrationBatchSize).count, 0u);
+  EXPECT_EQ(off.value(ValueMetric::kMigrationsApplied).count, 0u);
   EXPECT_EQ(off.duration(DurationMetric::kSweepShardNs).count, 0u);
   EXPECT_EQ(off.gauge(GaugeMetric::kPoolQueueDepthHwm), 0u);
 
   set_metrics_enabled(true);
-  record_value(ValueMetric::kMigrationBatchSize, 5);
+  record_value(ValueMetric::kMigrationsApplied, 5);
   gauge_max(GaugeMetric::kPoolQueueDepthHwm, 77);
   const MetricsSnapshot on = snapshot_metrics();
-  EXPECT_EQ(on.value(ValueMetric::kMigrationBatchSize).count, 1u);
+  EXPECT_EQ(on.value(ValueMetric::kMigrationsApplied).count, 1u);
   EXPECT_EQ(on.gauge(GaugeMetric::kPoolQueueDepthHwm), 77u);
 }
 
@@ -187,9 +187,9 @@ TEST_F(MetricsTest, SnapshotWhileRecordingIsRaceFreeAndExactAfterJoin) {
 // trace_stats --metrics parse them), so the exact text is asserted, not
 // just its shape. Records are made on this thread only.
 TEST_F(MetricsTest, GoldenJsonDocument) {
-  record_value(ValueMetric::kMigrationBatchSize, 0);
-  record_value(ValueMetric::kMigrationBatchSize, 3);
-  record_value(ValueMetric::kMigrationBatchSize, 5);
+  record_value(ValueMetric::kMigrationsApplied, 0);
+  record_value(ValueMetric::kMigrationsApplied, 3);
+  record_value(ValueMetric::kMigrationsApplied, 5);
   const util::json::Value doc = metrics_to_json(snapshot_metrics());
 
   EXPECT_EQ(doc.at("schema").as_string(), "partree-metrics-v1");
@@ -218,7 +218,7 @@ TEST_F(MetricsTest, GoldenJsonDocument) {
       "  \"p99\": 5,\n"
       "  \"sum\": 8\n"
       "}";
-  EXPECT_EQ(doc.at("values").at("migration_batch_size").dump(), expected);
+  EXPECT_EQ(doc.at("values").at("migrations_applied").dump(), expected);
 
   // The full document round-trips and validates.
   const util::json::Value reparsed = util::json::parse(doc.dump());
@@ -226,23 +226,23 @@ TEST_F(MetricsTest, GoldenJsonDocument) {
 }
 
 TEST_F(MetricsTest, GoldenPrometheusExposition) {
-  record_value(ValueMetric::kMigrationBatchSize, 0);
-  record_value(ValueMetric::kMigrationBatchSize, 3);
-  record_value(ValueMetric::kMigrationBatchSize, 5);
+  record_value(ValueMetric::kMigrationsApplied, 0);
+  record_value(ValueMetric::kMigrationsApplied, 3);
+  record_value(ValueMetric::kMigrationsApplied, 5);
   gauge_max(GaugeMetric::kPoolWorkersHwm, 4);
   const std::string text = metrics_to_prometheus(snapshot_metrics());
 
   const std::string histogram_family =
-      "# HELP partree_migration_batch_size Physical task moves per applied "
-      "reallocation round.\n"
-      "# TYPE partree_migration_batch_size histogram\n"
-      "partree_migration_batch_size_bucket{le=\"0\"} 1\n"
-      "partree_migration_batch_size_bucket{le=\"1\"} 1\n"
-      "partree_migration_batch_size_bucket{le=\"3\"} 2\n"
-      "partree_migration_batch_size_bucket{le=\"7\"} 3\n"
-      "partree_migration_batch_size_bucket{le=\"+Inf\"} 3\n"
-      "partree_migration_batch_size_sum 8\n"
-      "partree_migration_batch_size_count 3\n";
+      "# HELP partree_migrations_applied Physical task moves (from != to) "
+      "per applied reallocation round.\n"
+      "# TYPE partree_migrations_applied histogram\n"
+      "partree_migrations_applied_bucket{le=\"0\"} 1\n"
+      "partree_migrations_applied_bucket{le=\"1\"} 1\n"
+      "partree_migrations_applied_bucket{le=\"3\"} 2\n"
+      "partree_migrations_applied_bucket{le=\"7\"} 3\n"
+      "partree_migrations_applied_bucket{le=\"+Inf\"} 3\n"
+      "partree_migrations_applied_sum 8\n"
+      "partree_migrations_applied_count 3\n";
   EXPECT_NE(text.find(histogram_family), std::string::npos) << text;
 
   const std::string gauge_family =
@@ -261,8 +261,8 @@ TEST_F(MetricsTest, GoldenPrometheusExposition) {
 }
 
 // The planned/applied migration pair is a public contract for dashboards
-// (planner overhead vs physical work), so both families get the same
-// byte-level pins as migration_batch_size.
+// (planner overhead vs physical work), so both families get byte-level
+// pins side by side.
 TEST_F(MetricsTest, GoldenJsonPlannedVsApplied) {
   // One round that plans 6 and applies 4, one zero-move round.
   record_value(ValueMetric::kMigrationsPlanned, 6);
@@ -393,13 +393,13 @@ TEST_F(MetricsTest, EngineRecordsHandlingDurations) {
   const MetricsSnapshot snap = snapshot_metrics();
   EXPECT_EQ(snap.duration(DurationMetric::kArrivalHandleNs).count, 6u);
   EXPECT_EQ(snap.duration(DurationMetric::kDepartureHandleNs).count, 3u);
-  // Greedy never reallocates, so no round was timed and no batch recorded.
+  // Greedy never reallocates, so no round was timed and no moves recorded.
   EXPECT_EQ(snap.duration(DurationMetric::kReallocRoundNs).count, 0u);
-  EXPECT_EQ(snap.value(ValueMetric::kMigrationBatchSize).count, 0u);
+  EXPECT_EQ(snap.value(ValueMetric::kMigrationsApplied).count, 0u);
 }
 
 TEST_F(MetricsTest, CrashDumpEmbedsMetricsSnapshot) {
-  record_value(ValueMetric::kMigrationBatchSize, 7);
+  record_value(ValueMetric::kMigrationsApplied, 7);
   const std::string dump_path =
       ::testing::TempDir() + "metrics_test.crash.json";
   std::remove(dump_path.c_str());
@@ -415,7 +415,7 @@ TEST_F(MetricsTest, CrashDumpEmbedsMetricsSnapshot) {
   const util::json::Value* metrics = dump.find("metrics");
   ASSERT_NE(metrics, nullptr);
   EXPECT_EQ(validate_metrics_json(*metrics), "");
-  EXPECT_GE(metrics->at("values").at("migration_batch_size")
+  EXPECT_GE(metrics->at("values").at("migrations_applied")
                 .at("count").as_u64(),
             1u);
   std::remove(dump_path.c_str());

@@ -190,8 +190,11 @@ std::uint64_t busy_step(std::uint64_t seed) {
   std::uint64_t active = 0;
   for (std::size_t i = 0; i < seq.size(); ++i) {
     if (active >= 3) return i;
-    active += seq[i].kind == core::EventKind::kArrival ? 1 : 0;
-    active -= seq[i].kind == core::EventKind::kDeparture ? 1 : 0;
+    if (seq[i].kind == core::EventKind::kArrival) {
+      ++active;
+    } else {
+      --active;
+    }
   }
   return 0;
 }

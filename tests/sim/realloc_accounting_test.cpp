@@ -43,14 +43,10 @@ TEST(ReallocAccountingTest, ZeroMoveRepackRecordsZero) {
       snap.value(obs::ValueMetric::kMigrationsPlanned);
   const obs::MetricHistogram& applied =
       snap.value(obs::ValueMetric::kMigrationsApplied);
-  const obs::MetricHistogram& batch =
-      snap.value(obs::ValueMetric::kMigrationBatchSize);
   EXPECT_EQ(planned.count, 1u);
   EXPECT_EQ(planned.sum, 0u);
   EXPECT_EQ(applied.count, 1u);
   EXPECT_EQ(applied.sum, 0u);
-  EXPECT_EQ(batch.count, 1u);
-  EXPECT_EQ(batch.sum, 0u);
 }
 
 TEST(ReallocAccountingTest, PlannedEqualsAppliedUnderDeltaPlanner) {
@@ -81,9 +77,6 @@ TEST(ReallocAccountingTest, PlannedEqualsAppliedUnderDeltaPlanner) {
   EXPECT_EQ(applied.count, result.reallocation_count);
   EXPECT_EQ(planned.sum, result.migration_planned_count);
   EXPECT_EQ(applied.sum, result.migration_count);
-  // migration_batch_size keeps its original applied semantics.
-  EXPECT_EQ(snap.value(obs::ValueMetric::kMigrationBatchSize).sum,
-            result.migration_count);
 }
 
 TEST(ReallocAccountingTest, ReallocPlanNsRecordedPerAppliedRound) {
