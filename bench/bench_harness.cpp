@@ -3,7 +3,7 @@
 // Runs a fixed, seeded suite of performance scenarios -- allocator
 // micro-ops, the E2 greedy campaign sweep, the E3 tradeoff sweep, raw
 // engine replay throughput, run_trials batches through the persistent
-// worker pool, and counter/trace overhead measurements -- with
+// worker pool, and trace/metrics overhead measurements -- with
 // warmup + repetitions, and writes a machine-readable BENCH_<date>.json
 // (schema: src/obs/bench_schema.hpp). `bench_diff` compares two such
 // files and gates on regressions; every future perf PR proves itself
@@ -12,7 +12,6 @@
 //   bench_harness                      # full run, writes BENCH_<date>.json
 //   bench_harness --smoke              # tiny sizes, 1 rep; exercises the
 //                                      # machinery (CI), not comparable
-//   bench_harness --timing             # also print the phase breakdown
 //   bench_harness --trace out.json     # ONE traced E2 greedy sweep ->
 //                                      # Chrome trace JSON; no bench report
 //   bench_harness --metrics m.json     # arm duration metrics for the run
@@ -63,9 +62,7 @@ struct HarnessConfig {
   std::uint64_t n_threads = 0;
 };
 
-/// Times `body` warmup+reps times; counter totals are the global delta
-/// around the final measured repetition (every rep is seeded identically,
-/// so any rep's totals equal any other's).
+/// Times `body` warmup+reps times.
 obs::BenchSuite run_suite(const std::string& name, std::uint64_t n,
                           const HarnessConfig& config,
                           const std::function<void()>& body) {
@@ -76,13 +73,9 @@ obs::BenchSuite run_suite(const std::string& name, std::uint64_t n,
 
   for (std::uint64_t i = 0; i < config.warmup; ++i) body();
   for (std::uint64_t rep = 0; rep < config.reps; ++rep) {
-    const obs::Counters before = obs::global_counters();
     util::Timer timer;
     body();
     suite.wall_ms.push_back(timer.millis());
-    if (rep + 1 == config.reps) {
-      suite.counters = obs::global_counters().delta_since(before);
-    }
   }
   suite.finalize_stats();
 
@@ -282,54 +275,13 @@ void serve_throughput_body(const HarnessConfig& config) {
   service.stop();
 }
 
-// Suite 6: counters-enabled vs counters-disabled medians of the greedy
-// sweep; the recorded wall times are the ENABLED runs and
-// counter_overhead_pct is the acceptance metric (< 5%).
-obs::BenchSuite counter_overhead_suite(const HarnessConfig& config) {
-  auto timed_median = [&](bool enabled) {
-    obs::set_counters_enabled(enabled);
-    std::vector<double> walls;
-    for (std::uint64_t i = 0; i < config.warmup; ++i) greedy_sweep_body(config);
-    for (std::uint64_t rep = 0; rep < config.reps; ++rep) {
-      util::Timer timer;
-      greedy_sweep_body(config);
-      walls.push_back(timer.millis());
-    }
-    obs::set_counters_enabled(true);
-    return walls;
-  };
-
-  obs::BenchSuite off;
-  off.wall_ms = timed_median(false);
-  off.finalize_stats();
-
-  obs::BenchSuite suite;
-  suite.name = "counter_overhead_greedy_sweep";
-  suite.n = config.smoke ? 128 : 1024;
-  suite.reps = config.reps;
-  const obs::Counters before = obs::global_counters();
-  suite.wall_ms = timed_median(true);
-  suite.counters = obs::global_counters().delta_since(before);
-  suite.finalize_stats();
-  suite.counter_overhead_pct =
-      off.median_ms <= 0.0
-          ? 0.0
-          : (suite.median_ms - off.median_ms) / off.median_ms * 100.0;
-
-  std::printf(
-      "  %-28s n=%-6llu median %10.3f ms   overhead %+6.2f%% vs disabled\n",
-      suite.name.c_str(), static_cast<unsigned long long>(suite.n),
-      suite.median_ms, suite.counter_overhead_pct);
-  return suite;
-}
-
-// Suite 7: what the tracing subsystem costs while DISABLED -- the default
+// Suite 6: what the tracing subsystem costs while DISABLED -- the default
 // path every other suite and every user run takes, which now carries one
 // flight-recorder store per engine instant. The recorded wall times are
 // those default runs (so bench_diff gates them against the baseline like
 // any suite), and trace_overhead_pct is the acceptance metric (< 5%):
 // their median vs truly-bare runs with the recorder switched off. The
-// full cost of ARMING tracing (timing + clock reads + ring drains into a
+// full cost of ARMING tracing (span clock reads + ring drains into a
 // counting sink) is printed for reference but is not gated -- a complete
 // timeline is expected to cost real time.
 obs::BenchSuite trace_overhead_suite(const HarnessConfig& config) {
@@ -356,7 +308,6 @@ obs::BenchSuite trace_overhead_suite(const HarnessConfig& config) {
   const std::uint64_t pairs =
       config.smoke ? config.reps : std::max<std::uint64_t>(config.reps, 15);
   suite.reps = pairs;
-  const obs::Counters before = obs::global_counters();
   std::vector<double> pair_ratio;
   for (std::uint64_t rep = 0; rep < pairs; ++rep) {
     double bare_ms;
@@ -372,7 +323,6 @@ obs::BenchSuite trace_overhead_suite(const HarnessConfig& config) {
     suite.wall_ms.push_back(default_ms);
     if (bare_ms > 0.0) pair_ratio.push_back(default_ms / bare_ms);
   }
-  suite.counters = obs::global_counters().delta_since(before);
   bare.finalize_stats();
   suite.finalize_stats();
   std::sort(pair_ratio.begin(), pair_ratio.end());
@@ -400,15 +350,16 @@ obs::BenchSuite trace_overhead_suite(const HarnessConfig& config) {
   return suite;
 }
 
-// Suite 8: what the metrics registry costs on its DEFAULT path -- master
-// switch on, duration timers off, so every record is a branch plus a few
-// thread-local relaxed stores and the clock is never read. The recorded
-// wall times are those default runs (bench_diff gates them like any
-// suite); metrics_overhead_pct is the acceptance metric (< 1%): the
-// median of per-pair ratios against truly-bare runs with the master
-// switch off, interleaved like trace_overhead_suite so machine drift
-// cancels. The cost of ARMING duration timers (two clock reads per timed
-// scope) is printed for reference but not gated.
+// Suite 7: what the metrics registry costs on its DEFAULT path -- master
+// switch on, duration timers off, so every record (one per min_load_node
+// query on greedy's path) is a branch plus a few thread-local relaxed
+// stores and the clock is never read. The recorded wall times are those
+// default runs (bench_diff gates them like any suite);
+// metrics_overhead_pct is the acceptance metric (< 1%): the median of
+// per-pair ratios against truly-bare runs with the master switch off,
+// interleaved like trace_overhead_suite so machine drift cancels. The
+// cost of ARMING duration timers (two clock reads per timed scope) is
+// printed for reference but not gated.
 obs::BenchSuite metrics_overhead_suite(const HarnessConfig& config) {
   const bool durations_were = obs::duration_metrics_enabled();
   auto timed_one = [&](bool master, bool durations) {
@@ -432,7 +383,6 @@ obs::BenchSuite metrics_overhead_suite(const HarnessConfig& config) {
   const std::uint64_t pairs =
       config.smoke ? config.reps : std::max<std::uint64_t>(config.reps, 15);
   suite.reps = pairs;
-  const obs::Counters before = obs::global_counters();
   std::vector<double> pair_ratio;
   for (std::uint64_t rep = 0; rep < pairs; ++rep) {
     double bare_ms;
@@ -448,7 +398,6 @@ obs::BenchSuite metrics_overhead_suite(const HarnessConfig& config) {
     suite.wall_ms.push_back(default_ms);
     if (bare_ms > 0.0) pair_ratio.push_back(default_ms / bare_ms);
   }
-  suite.counters = obs::global_counters().delta_since(before);
   bare.finalize_stats();
   suite.finalize_stats();
   std::sort(pair_ratio.begin(), pair_ratio.end());
@@ -578,7 +527,6 @@ int main(int argc, char** argv) {
   cli.option("reps", "measured repetitions per suite", "7");
   cli.option("warmup", "warmup repetitions per suite", "1");
   cli.flag("smoke", "tiny sizes and 1 rep: exercise, don't measure");
-  cli.flag("timing", "enable phase timers and print the breakdown");
   cli.option("trace",
              "write a Chrome trace of one traced E2 greedy sweep here and "
              "exit (no bench report)",
@@ -629,8 +577,6 @@ int main(int argc, char** argv) {
     return bench::write_metrics_snapshot(metrics_path);
   }
 
-  if (cli.get_flag("timing")) obs::set_timing_enabled(true);
-
   bench::banner("BENCH harness",
                 "Fixed perf suite with warmup + repetitions; medians go to "
                 "BENCH_<date>.json for bench_diff gating.");
@@ -642,8 +588,6 @@ int main(int argc, char** argv) {
                                            : sim::default_thread_count();
   report.smoke = config.smoke;
 
-  obs::reset_counters();
-  obs::reset_phase_times();
   obs::reset_metrics();
   // Duration histograms stay empty unless the timers are armed; --metrics
   // asks for a populated snapshot, so arm them for the whole run.
@@ -670,21 +614,8 @@ int main(int argc, char** argv) {
   report.suites.push_back(bench::run_suite(
       "serve_throughput", config.smoke ? 64 : 256, config,
       [&] { bench::serve_throughput_body(config); }));
-  report.suites.push_back(bench::counter_overhead_suite(config));
   report.suites.push_back(bench::trace_overhead_suite(config));
   report.suites.push_back(bench::metrics_overhead_suite(config));
-
-  if (cli.get_flag("timing")) {
-    const obs::PhaseTimes phases = obs::global_phase_times();
-    std::printf("\nphase breakdown (all suites):\n");
-    for (std::size_t i = 0; i < obs::kNumPhases; ++i) {
-      const auto phase = static_cast<obs::Phase>(i);
-      std::printf("  %-16s %12.3f ms over %llu spans\n",
-                  std::string(obs::phase_name(phase)).c_str(),
-                  static_cast<double>(phases.nanos(phase)) / 1e6,
-                  static_cast<unsigned long long>(phases.count(phase)));
-    }
-  }
 
   std::string out_path = cli.get("out");
   if (out_path.empty()) out_path = "BENCH_" + report.date + ".json";

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/digest.hpp"
@@ -24,7 +23,6 @@ void MachineState::place(const Task& task, tree::NodeId node) {
   PARTREE_ASSERT(inserted, "task id already active");
   loads_.assign(node);
   peak_active_size_ = std::max(peak_active_size_, loads_.total_active_size());
-  obs::bump(obs::Counter::kTasksPlaced);
 }
 
 tree::NodeId MachineState::remove(TaskId id) {
@@ -33,7 +31,6 @@ tree::NodeId MachineState::remove(TaskId id) {
   const tree::NodeId node = it->second.node;
   loads_.release(node);
   active_.erase(it);
-  obs::bump(obs::Counter::kTasksRemoved);
   return node;
 }
 
@@ -52,7 +49,6 @@ void MachineState::migrate(std::span<const Migration> migrations) {
     loads_.assign(m.to);
     it->second.node = m.to;
     ++moved;
-    obs::bump(obs::Counter::kMigrationsApplied);
   }
   obs::emit_instant(obs::Instant::kMigrationBatch, moved);
 }

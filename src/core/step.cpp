@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/timing.hpp"
 #include "obs/trace.hpp"
 
 namespace partree::core {

@@ -16,26 +16,6 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-util::json::Value counters_to_json(const Counters& counters) {
-  util::json::Object obj;
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    const auto c = static_cast<Counter>(i);
-    obj.emplace(std::string(counter_name(c)), counters[c]);
-  }
-  return util::json::Value(std::move(obj));
-}
-
-Counters counters_from_json(const util::json::Value& v) {
-  Counters out;
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    const auto c = static_cast<Counter>(i);
-    if (const util::json::Value* entry = v.find(counter_name(c))) {
-      out[c] = entry->as_u64();
-    }
-  }
-  return out;
-}
-
 // A wall-time field that is absent, non-numeric (e.g. the string "NaN"),
 // or non-finite renames the generic parse error to point at the suite and
 // field -- a damaged baseline must fail loudly, not poison comparisons.
@@ -93,10 +73,6 @@ util::json::Value to_json(const BenchReport& report) {
     s.emplace("p90_ms", suite.p90_ms);
     s.emplace("mean_ms", suite.mean_ms);
     s.emplace("min_ms", suite.min_ms);
-    s.emplace("counters", counters_to_json(suite.counters));
-    if (suite.counter_overhead_pct >= 0.0) {
-      s.emplace("counter_overhead_pct", suite.counter_overhead_pct);
-    }
     if (suite.trace_overhead_pct >= 0.0) {
       s.emplace("trace_overhead_pct", suite.trace_overhead_pct);
     }
@@ -152,10 +128,6 @@ BenchReport report_from_json(const util::json::Value& v) {
     suite.p90_ms = finite_ms(s, "p90_ms", suite.name);
     suite.mean_ms = finite_ms(s, "mean_ms", suite.name);
     suite.min_ms = finite_ms(s, "min_ms", suite.name);
-    suite.counters = counters_from_json(s.at("counters"));
-    if (const util::json::Value* o = s.find("counter_overhead_pct")) {
-      suite.counter_overhead_pct = o->as_double();
-    }
     if (const util::json::Value* o = s.find("trace_overhead_pct")) {
       suite.trace_overhead_pct = o->as_double();
     }

@@ -13,18 +13,19 @@
 //     "suites": [ { "name": "...", "n": 1024, "reps": 5,
 //                   "wall_ms": [..], "median_ms": m, "p90_ms": p,
 //                   "mean_ms": a, "min_ms": lo,
-//                   "counters": { "events_processed": ..., ... },
-//                   "counter_overhead_pct": x,  // only the overhead suites
-//                   "trace_overhead_pct": y,
+//                   "trace_overhead_pct": y,    // only the overhead suites
 //                   "metrics_overhead_pct": z
 //                 }, ... ] }
+//
+// Unknown keys are ignored on read, so reports from older harnesses (which
+// carried per-suite "counters" and "counter_overhead_pct") still parse.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "obs/counters.hpp"
 #include "util/json.hpp"
 
 namespace partree::obs {
@@ -38,10 +39,6 @@ struct BenchSuite {
   double p90_ms = 0.0;
   double mean_ms = 0.0;
   double min_ms = 0.0;
-  Counters counters;  ///< totals over one measured repetition
-  /// Counters-enabled vs disabled overhead, percent; < 0 when the suite
-  /// did not measure it.
-  double counter_overhead_pct = -1.0;
   /// What the tracing subsystem costs while DISABLED, percent: default
   /// runs (always-on flight-recorder store) vs bare runs with the
   /// recorder switched off. < 0 when the suite did not measure it. The

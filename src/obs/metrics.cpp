@@ -18,7 +18,7 @@ std::atomic<bool> g_duration_metrics_enabled{false};
 // Every cell is written by exactly one thread (its shard owner), so
 // updates are relaxed load+store pairs -- no lock-prefixed RMW on the hot
 // path -- while concurrent snapshot reads from another thread stay
-// race-free (TSan-clean), unlike the plain-integer counter shards.
+// race-free (TSan-clean).
 void add_relaxed(std::atomic<std::uint64_t>& cell, std::uint64_t n) noexcept {
   cell.store(cell.load(std::memory_order_relaxed) + n,
              std::memory_order_relaxed);
@@ -36,9 +36,11 @@ void min_relaxed(std::atomic<std::uint64_t>& cell, std::uint64_t v) noexcept {
   }
 }
 
+// The count is not a cell of its own but the bucket total, so even a
+// snapshot taken while the owner records is self-consistent (what
+// validate_metrics_json checks); at quiescent points nothing changes.
 struct AtomicHistogram {
   std::array<std::atomic<std::uint64_t>, kLog2Buckets> buckets{};
-  std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> sum{0};
   std::atomic<std::uint64_t> min{kNoMin};
   std::atomic<std::uint64_t> max{0};
@@ -47,7 +49,6 @@ struct AtomicHistogram {
     const std::size_t b =
         v == 0 ? 0 : static_cast<std::size_t>(std::bit_width(v));
     add_relaxed(buckets[b], 1);
-    add_relaxed(count, 1);
     add_relaxed(sum, v);
     min_relaxed(min, v);
     max_relaxed(max, v);
@@ -58,8 +59,6 @@ struct AtomicHistogram {
       buckets[b].store(o.buckets[b].load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
     }
-    count.store(o.count.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
     sum.store(o.sum.load(std::memory_order_relaxed),
               std::memory_order_relaxed);
     min.store(o.min.load(std::memory_order_relaxed),
@@ -72,7 +71,6 @@ struct AtomicHistogram {
     for (std::size_t b = 0; b < kLog2Buckets; ++b) {
       add_relaxed(buckets[b], o.buckets[b].load(std::memory_order_relaxed));
     }
-    add_relaxed(count, o.count.load(std::memory_order_relaxed));
     add_relaxed(sum, o.sum.load(std::memory_order_relaxed));
     min_relaxed(min, o.min.load(std::memory_order_relaxed));
     max_relaxed(max, o.max.load(std::memory_order_relaxed));
@@ -82,12 +80,14 @@ struct AtomicHistogram {
     MetricHistogram out;
     for (std::size_t b = 0; b < kLog2Buckets; ++b) {
       out.buckets[b] = buckets[b].load(std::memory_order_relaxed);
+      out.count += out.buckets[b];
     }
-    out.count = count.load(std::memory_order_relaxed);
     out.sum = sum.load(std::memory_order_relaxed);
+    if (out.count == 0) return out;
     const std::uint64_t lo = min.load(std::memory_order_relaxed);
-    out.min = out.count == 0 || lo == kNoMin ? 0 : lo;
-    out.max = max.load(std::memory_order_relaxed);
+    out.min = lo == kNoMin ? 0 : lo;
+    // A record in flight may have set min but not yet max.
+    out.max = std::max(max.load(std::memory_order_relaxed), out.min);
     return out;
   }
 };
@@ -130,8 +130,8 @@ struct MetricsShard {
   }
 };
 
-// Leaked on purpose (same reasoning as counters.cpp): pool workers may
-// retire their shards after static destruction begins.
+// Leaked on purpose: pool workers may retire their shards after static
+// destruction begins.
 detail::ShardRegistry<MetricsShard>& registry() {
   static auto* r = new detail::ShardRegistry<MetricsShard>();
   return *r;
@@ -166,6 +166,7 @@ constexpr MetricHelp kValueHelp[kNumValueMetrics] = {
      "Migrations emitted by the planner per applied reallocation round."},
     {"migrations_applied",
      "Physical task moves (from != to) per applied reallocation round."},
+    {"min_load_node_visits", "Tree nodes visited per min_load_node query."},
     {"pool_region_items", "Items per dispatched parallel region."},
     {"pool_chunk_items", "Items per chunk claimed off the ticket counter."},
     {"sweep_shard_cells", "Cells per executed sweep shard."},

@@ -1,27 +1,27 @@
-// Run metrics: distribution-level observability for the hot layers.
+// Run metrics: the one instrumentation registry for the hot layers.
 //
-// Counters (counters.hpp) answer "how many"; this registry answers "how
-// bad does it get". Instrumented code records into log2-bucketed
-// histograms (durations and sizes), plus process-wide high-watermark
-// gauges, all sharded per thread on the shard_registry.hpp pattern so the
-// hot paths never synchronise. Unlike the counter shards, every cell here
-// is a relaxed atomic written by exactly one thread, so a snapshot taken
-// WHILE pool workers are recording is race-free (merely fuzzy) -- the
-// crash-dump path reads the registry from an aborting thread without
-// waiting for quiescence.
+// Every histogram answers both "how many" (its count and sum) and "how
+// bad does it get" (its distribution). Instrumented code records into
+// log2-bucketed histograms (durations and sizes), plus process-wide
+// high-watermark gauges, all sharded per thread on the shard_registry.hpp
+// pattern so the hot paths never synchronise. Every cell is a relaxed
+// atomic written by exactly one thread, so a snapshot taken WHILE pool
+// workers are recording is race-free (merely fuzzy) -- the crash-dump
+// path reads the registry from an aborting thread without waiting for
+// quiescence. Per-run totals that the code already keeps (events,
+// arrivals, rounds, moves) live on sim::SimResult, not here.
 //
-// Two switches, mirroring the counters/timing split:
+// Two switches:
 //
 //   * `set_metrics_enabled` (default ON) gates everything: value
 //     histograms, gauges, and pre-measured duration records. The enabled
 //     cost per record is a branch plus a handful of thread-local relaxed
-//     stores -- counter-bump territory; the bench harness gates it below
-//     1% on the E2 greedy sweep (metrics_overhead_pct).
+//     stores; the bench harness gates it below 1% on the E2 greedy sweep
+//     (metrics_overhead_pct).
 //   * `set_duration_metrics_enabled` (default OFF) additionally lets
 //     `MetricTimer` read the monotonic clock, populating the duration
 //     histograms. Two clock reads per instrumented scope are measurable
-//     on small events, so -- like phase timing -- it is opt-in
-//     (`bench_harness --metrics`).
+//     on small events, so it is opt-in (`bench_harness --metrics`).
 //
 // Snapshots aggregate retired + live shards into plain structs, exported
 // two ways: a canonical "partree-metrics-v1" JSON document and a
@@ -90,6 +90,9 @@ enum class ValueMetric : std::size_t {
   kMigrationsPlanned = 0,
   /// core::apply_event: physical moves (from != to) per applied round.
   kMigrationsApplied,
+  /// tree::LoadTree::min_load_node: nodes visited per query. The count is
+  /// the number of queries; sum / count << N means the pruning works.
+  kMinLoadNodeVisits,
   /// Pool: items per dispatched region.
   kPoolRegionItems,
   /// Pool: items per chunk a worker claimed off the ticket counter.

@@ -1,12 +1,13 @@
-// Per-thread shard registry backing the observability counters/timers.
+// Per-thread shard registry backing the metrics registry (metrics.hpp).
 //
 // Hot paths (one engine event, one min_load_node call) touch only the
-// calling thread's shard -- no atomics, no locks -- so `sim::parallel_for`
-// workers never contend. A shard registers itself on a thread's first use
-// and, when the thread exits, folds its totals into a "retired" accumulator
-// under the registry mutex: joining a worker pool therefore merges its
-// counters automatically. Aggregation walks retired + live shards and is
-// only meant for quiescent points (harness boundaries, after joins).
+// calling thread's shard -- no locks, no contended cache lines -- so
+// `sim::parallel_for` workers never contend. A shard registers itself on a
+// thread's first use and, when the thread exits, folds its totals into a
+// "retired" accumulator under the registry mutex: joining a worker pool
+// therefore merges its records automatically. Aggregation walks retired +
+// live shards; it is exact at quiescent points (harness boundaries, after
+// joins) and, for shards of atomic cells, race-free but fuzzy elsewhere.
 #pragma once
 
 #include <mutex>

@@ -1,23 +1,8 @@
 #include "obs/timing.hpp"
 
-#include <atomic>
 #include <chrono>
 
-#include "obs/shard_registry.hpp"
-#include "obs/trace.hpp"
-
 namespace partree::obs {
-namespace {
-
-std::atomic<bool> g_timing_enabled{false};
-
-// Leaked on purpose; see counters.cpp.
-detail::ShardRegistry<PhaseTimes>& registry() {
-  static auto* r = new detail::ShardRegistry<PhaseTimes>();
-  return *r;
-}
-
-}  // namespace
 
 std::string_view phase_name(Phase p) noexcept {
   switch (p) {
@@ -32,18 +17,6 @@ std::string_view phase_name(Phase p) noexcept {
   return "unknown";
 }
 
-void set_timing_enabled(bool enabled) noexcept {
-  g_timing_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool timing_enabled() noexcept {
-  return g_timing_enabled.load(std::memory_order_relaxed);
-}
-
-PhaseTimes global_phase_times() { return registry().aggregate(); }
-
-void reset_phase_times() { registry().reset(); }
-
 namespace detail {
 
 std::uint64_t monotonic_ns() noexcept {
@@ -52,14 +25,6 @@ std::uint64_t monotonic_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(now).count();
   // steady_clock never goes backwards; 0 is reserved for "timer disarmed".
   return ns <= 0 ? 1 : static_cast<std::uint64_t>(ns);
-}
-
-void record_span(Phase phase, std::uint64_t start_ns,
-                 std::uint64_t end_ns) noexcept {
-  PhaseTimes& shard = registry().local();
-  shard.ns[static_cast<std::size_t>(phase)] += end_ns - start_ns;
-  ++shard.spans[static_cast<std::size_t>(phase)];
-  if (tracing_enabled()) emit_span(phase, start_ns, end_ns);
 }
 
 }  // namespace detail

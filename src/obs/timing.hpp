@@ -1,18 +1,12 @@
-// Phase timing.
+// Phase names and the monotonic clock.
 //
-// `ScopedTimer` brackets one engine phase with the monotonic clock and
-// accumulates the elapsed nanoseconds into a per-thread shard (same
-// sharding as counters.hpp, merged the same way). Timing is OFF by
-// default: two steady_clock reads per event are measurable on small
-// machines, so the harness switches it on only for phase-breakdown runs.
-//
-// While tracing is armed (obs/trace.hpp), every completed span is also
-// recorded as a structured trace event -- that path is a branch on the
-// tracing flag inside record_span, so the timing-disabled hot path stays
-// one branch in the ScopedTimer constructor.
+// A Phase names one bracketed stretch of engine or pool work. Phases are
+// not accumulated anywhere: while a trace sink is armed, obs/trace.hpp's
+// ScopedTimer records each one as a span event, and the duration
+// histograms of obs/metrics.hpp carry the distributions.
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -37,67 +31,12 @@ enum class Phase : std::size_t {
 
 inline constexpr std::size_t kNumPhases = static_cast<std::size_t>(Phase::kCount);
 
-/// Stable snake_case name used in BENCH json and reports.
+/// Stable snake_case name used in trace exports and crash dumps.
 [[nodiscard]] std::string_view phase_name(Phase p) noexcept;
 
-/// Accumulated nanoseconds and span counts per phase.
-struct PhaseTimes {
-  std::array<std::uint64_t, kNumPhases> ns{};
-  std::array<std::uint64_t, kNumPhases> spans{};
-
-  [[nodiscard]] std::uint64_t nanos(Phase p) const noexcept {
-    return ns[static_cast<std::size_t>(p)];
-  }
-  [[nodiscard]] std::uint64_t count(Phase p) const noexcept {
-    return spans[static_cast<std::size_t>(p)];
-  }
-
-  void merge(const PhaseTimes& other) noexcept {
-    for (std::size_t i = 0; i < kNumPhases; ++i) {
-      ns[i] += other.ns[i];
-      spans[i] += other.spans[i];
-    }
-  }
-
-  friend bool operator==(const PhaseTimes&, const PhaseTimes&) = default;
-};
-
-/// Master switch; timing is disabled by default.
-void set_timing_enabled(bool enabled) noexcept;
-[[nodiscard]] bool timing_enabled() noexcept;
-
-/// Sum over all threads since the last reset. Quiescent points only.
-[[nodiscard]] PhaseTimes global_phase_times();
-
-/// Zeroes all phase-time shards. Quiescent points only.
-void reset_phase_times();
-
 namespace detail {
+/// Monotonic nanoseconds; never 0, which callers reserve for "no start".
 [[nodiscard]] std::uint64_t monotonic_ns() noexcept;
-void record_span(Phase phase, std::uint64_t start_ns,
-                 std::uint64_t end_ns) noexcept;
 }  // namespace detail
-
-/// RAII span: measures construction-to-destruction on the monotonic clock
-/// and records it under `phase`. Free when timing is disabled.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Phase phase) noexcept
-      : phase_(phase),
-        start_ns_(timing_enabled() ? detail::monotonic_ns() : 0) {}
-
-  ~ScopedTimer() {
-    if (start_ns_ != 0) {
-      detail::record_span(phase_, start_ns_, detail::monotonic_ns());
-    }
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Phase phase_;
-  std::uint64_t start_ns_;
-};
 
 }  // namespace partree::obs

@@ -7,7 +7,8 @@
 #include <filesystem>
 #include <mutex>
 
-#include "obs/counters.hpp"
+#include <unistd.h>
+
 #include "obs/metrics.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
@@ -27,8 +28,8 @@ struct Ring {
   std::uint64_t drained = 0;      // events already handed to a sink
 };
 
-// Leaked on purpose (same reasoning as counters.cpp): rings flush on
-// thread exit, which may happen after static destruction begins.
+// Leaked on purpose: rings flush on thread exit, which may happen after
+// static destruction begins.
 struct Registry {
   std::mutex mutex;
   std::vector<Ring*> rings;
@@ -270,27 +271,8 @@ std::string write_crash_dump(std::string_view reason) {
   }
   root.emplace("flight_record", std::move(flight));
 
-  const Counters counters = global_counters();
-  util::json::Object counters_obj;
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    const auto c = static_cast<Counter>(i);
-    counters_obj.emplace(std::string(counter_name(c)), counters[c]);
-  }
-  root.emplace("counters", std::move(counters_obj));
-
-  const PhaseTimes phases = global_phase_times();
-  util::json::Object phases_obj;
-  for (std::size_t i = 0; i < kNumPhases; ++i) {
-    const auto p = static_cast<Phase>(i);
-    util::json::Object entry;
-    entry.emplace("ns", phases.nanos(p));
-    entry.emplace("spans", phases.count(p));
-    phases_obj.emplace(std::string(phase_name(p)), std::move(entry));
-  }
-  root.emplace("phase_times", std::move(phases_obj));
-
   // The full partree-metrics-v1 document rides along so invariant-failure
-  // forensics include the latency/queue distributions leading up to the
+  // forensics include the counts and distributions leading up to the
   // crash. Snapshotting mid-flight is safe: metrics cells are
   // single-writer relaxed atomics.
   root.emplace("metrics", metrics_to_json(snapshot_metrics()));
@@ -304,12 +286,13 @@ std::string write_crash_dump(std::string_view reason) {
     path = crash_path_override();
   }
   if (path.empty()) {
-    // Default: partree_crash_<unix_ts>.json in PARTREE_CRASH_DIR (created
-    // if missing), falling back to the working directory. Dumps used to
-    // land unconditionally in the CWD, which littered source checkouts.
+    // Default: partree_crash_<unix_ts>_<pid>.json in PARTREE_CRASH_DIR
+    // (created if missing), falling back to the working directory. The pid
+    // keeps same-second dumps of concurrent processes (ctest -j, sweep
+    // shards) from replacing each other.
     path = "partree_crash_" +
-           std::to_string(static_cast<long long>(std::time(nullptr))) +
-           ".json";
+           std::to_string(static_cast<long long>(std::time(nullptr))) + "_" +
+           std::to_string(static_cast<long long>(::getpid())) + ".json";
     if (const char* dir = std::getenv("PARTREE_CRASH_DIR");
         dir != nullptr && *dir != '\0') {
       std::error_code ec;

@@ -4,7 +4,7 @@
 // buffer -- no locks, no allocation past first use -- via three typed emit
 // paths:
 //
-//   * phase spans      (obs/timing.hpp's ScopedTimer, while timing is on)
+//   * phase spans      (ScopedTimer below; only while a sink is armed)
 //   * engine instants  (arrival / departure / realloc round / migration
 //                       batch; ALWAYS recorded -- they double as the flight
 //                       recorder -- with a timestamp only while tracing)
@@ -18,7 +18,7 @@
 // ring simply wraps, at a cost of one struct store per event, and its tail
 // is the FLIGHT RECORDER: `thread_flight_record` returns the calling
 // thread's last <= kFlightRecorderEvents events, and `write_crash_dump`
-// serializes them together with the global counters and phase times as
+// serializes them together with a metrics snapshot (obs/metrics.hpp) as
 // canonical JSON to stderr and a crash file -- the engine calls it when
 // `EngineOptions::debug_checks` catches an invariant violation, so the
 // events leading up to the corruption survive the abort.
@@ -174,22 +174,47 @@ void emit_counters(std::uint64_t max_load, std::uint64_t l_star,
 [[nodiscard]] std::vector<TraceEvent> thread_flight_record();
 
 /// Overrides the crash-dump file path (tests). Empty restores the default
-/// `partree_crash_<unix_ts>.json`, placed in $PARTREE_CRASH_DIR (created
-/// if missing) when that is set, else in the working directory.
+/// `partree_crash_<unix_ts>_<pid>.json`, placed in $PARTREE_CRASH_DIR
+/// (created if missing) when that is set, else in the working directory.
 void set_crash_dump_path(std::string path);
 
-/// Serializes the calling thread's flight record plus global counters and
-/// phase times ("partree-crash-v1" JSON) to stderr and the crash-dump
-/// file. The file write is atomic (tmp + rename), so a crash mid-dump
-/// never leaves truncated JSON. Returns the file path, or "" if the file
-/// could not be written (the stderr copy is emitted regardless). Called
-/// on the way to abort(); does not itself abort.
+/// Serializes the calling thread's flight record plus a metrics snapshot
+/// ("partree-crash-v1" JSON embedding a partree-metrics-v1 document) to
+/// stderr and the crash-dump file. Safe while other threads record: the
+/// metrics cells are single-writer relaxed atomics and only the calling
+/// thread's ring is read. The file write is atomic (tmp + rename), so a
+/// crash mid-dump never leaves truncated JSON. Returns the file path, or
+/// "" if the file could not be written (the stderr copy is emitted
+/// regardless). Called on the way to abort(); does not itself abort.
 std::string write_crash_dump(std::string_view reason);
 
 namespace detail {
-/// Span feed from timing.cpp's record_span; tracing-gated by the caller.
+/// Span feed from ScopedTimer.
 void emit_span(Phase phase, std::uint64_t start_ns,
                std::uint64_t end_ns) noexcept;
 }  // namespace detail
+
+/// RAII phase span: while a sink is armed, measures construction to
+/// destruction on the monotonic clock and emits it as a span event.
+/// Disarmed, it costs one relaxed load and never reads the clock.
+class ScopedTimer {
+ public:
+  explicit ScopedTimer(Phase phase) noexcept
+      : phase_(phase),
+        start_ns_(tracing_enabled() ? detail::monotonic_ns() : 0) {}
+
+  ~ScopedTimer() {
+    if (start_ns_ != 0) {
+      detail::emit_span(phase_, start_ns_, detail::monotonic_ns());
+    }
+  }
+
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+ private:
+  Phase phase_;
+  std::uint64_t start_ns_;
+};
 
 }  // namespace partree::obs

@@ -4,9 +4,7 @@
 #include <optional>
 
 #include "core/step.hpp"
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
 #include "sim/slowdown.hpp"
@@ -16,8 +14,8 @@
 namespace partree::sim {
 namespace {
 
-// debug_checks violation: preserve the evidence (flight record, counters,
-// phase times) before aborting -- the last K engine events usually point
+// debug_checks violation: preserve the evidence (flight record, metrics
+// snapshot) before aborting -- the last K engine events usually point
 // straight at the mutation that corrupted the state. When a fault injector
 // is armed, the most recently applied fault rides along in the reason, so
 // the partree-crash-v1 dump names the injected component and step.
@@ -67,29 +65,21 @@ void check_state_invariants(const core::MachineState& state,
   }
 }
 
-// Arms the trace sink + timing for one traced run and restores both on
-// scope exit (including the drain, so the sink sees the full run).
+// Arms the trace sink for one traced run and disarms it on scope exit
+// (including the drain, so the sink sees the full run).
 class ScopedTraceArm {
  public:
-  explicit ScopedTraceArm(obs::TraceSink* sink)
-      : armed_(sink != nullptr), timing_was_(obs::timing_enabled()) {
-    if (armed_) {
-      obs::set_trace_sink(sink);
-      obs::set_timing_enabled(true);
-    }
+  explicit ScopedTraceArm(obs::TraceSink* sink) : armed_(sink != nullptr) {
+    if (armed_) obs::set_trace_sink(sink);
   }
   ~ScopedTraceArm() {
-    if (armed_) {
-      obs::set_trace_sink(nullptr);  // flushes every live ring first
-      obs::set_timing_enabled(timing_was_);
-    }
+    if (armed_) obs::set_trace_sink(nullptr);  // flushes every live ring
   }
   ScopedTraceArm(const ScopedTraceArm&) = delete;
   ScopedTraceArm& operator=(const ScopedTraceArm&) = delete;
 
  private:
   bool armed_;
-  bool timing_was_;
 };
 
 }  // namespace
@@ -110,7 +100,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
                                   core::TaskSequence* recorded) {
   util::Timer timer;
   const ScopedTraceArm trace_arm(options_.trace);
-  const obs::Counters counters_before = obs::thread_counters();
   allocator.reset();
   core::MachineState state(topo_);
 
@@ -196,7 +185,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
       }
       if (step_record.reallocated) {
         ++result.reallocation_count;
-        obs::bump(obs::Counter::kReallocRounds);
         result.migration_planned_count += step_record.migrations.size();
         result.migration_count += step_record.moves;
         result.migrated_size += step_record.migrated_size;
@@ -212,7 +200,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
         }
       }
       ++result.arrivals;
-      obs::bump(obs::Counter::kArrivals);
     } else {
       const obs::MetricTimer departure_metric(
           obs::DurationMetric::kDepartureHandleNs);
@@ -221,10 +208,8 @@ SimResult Engine::run_interactive(core::EventSource& source,
       if (slowdowns) slowdowns->on_departure(event->task.id, state);
       step_record = core::apply_event(state, allocator, *event);
       ++result.departures;
-      obs::bump(obs::Counter::kDepartures);
     }
     ++result.events;
-    obs::bump(obs::Counter::kEventsProcessed);
 
     const obs::ScopedTimer bookkeeping_timer(obs::Phase::kBookkeeping);
     const std::uint64_t load = state.max_load();
@@ -266,7 +251,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
     result.mean_slowdown = slowdowns->mean_completed();
   }
   result.optimal_load = state.optimal_load();
-  result.counters = obs::thread_counters().delta_since(counters_before);
   result.wall_seconds = timer.seconds();
   return result;
 }

@@ -33,14 +33,13 @@ struct EngineOptions {
   /// LoadTree::max_load() must equal max over pe_loads(), the total active
   /// size must equal the sum of active task sizes, and the active-task
   /// counts must agree. O(N) per event; on violation, writes the flight
-  /// record + counters + phase times as a crash dump (obs::write_crash_dump)
-  /// and aborts. For tests.
+  /// record + metrics snapshot as a crash dump (obs::write_crash_dump) and
+  /// aborts. For tests.
   bool debug_checks = false;
   /// When non-null, the run is traced: the global trace layer is armed
-  /// with this sink and timing is enabled for the duration, so phase
-  /// spans, engine instants, and periodic counter samples land in the
-  /// sink (drained at run end). At most one traced run at a time -- the
-  /// sink and timing switch are process-wide.
+  /// with this sink for the duration, so phase spans, engine instants,
+  /// and periodic counter samples land in the sink (drained at run end).
+  /// At most one traced run at a time -- the sink is process-wide.
   obs::TraceSink* trace = nullptr;
   /// Events between counter samples while tracing (>= 1).
   std::uint64_t trace_sample_every = 64;

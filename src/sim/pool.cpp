@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "obs/counters.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timing.hpp"
+#include "obs/trace.hpp"
 #include "sim/parallel.hpp"
 
 namespace partree::sim {
@@ -20,7 +19,7 @@ thread_local bool t_in_pool_worker = false;
 WorkerPool& WorkerPool::instance() {
   // Function-local static (not leaked): the destructor joins the workers
   // at static destruction, so sanitized binaries exit with no live
-  // threads. Worker thread-locals (counter shards, trace rings) retire
+  // threads. Worker thread-locals (metrics shards, trace rings) retire
   // into the leaked obs registries, which outlive this object by design.
   static WorkerPool pool;
   return pool;
@@ -51,10 +50,7 @@ void WorkerPool::run(std::size_t n,
     // Serial (and nested-region) path: inline on the calling thread, in
     // index order, no pool involvement. Exceptions propagate directly --
     // nothing after the throwing item executes.
-    for (std::size_t i = 0; i < n; ++i) {
-      fn(0, i);
-      obs::bump(obs::Counter::kParallelTasks);
-    }
+    for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }
 
@@ -153,7 +149,6 @@ void WorkerPool::execute_region(std::size_t w) {
       if (cancel_.load(std::memory_order_relaxed)) break;
       try {
         fn(w, i);
-        obs::bump(obs::Counter::kParallelTasks);
       } catch (...) {
         std::lock_guard guard(error_mutex_);
         if (error_ == nullptr) error_ = std::current_exception();

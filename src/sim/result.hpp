@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/counters.hpp"
 #include "util/histogram.hpp"
 
 namespace partree::sim {
@@ -67,10 +66,6 @@ struct SimResult {
   /// Faults actually applied by the injector during this run (0 when no
   /// injector was armed or every scheduled fault was inapplicable).
   std::uint64_t faults_injected = 0;
-
-  /// Observability counters attributed to this run (the engine thread's
-  /// obs counter delta across the replay; zeros when counting is off).
-  obs::Counters counters;
 
   double wall_seconds = 0.0;
 

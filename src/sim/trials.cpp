@@ -50,7 +50,6 @@ TrialAggregate run_trials(tree::Topology topo,
 
   std::vector<std::vector<std::uint64_t>> partial_sums(
       n_workers, std::vector<std::uint64_t>(horizon, 0));
-  std::vector<obs::Counters> partial_counters(n_workers);
   std::vector<std::uint64_t> trial_max(options.trials, 0);
   std::string allocator_name;
   std::uint64_t optimal_load = 0;
@@ -73,7 +72,6 @@ TrialAggregate run_trials(tree::Topology topo,
           sums[t] += r.load_series[t];
         }
         trial_max[i] = r.max_load;
-        partial_counters[w].merge(r.counters);
         if (i == 0) {
           allocator_name = r.allocator;
           optimal_load = r.optimal_load;
@@ -101,8 +99,6 @@ TrialAggregate run_trials(tree::Topology topo,
   agg.stddev_max_load = max_stats.stddev();
   agg.min_max_load = min_max;
   agg.max_max_load = max_max;
-
-  for (const obs::Counters& c : partial_counters) agg.counters.merge(c);
 
   // max_tau E[L(tau)]: fold the per-worker partial sums pointwise, then
   // take the maximum over time of the mean.

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/sequence.hpp"
-#include "obs/counters.hpp"
 #include "sim/result.hpp"
 #include "tree/topology.hpp"
 
@@ -42,10 +41,6 @@ struct TrialAggregate {
 
   /// max_tau E[L(tau)]: the paper's randomized load.
   double max_expected_load = 0.0;
-
-  /// Observability counters merged over all trials. Addition commutes, so
-  /// this is identical for any n_threads given the same seed.
-  obs::Counters counters;
 
   [[nodiscard]] double expected_ratio() const noexcept {
     return optimal_load == 0 ? 1.0

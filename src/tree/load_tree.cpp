@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "util/digest.hpp"
 
 namespace partree::tree {
@@ -124,8 +124,7 @@ NodeId LoadTree::min_load_node(std::uint64_t size) const {
   // candidate. Recursion depth is at most log N; no allocation per query.
   std::uint64_t visits = 0;
   min_load_dfs(Topology::root(), target_depth, 0, best, best_load, visits);
-  obs::bump(obs::Counter::kMinLoadNodeCalls);
-  obs::bump(obs::Counter::kMinLoadNodeVisits, visits);
+  obs::record_value(obs::ValueMetric::kMinLoadNodeVisits, visits);
   PARTREE_ASSERT(best != kInvalidNode, "min_load_node found no candidate");
   return best;
 }

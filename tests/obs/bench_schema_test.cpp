@@ -21,8 +21,6 @@ BenchReport sample_report() {
   micro.n = 1024;
   micro.reps = 5;
   micro.wall_ms = {10.0, 11.0, 9.5, 10.5, 10.2};
-  micro.counters[Counter::kMinLoadNodeCalls] = 30000;
-  micro.counters[Counter::kMinLoadNodeVisits] = 1500000;
   micro.finalize_stats();
   report.suites.push_back(micro);
 
@@ -31,8 +29,7 @@ BenchReport sample_report() {
   sweep.n = 1024;
   sweep.reps = 5;
   sweep.wall_ms = {100.0, 98.0, 102.0, 99.0, 101.0};
-  sweep.counters[Counter::kEventsProcessed] = 250000;
-  sweep.counter_overhead_pct = 1.25;
+  sweep.metrics_overhead_pct = 1.25;
   sweep.finalize_stats();
   report.suites.push_back(sweep);
 
@@ -78,8 +75,7 @@ TEST(BenchSchemaTest, JsonRoundTripPreservesEverything) {
     EXPECT_EQ(a.wall_ms, b.wall_ms);
     EXPECT_DOUBLE_EQ(a.median_ms, b.median_ms);
     EXPECT_DOUBLE_EQ(a.p90_ms, b.p90_ms);
-    EXPECT_EQ(a.counters, b.counters);
-    EXPECT_DOUBLE_EQ(a.counter_overhead_pct, b.counter_overhead_pct);
+    EXPECT_DOUBLE_EQ(a.metrics_overhead_pct, b.metrics_overhead_pct);
     EXPECT_DOUBLE_EQ(a.trace_overhead_pct, b.trace_overhead_pct);
   }
 
@@ -233,6 +229,20 @@ TEST(BenchSchemaTest, UnknownSchemaIsRejected) {
   util::json::Value v = to_json(sample_report());
   v.as_object()["schema"] = util::json::Value("partree-bench-v999");
   EXPECT_THROW((void)report_from_json(v), std::runtime_error);
+}
+
+// Reports from older harnesses carry per-suite "counters" objects and a
+// "counter_overhead_pct"; unknown keys are ignored, so they still parse.
+TEST(BenchSchemaTest, LegacyCounterKeysAreIgnored) {
+  util::json::Value v = to_json(sample_report());
+  util::json::Object counters;
+  counters.emplace("events_processed", std::uint64_t{250000});
+  util::json::Object& suite =
+      v.as_object()["suites"].as_array()[1].as_object();
+  suite.emplace("counters", std::move(counters));
+  suite.emplace("counter_overhead_pct", 1.25);
+  EXPECT_EQ(to_json(report_from_json(v)).dump(),
+            to_json(sample_report()).dump());
 }
 
 TEST(BenchSchemaTest, MissingFieldsAreRejected) {

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "core/factory.hpp"
-#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
@@ -57,8 +56,6 @@ TEST(ChromeTraceTest, CountingSinkMatchesEngineCounters) {
   // Run fully drained at disarm: every emit reached the sink, none dropped.
   EXPECT_EQ(sink.dropped(), 0u);
   EXPECT_EQ(sink.instants(Instant::kArrival), r.arrivals);
-  EXPECT_EQ(sink.instants(Instant::kArrival),
-            r.counters[Counter::kArrivals]);
   EXPECT_EQ(sink.instants(Instant::kDeparture), r.departures);
   EXPECT_EQ(sink.instants(Instant::kReallocRound), r.reallocation_count);
   // One migrate() per elected reallocation.
@@ -144,8 +141,8 @@ TEST(ChromeTraceTest, DocumentIsValidChromeTraceJson) {
   EXPECT_TRUE(counter_tracks.count("active_size"));
   EXPECT_TRUE(counter_tracks.count("active_tasks"));
 
-  // Span/instant counts in the serialized JSON match the run's counters.
-  EXPECT_EQ(x_place, r.counters[Counter::kArrivals]);
+  // Span/instant counts in the serialized JSON match the run's counts.
+  EXPECT_EQ(x_place, r.arrivals);
   EXPECT_EQ(i_arrival, r.arrivals);
 }
 
@@ -173,14 +170,12 @@ TEST(ChromeTraceTest, BackToBackParallelRegionsKeepOneTrackPerPoolThread) {
   pool.shutdown();  // fresh worker set so track counting is exact
 
   ChromeTraceSink sink;
-  set_timing_enabled(true);
   set_trace_sink(&sink);
   constexpr int kRegions = 3;
   for (int round = 0; round < kRegions; ++round) {
     sim::parallel_for(64, [](std::size_t) {}, 2);
   }
   set_trace_sink(nullptr);  // flushes the live per-thread rings
-  set_timing_enabled(false);
 
   EXPECT_EQ(sink.dropped_events(), 0u);
   EXPECT_EQ(sink.span_count(Phase::kParallelRegion),

@@ -1,19 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/event_source.hpp"
 #include "core/factory.hpp"
+#include "core/sequence.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "sim/parallel.hpp"
 #include "tree/load_tree.hpp"
 #include "util/json.hpp"
 
@@ -107,56 +114,187 @@ TEST(FlightRecorderDeathTest, CrashDumpHoldsLastKEventsInOrder) {
   }
   EXPECT_EQ(prev_value, kArrivalCount);  // task ids are 1-based
 
-  // Counters and phase times rode along.
-  EXPECT_GE(dump.at("counters").at("arrivals").as_u64(), kArrivalCount);
-  EXPECT_NE(dump.at("phase_times").find("place"), nullptr);
+  // The metrics snapshot rode along: greedy ran one min_load_node query
+  // per arrival before the check tripped.
+  const util::json::Value& metrics = dump.at("metrics");
+  EXPECT_EQ(validate_metrics_json(metrics), "");
+  EXPECT_GE(metrics.at("values").at("min_load_node_visits").at("count")
+                .as_u64(),
+            kArrivalCount);
+  EXPECT_EQ(dump.find("counters"), nullptr);
+  EXPECT_EQ(dump.find("phase_times"), nullptr);
+}
+
+// The entries of `dir`; empty when it does not exist.
+std::set<std::filesystem::path> entries_of(const std::string& dir) {
+  std::set<std::filesystem::path> out;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    out.insert(entry.path());
+  }
+  return out;
 }
 
 // Default-path behavior: with no set_crash_dump_path override, the dump
 // lands in $PARTREE_CRASH_DIR (created on demand) as
-// partree_crash_<ts>.json -- not in whatever directory the process happens
-// to be running in -- and the atomic tmp + rename write leaves no .tmp
-// residue next to it.
+// partree_crash_<ts>_<pid>.json -- not in whatever directory the process
+// happens to be running in -- and the atomic tmp + rename write leaves no
+// .tmp residue next to it. Two processes crashing within the same second
+// leave two dumps: the pid keeps them from replacing each other.
 TEST(FlightRecorderDeathTest, DefaultDumpHonorsCrashDirEnv) {
   const std::string dir =
       ::testing::TempDir() + "flight_recorder_test.crash_dir";
-  std::filesystem::remove_all(dir);
+  // Each threadsafe-style death-test child re-runs this body up to its own
+  // EXPECT_DEATH, so nothing is deleted up front (the second child would
+  // delete the first one's dump): only entries new after both crashes
+  // count.
+  const std::set<std::filesystem::path> before = entries_of(dir);
 
-  EXPECT_DEATH(
-      {
-        ::setenv("PARTREE_CRASH_DIR", dir.c_str(), 1);
-        run_until_crash();  // no override: default path selection
-      },
-      "debug check: LoadTree max_load != max over pe_loads");
+  for (int child = 0; child < 2; ++child) {
+    EXPECT_DEATH(
+        {
+          ::setenv("PARTREE_CRASH_DIR", dir.c_str(), 1);
+          run_until_crash();  // no override: default path selection
+        },
+        "debug check: LoadTree max_load != max over pe_loads");
+  }
 
   std::vector<std::filesystem::path> dumps;
   std::vector<std::filesystem::path> residue;
   ASSERT_TRUE(std::filesystem::is_directory(dir))
       << "crash dir was not created";
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
+  for (const std::filesystem::path& path : entries_of(dir)) {
+    if (before.count(path) != 0) continue;
+    const std::string name = path.filename().string();
     if (name.starts_with("partree_crash_") && name.ends_with(".json")) {
-      dumps.push_back(entry.path());
+      dumps.push_back(path);
     } else {
-      residue.push_back(entry.path());
+      residue.push_back(path);
     }
   }
-  ASSERT_EQ(dumps.size(), 1u) << "expected exactly one crash dump in " << dir;
+  ASSERT_EQ(dumps.size(), 2u) << "expected one crash dump per child in "
+                              << dir;
   EXPECT_TRUE(residue.empty())
       << "unexpected file next to the dump (tmp residue?): "
       << residue.front();
 
-  // The dump is complete, parseable JSON (the atomic write's contract).
-  std::ifstream in(dumps.front());
+  // Each dump is complete, parseable JSON (the atomic write's contract).
+  for (const std::filesystem::path& path : dumps) {
+    std::ifstream in(path);
+    ASSERT_TRUE(in);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const util::json::Value dump = util::json::parse(buf.str());
+    EXPECT_EQ(dump.at("schema").as_string(), "partree-crash-v1");
+    EXPECT_EQ(dump.at("flight_record").as_array().size(),
+              kFlightRecorderEvents);
+  }
+
+  std::filesystem::remove_all(dir);
+}
+
+// Spins until `arrived` reaches `n`, so the items of one parallel region
+// provably run on distinct pool workers at the same time. Gives up after
+// a generous deadline so a broken pool fails an expectation, not the
+// ctest timeout.
+void rendezvous(std::atomic<int>& arrived, int n) {
+  arrived.fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (arrived.load() < n && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+// Unit tasks that arrive and depart in turn until `stop` is raised (or a
+// cap is hit, so a missing dumper cannot hang the test). Raises `started`
+// once the engine has applied its first event.
+class UntilStoppedSource final : public core::EventSource {
+ public:
+  static constexpr std::uint64_t kCap = std::uint64_t{1} << 22;
+
+  UntilStoppedSource(std::atomic<bool>& started, const std::atomic<bool>& stop)
+      : started_(started), stop_(stop) {}
+
+  [[nodiscard]] std::optional<core::Event> next(
+      const core::MachineState&) override {
+    if (emitted_ == 1) started_.store(true);
+    const bool arrival = emitted_ % 2 == 0;
+    if (arrival && (stop_.load() || emitted_ >= kCap)) return std::nullopt;
+    const core::TaskId id = emitted_ / 2 + 1;
+    ++emitted_;
+    return arrival ? core::Event::arrival(id, 1) : core::Event::departure(id);
+  }
+
+ private:
+  std::atomic<bool>& started_;
+  const std::atomic<bool>& stop_;
+  std::uint64_t emitted_ = 0;
+};
+
+// A crash dump taken while another pool worker is mid-run must read the
+// live instrumentation without racing it (the TSan build runs this), and
+// still produce a complete partree-crash-v1 document. The warm-up region
+// gives both workers their instrumentation shards first, so the second
+// region's dump reads a shard that the engine worker is writing.
+TEST(FlightRecorderTest, DumpWhileAnotherWorkerRunsTheEngine) {
+  const tree::Topology topo(16);
+  std::atomic<int> warm_arrived{0};
+  std::vector<std::thread::id> warm_threads(2);
+  sim::parallel_for(
+      2,
+      [&](std::size_t i) {
+        rendezvous(warm_arrived, 2);
+        warm_threads[i] = std::this_thread::get_id();
+        auto greedy = core::make_allocator("greedy", topo);
+        (void)sim::Engine(topo).run(core::figure1_sequence(), *greedy);
+      },
+      2);
+  EXPECT_NE(warm_threads[0], warm_threads[1]);
+
+  const std::string dump_path =
+      ::testing::TempDir() + "flight_recorder_test.race.json";
+  std::remove(dump_path.c_str());
+  set_crash_dump_path(dump_path);
+  std::atomic<int> arrived{0};
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::string written;
+  std::uint64_t engine_events = 0;
+  sim::parallel_for(
+      2,
+      [&](std::size_t i) {
+        rendezvous(arrived, 2);
+        if (i == 0) {
+          while (!started.load()) std::this_thread::yield();
+          written = write_crash_dump("dump while another worker records");
+          stop.store(true);
+        } else {
+          UntilStoppedSource source(started, stop);
+          auto greedy = core::make_allocator("greedy", topo);
+          const sim::SimResult r =
+              sim::Engine(topo).run_interactive(source, *greedy);
+          engine_events = r.events;
+        }
+      },
+      2);
+  set_crash_dump_path("");
+
+  ASSERT_EQ(written, dump_path);
+  // The engine stopped because the dump finished, not at the cap: the two
+  // really overlapped.
+  EXPECT_LT(engine_events, UntilStoppedSource::kCap);
+  std::ifstream in(dump_path);
   ASSERT_TRUE(in);
   std::stringstream buf;
   buf << in.rdbuf();
   const util::json::Value dump = util::json::parse(buf.str());
   EXPECT_EQ(dump.at("schema").as_string(), "partree-crash-v1");
-  EXPECT_EQ(dump.at("flight_record").as_array().size(),
-            kFlightRecorderEvents);
-
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(validate_metrics_json(dump.at("metrics")), "");
+  EXPECT_GT(dump.at("metrics").at("values").at("min_load_node_visits")
+                .at("count").as_u64(),
+            0u);
+  std::remove(dump_path.c_str());
 }
 
 TEST(FlightRecorderTest, ThreadFlightRecordIsBoundedAndOrdered) {

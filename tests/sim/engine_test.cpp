@@ -4,7 +4,7 @@
 
 #include "core/factory.hpp"
 #include "core/sequence.hpp"
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "workload/synthetic.hpp"
 
 namespace partree::sim {
@@ -125,34 +125,52 @@ TEST(EngineTest, DebugChecksAcceptConsistentRuns) {
   }
 }
 
-TEST(EngineTest, CountersAttributedToTheRun) {
+// Runs Figure 1 under `spec` with the metrics registry bracketed around
+// the run, so the snapshot holds exactly what this run recorded.
+struct MeteredRun {
+  SimResult result;
+  obs::MetricsSnapshot metrics;
+};
+
+MeteredRun run_figure1_metered(const char* spec) {
   const tree::Topology topo(4);
   Engine engine(topo);
-  auto alloc = core::make_allocator("greedy", topo);
-  const auto result = engine.run(core::figure1_sequence(), *alloc);
-  EXPECT_EQ(result.counters[obs::Counter::kEventsProcessed], result.events);
-  EXPECT_EQ(result.counters[obs::Counter::kArrivals], result.arrivals);
-  EXPECT_EQ(result.counters[obs::Counter::kDepartures], result.departures);
-  // Every arrival is placed exactly once; greedy never migrates.
-  EXPECT_EQ(result.counters[obs::Counter::kTasksPlaced], result.arrivals);
-  EXPECT_EQ(result.counters[obs::Counter::kMigrationsApplied], 0u);
-  EXPECT_EQ(result.counters[obs::Counter::kReallocRounds], 0u);
-  // Greedy answers each arrival with one min_load_node query.
-  EXPECT_EQ(result.counters[obs::Counter::kMinLoadNodeCalls],
-            result.arrivals);
-  EXPECT_GE(result.counters[obs::Counter::kMinLoadNodeVisits],
-            result.arrivals);
+  auto alloc = core::make_allocator(spec, topo);
+  obs::reset_metrics();
+  MeteredRun run;
+  run.result = engine.run(core::figure1_sequence(), *alloc);
+  run.metrics = obs::snapshot_metrics();
+  return run;
 }
 
+TEST(EngineTest, CountersAttributedToTheRun) {
+  const MeteredRun run = run_figure1_metered("greedy");
+  const SimResult& result = run.result;
+  // Greedy never migrates.
+  EXPECT_EQ(result.reallocation_count, 0u);
+  EXPECT_EQ(result.migration_count, 0u);
+  EXPECT_EQ(run.metrics.value(obs::ValueMetric::kMigrationsPlanned).count, 0u);
+  EXPECT_EQ(run.metrics.value(obs::ValueMetric::kMigrationsApplied).sum, 0u);
+  // Greedy answers each arrival with one min_load_node query.
+  const obs::MetricHistogram visits =
+      run.metrics.value(obs::ValueMetric::kMinLoadNodeVisits);
+  EXPECT_EQ(visits.count, result.arrivals);
+  EXPECT_GE(visits.sum, result.arrivals);
+}
+
+// One migrations_planned record per round, and every physical move summed
+// in migrations_applied.
 TEST(EngineTest, ReallocCountersMatchResultFields) {
-  const tree::Topology topo(4);
-  Engine engine(topo);
-  auto alloc = core::make_allocator("dmix:d=1", topo);
-  const auto result = engine.run(core::figure1_sequence(), *alloc);
-  EXPECT_EQ(result.counters[obs::Counter::kReallocRounds],
-            result.reallocation_count);
-  EXPECT_EQ(result.counters[obs::Counter::kMigrationsApplied],
-            result.migration_count);
+  const MeteredRun run = run_figure1_metered("dmix:d=1");
+  const SimResult& result = run.result;
+  EXPECT_GT(result.reallocation_count, 0u);
+  const obs::MetricHistogram planned =
+      run.metrics.value(obs::ValueMetric::kMigrationsPlanned);
+  const obs::MetricHistogram applied =
+      run.metrics.value(obs::ValueMetric::kMigrationsApplied);
+  EXPECT_EQ(planned.count, result.reallocation_count);
+  EXPECT_EQ(planned.sum, result.migration_planned_count);
+  EXPECT_EQ(applied.sum, result.migration_count);
 }
 
 TEST(EngineDeathTest, InvalidSequenceRejected) {

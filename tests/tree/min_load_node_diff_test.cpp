@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "obs/counters.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace partree::tree {
@@ -80,14 +80,16 @@ TEST(MinLoadNodeDiffTest, MatchesOracleOverRandomSchedules) {
 TEST(MinLoadNodeDiffTest, VisitCounterAdvancesPerQuery) {
   const Topology topo(64);
   LoadTree tree(topo);
-  const obs::Counters before = obs::thread_counters();
+  obs::reset_metrics();
   (void)tree.min_load_node(1);
   (void)tree.min_load_node(64);
-  const obs::Counters delta = obs::thread_counters().delta_since(before);
-  EXPECT_EQ(delta[obs::Counter::kMinLoadNodeCalls], 2u);
+  const obs::MetricHistogram visits =
+      obs::snapshot_metrics().value(obs::ValueMetric::kMinLoadNodeVisits);
+  EXPECT_EQ(visits.count, 2u);
   // size-64 query answers at the root (1 visit); size-1 visits at least
   // one node per level on the way down.
-  EXPECT_GE(delta[obs::Counter::kMinLoadNodeVisits], 2u);
+  EXPECT_EQ(visits.min, 1u);
+  EXPECT_GE(visits.sum, 2u);
 }
 
 TEST(MinLoadNodeDiffTest, PrunedSearchVisitsFewNodesWhenBalanced) {
@@ -95,10 +97,12 @@ TEST(MinLoadNodeDiffTest, PrunedSearchVisitsFewNodesWhenBalanced) {
   // prune to the leftmost path rather than enumerate all N leaves.
   const Topology topo(256);
   LoadTree tree(topo);
-  const obs::Counters before = obs::thread_counters();
+  obs::reset_metrics();
   EXPECT_EQ(tree.min_load_node(1), topo.leaf_node(0));
-  const obs::Counters delta = obs::thread_counters().delta_since(before);
-  EXPECT_LE(delta[obs::Counter::kMinLoadNodeVisits], 2u * topo.height() + 2u);
+  const obs::MetricHistogram visits =
+      obs::snapshot_metrics().value(obs::ValueMetric::kMinLoadNodeVisits);
+  EXPECT_EQ(visits.count, 1u);
+  EXPECT_LE(visits.sum, 2u * topo.height() + 2u);
 }
 
 }  // namespace
