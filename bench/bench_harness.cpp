@@ -154,8 +154,8 @@ void tradeoff_sweep_body(const HarnessConfig& config) {
   }
 }
 
-// Suite 4: raw replay throughput at N=4096 through the fast-path
-// allocators (greedy-fast's LevelForest index + basic's copy stack).
+// Suite 4: raw replay throughput at N=4096 through the placement-only
+// allocators (greedy's bounded LoadTree query + basic's copy stack).
 void engine_replay_body(const HarnessConfig& config) {
   const std::uint64_t n = config.smoke ? 512 : 4096;
   const tree::Topology topo(n);
@@ -168,7 +168,7 @@ void engine_replay_body(const HarnessConfig& config) {
   const auto seq = workload::closed_loop(topo, params, rng);
 
   sim::Engine engine(topo);
-  for (const char* spec : {"greedy-fast", "basic"}) {
+  for (const char* spec : {"greedy", "basic"}) {
     auto alloc = core::make_allocator(spec, topo, config.seed);
     (void)engine.run(seq, *alloc);
   }

@@ -1,16 +1,16 @@
 // M1 -- allocator operation throughput (google-benchmark).
 //
 // Measures per-event cost of each allocation algorithm and of the core
-// data structures as the machine grows, so the O(N/size) exact greedy, the
-// O(log^2 N) LevelForest greedy, and the O(log N) copies allocators are
-// visible side by side.
+// data structures as the machine grows, so the greedy query (a DFS bounded
+// by subtree minimum load) and the O(log N) copies allocators are visible
+// side by side. BM_SmallTaskRun puts greedy on an N axis (2^8 ... 2^18)
+// with small tasks, where an unbounded candidate scan would grow with N.
 #include <benchmark/benchmark.h>
 
 #include "core/factory.hpp"
 #include "core/packing.hpp"
 #include "sim/engine.hpp"
 #include "tree/copy_set.hpp"
-#include "tree/level_forest.hpp"
 #include "tree/load_tree.hpp"
 #include "workload/synthetic.hpp"
 
@@ -19,18 +19,18 @@ namespace {
 using namespace partree;
 
 core::TaskSequence make_workload(const tree::Topology& topo,
-                                 std::uint64_t n_events) {
+                                 std::uint64_t n_events,
+                                 workload::SizeSpec size) {
   util::Rng rng(42);
   workload::ClosedLoopParams params;
   params.n_events = n_events;
   params.utilization = 0.85;
-  params.size = workload::SizeSpec::uniform_log(0, topo.height());
+  params.size = size;
   return workload::closed_loop(topo, params, rng);
 }
 
-void BM_AllocatorRun(benchmark::State& state, const char* spec) {
-  const tree::Topology topo(static_cast<std::uint64_t>(state.range(0)));
-  const core::TaskSequence seq = make_workload(topo, 2000);
+void run_allocator(benchmark::State& state, const char* spec,
+                   const core::TaskSequence& seq, const tree::Topology& topo) {
   sim::Engine engine(topo);
   auto alloc = core::make_allocator(spec, topo, 7);
   for (auto _ : state) {
@@ -38,6 +38,24 @@ void BM_AllocatorRun(benchmark::State& state, const char* spec) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(seq.size()));
+}
+
+void BM_AllocatorRun(benchmark::State& state, const char* spec) {
+  const tree::Topology topo(static_cast<std::uint64_t>(state.range(0)));
+  run_allocator(state, spec,
+                make_workload(topo, 2000,
+                              workload::SizeSpec::uniform_log(0, topo.height())),
+                topo);
+}
+
+// ~20k events of geometric(0.5) sizes: most tasks are one or two PEs, so
+// each greedy query faces N/size candidates at the bottom levels.
+void BM_SmallTaskRun(benchmark::State& state, const char* spec) {
+  const tree::Topology topo(static_cast<std::uint64_t>(state.range(0)));
+  run_allocator(state, spec,
+                make_workload(topo, 20000,
+                              workload::SizeSpec::geometric(0.5, topo.height())),
+                topo);
 }
 
 void BM_LoadTreeAssign(benchmark::State& state) {
@@ -64,19 +82,6 @@ void BM_LoadTreeMinQuery(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(loads.min_load_node(1));
-  }
-}
-
-void BM_LevelForestMinQuery(benchmark::State& state) {
-  const tree::Topology topo(static_cast<std::uint64_t>(state.range(0)));
-  tree::LevelForest forest(topo);
-  util::Rng rng(2);
-  for (int i = 0; i < 256; ++i) {
-    const std::uint64_t size = std::uint64_t{1} << rng.below(topo.height() + 1);
-    forest.assign(topo.node_for(size, rng.below(topo.count_for_size(size))));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.min_load_node(1));
   }
 }
 
@@ -221,10 +226,6 @@ BENCHMARK_CAPTURE(BM_AllocatorRun, greedy, "greedy")
     ->RangeMultiplier(4)
     ->Range(64, 4096)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_AllocatorRun, greedy_fast, "greedy-fast")
-    ->RangeMultiplier(4)
-    ->Range(64, 4096)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_AllocatorRun, basic, "basic")
     ->RangeMultiplier(4)
     ->Range(64, 4096)
@@ -242,9 +243,13 @@ BENCHMARK_CAPTURE(BM_AllocatorRun, random, "random")
     ->Range(64, 4096)
     ->Unit(benchmark::kMillisecond);
 
+BENCHMARK_CAPTURE(BM_SmallTaskRun, greedy, "greedy")
+    ->RangeMultiplier(4)
+    ->Range(256, 262144)
+    ->Unit(benchmark::kMillisecond);
+
 BENCHMARK(BM_LoadTreeAssign)->RangeMultiplier(16)->Range(64, 262144);
 BENCHMARK(BM_LoadTreeMinQuery)->RangeMultiplier(16)->Range(64, 262144);
-BENCHMARK(BM_LevelForestMinQuery)->RangeMultiplier(16)->Range(64, 262144);
 BENCHMARK(BM_VacancyChurn)->RangeMultiplier(16)->Range(64, 65536);
 BENCHMARK(BM_CopySetChurn)->RangeMultiplier(16)->Range(64, 65536);
 BENCHMARK(BM_PackTasks)->RangeMultiplier(8)->Range(64, 4096);

@@ -11,7 +11,7 @@ DReallocAllocator::DReallocAllocator(tree::Topology topo, ReallocParam d)
   const std::uint64_t greedy_factor =
       util::ceil_div(topo_.height() + std::uint64_t{1}, 2);
   if (d_.infinite || d_.d >= greedy_factor) {
-    greedy_.emplace(topo_);
+    greedy_.emplace();
   }
 }
 
@@ -35,10 +35,8 @@ tree::NodeId DReallocAllocator::place(const Task& task,
 }
 
 void DReallocAllocator::on_departure(TaskId id, const MachineState& state) {
-  if (greedy_) {
-    greedy_->on_departure(id, state);
-    return;
-  }
+  (void)state;
+  if (greedy_) return;
   const auto it = placements_.find(id);
   PARTREE_ASSERT(it != placements_.end(),
                  "departure of task unknown to DReallocAllocator");
@@ -102,7 +100,6 @@ std::string DReallocAllocator::name() const {
 }
 
 void DReallocAllocator::reset() {
-  if (greedy_) greedy_->reset();
   copies_.clear();
   placements_.clear();
   arrived_since_realloc_ = 0;

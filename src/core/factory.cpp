@@ -67,10 +67,7 @@ AllocatorPtr make_allocator(std::string_view text, tree::Topology topo,
     return std::make_unique<OptimalReallocAllocator>(topo);
   }
   if (spec.name == "greedy") {
-    return std::make_unique<GreedyAllocator>(topo, /*fast_index=*/false);
-  }
-  if (spec.name == "greedy-fast") {
-    return std::make_unique<GreedyAllocator>(topo, /*fast_index=*/true);
+    return std::make_unique<GreedyAllocator>();
   }
   if (spec.name == "basic") {
     return std::make_unique<BasicAllocator>(topo);
@@ -108,10 +105,10 @@ AllocatorPtr make_allocator(std::string_view text, tree::Topology topo,
 }
 
 std::vector<std::string> known_allocator_specs() {
-  return {"optimal",    "greedy",      "greedy-fast",   "basic",
-          "basic-bestfit", "dmix:d=0", "dmix:d=1",      "dmix:d=2",
-          "dmix:d=inf", "random",      "randmix:d=2",   "dchoice:k=2",
-          "leftmost",   "roundrobin"};
+  return {"optimal",     "greedy",     "basic",       "basic-bestfit",
+          "dmix:d=0",    "dmix:d=1",   "dmix:d=2",    "dmix:d=inf",
+          "random",      "randmix:d=2", "dchoice:k=2", "leftmost",
+          "roundrobin"};
 }
 
 }  // namespace partree::core

@@ -1,9 +1,9 @@
 // String-spec allocator factory for CLIs, benches and sweep configs.
 //
 // Spec grammar: `name` or `name:key=value[,key=value...]`, e.g.
-//   "optimal"          A_C, the optimal 0-reallocation algorithm
-//   "greedy"           A_G (exact LoadTree index)
-//   "greedy-fast"      A_G (LevelForest index)
+//   "optimal"          A_C, the optimal 0-reallocation algorithm (A_M
+//                      at d = 0 under its own name)
+//   "greedy"           A_G (LoadTree::min_load_node)
 //   "basic"            A_B
 //   "dmix:d=2"         A_M with reallocation parameter d = 2
 //   "dmix:d=inf"       A_M that never reallocates (== greedy regime)

@@ -2,35 +2,9 @@
 
 namespace partree::core {
 
-GreedyAllocator::GreedyAllocator(tree::Topology topo, bool fast_index)
-    : topo_(topo) {
-  if (fast_index) forest_.emplace(topo_);
-}
-
 tree::NodeId GreedyAllocator::place(const Task& task,
                                     const MachineState& state) {
-  tree::NodeId node;
-  if (forest_) {
-    node = forest_->min_load_node(task.size);
-    forest_->assign(node);  // mirror the engine's upcoming state.place()
-  } else {
-    node = state.loads().min_load_node(task.size);
-  }
-  return node;
-}
-
-void GreedyAllocator::on_departure(TaskId id, const MachineState& state) {
-  if (forest_) {
-    forest_->release(state.active_task(id).node);
-  }
-}
-
-std::string GreedyAllocator::name() const {
-  return forest_ ? "greedy-fast" : "greedy";
-}
-
-void GreedyAllocator::reset() {
-  if (forest_) forest_->clear();
+  return state.loads().min_load_node(task.size);
 }
 
 }  // namespace partree::core

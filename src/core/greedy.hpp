@@ -4,29 +4,18 @@
 // minimum load. Theorem 4.1: load <= ceil((log N + 1)/2) * L*.
 #pragma once
 
-#include <optional>
-
 #include "core/allocator.hpp"
-#include "tree/level_forest.hpp"
 
 namespace partree::core {
 
+/// Stateless: every query goes to the engine's LoadTree
+/// (LoadTree::min_load_node), so departures and reset have nothing to do.
 class GreedyAllocator : public Allocator {
  public:
-  /// `fast_index` selects the O(log^2 N) LevelForest implementation; the
-  /// default queries the engine's exact LoadTree (O(N/size) per arrival).
-  /// Both produce identical placements (property-tested).
-  explicit GreedyAllocator(tree::Topology topo, bool fast_index = false);
-
   [[nodiscard]] tree::NodeId place(const Task& task,
                                    const MachineState& state) override;
-  void on_departure(TaskId id, const MachineState& state) override;
-  [[nodiscard]] std::string name() const override;
-  void reset() override;
-
- private:
-  tree::Topology topo_;
-  std::optional<tree::LevelForest> forest_;  // engaged iff fast_index
+  [[nodiscard]] std::string name() const override { return "greedy"; }
+  void reset() override {}
 };
 
 }  // namespace partree::core

@@ -3,34 +3,22 @@
 // Every arrival triggers the reallocation procedure A_R over all active
 // tasks (including the new one). Theorem 3.1: the load after every event
 // equals the optimal load ceil(S(sigma; tau)/N) <= L*.
+//
+// That is A_M at d = 0: its trigger fires on every arrival, and d = 0 never
+// selects the greedy regime. So A_C is DReallocAllocator(d = 0) under its
+// own name, with the same copy stack, placement map and self-check.
 #pragma once
 
-#include <unordered_map>
-
-#include "core/allocator.hpp"
-#include "core/packing.hpp"
-#include "tree/copy_set.hpp"
+#include "core/drealloc.hpp"
 
 namespace partree::core {
 
-class OptimalReallocAllocator : public Allocator {
+class OptimalReallocAllocator final : public DReallocAllocator {
  public:
-  explicit OptimalReallocAllocator(tree::Topology topo);
+  explicit OptimalReallocAllocator(tree::Topology topo)
+      : DReallocAllocator(topo, ReallocParam::finite(0)) {}
 
-  [[nodiscard]] tree::NodeId place(const Task& task,
-                                   const MachineState& state) override;
-  void on_departure(TaskId id, const MachineState& state) override;
-  [[nodiscard]] std::optional<std::vector<Migration>> maybe_reallocate(
-      const MachineState& state) override;
   [[nodiscard]] std::string name() const override { return "optimal"; }
-  void reset() override;
-  [[nodiscard]] std::string debug_check_state() const override;
-
- private:
-  tree::Topology topo_;
-  tree::CopySet copies_;
-  PackScratch scratch_;  // repack buffers, recycled across rounds
-  std::unordered_map<TaskId, tree::CopyPlacement> placements_;
 };
 
 }  // namespace partree::core

@@ -8,23 +8,29 @@
 namespace partree::tree {
 
 LoadTree::LoadTree(Topology topo)
-    : topo_(topo),
-      add_(topo.n_nodes() + 1, 0),
-      down_(topo.n_nodes() + 1, 0) {
+    : topo_(topo), nodes_(topo.n_nodes() + 1) {
   scratch_.reserve(topo_.height() + 2);
 }
 
 void LoadTree::update_path(NodeId v) {
-  // Recompute `down` from v up to the root; stop as soon as a node's
-  // aggregate is unchanged (its ancestors only see `down` of this child,
-  // so nothing above can change either).
+  // Recompute the aggregates from v up to the root; stop as soon as a
+  // node's aggregates are unchanged (its ancestors only see this child's
+  // aggregates, so nothing above can change either). Until the first
+  // min_load_node call `min` stays zero and only `down` decides the stop.
   while (true) {
-    const std::uint64_t below =
-        topo_.is_leaf(v) ? 0 : std::max(down_[Topology::left(v)],
-                                        down_[Topology::right(v)]);
-    const std::uint64_t fresh = add_[v] + below;
-    if (fresh == down_[v]) return;
-    down_[v] = fresh;
+    Node& node = nodes_[v];
+    std::uint32_t down = node.add;
+    std::uint32_t min = node.add;
+    if (!topo_.is_leaf(v)) {
+      const Node& l = nodes_[Topology::left(v)];
+      const Node& r = nodes_[Topology::right(v)];
+      down += std::max(l.down, r.down);
+      min += std::min(l.min, r.min);
+    }
+    if (!min_ready_) min = node.min;
+    if (down == node.down && min == node.min) return;
+    node.down = down;
+    node.min = min;
     if (v == 1) return;
     v = Topology::parent(v);
   }
@@ -32,7 +38,8 @@ void LoadTree::update_path(NodeId v) {
 
 void LoadTree::assign(NodeId v) {
   PARTREE_ASSERT(topo_.valid(v), "assign to invalid node");
-  ++add_[v];
+  PARTREE_DEBUG_ASSERT(nodes_[v].add < UINT32_MAX, "task count overflow");
+  ++nodes_[v].add;
   active_size_ += topo_.subtree_size(v);
   ++active_tasks_;
   update_path(v);
@@ -40,8 +47,8 @@ void LoadTree::assign(NodeId v) {
 
 void LoadTree::release(NodeId v) {
   PARTREE_ASSERT(topo_.valid(v), "release of invalid node");
-  PARTREE_ASSERT(add_[v] > 0, "release with no task rooted at node");
-  --add_[v];
+  PARTREE_ASSERT(nodes_[v].add > 0, "release with no task rooted at node");
+  --nodes_[v].add;
   active_size_ -= topo_.subtree_size(v);
   --active_tasks_;
   update_path(v);
@@ -51,17 +58,17 @@ std::uint64_t LoadTree::subtree_max(NodeId v) const {
   PARTREE_ASSERT(topo_.valid(v), "subtree_max of invalid node");
   std::uint64_t prefix = 0;
   for (NodeId u = Topology::parent(v); u >= 1; u = Topology::parent(u)) {
-    prefix += add_[u];
+    prefix += nodes_[u].add;
     if (u == 1) break;
   }
-  return prefix + down_[v];
+  return prefix + nodes_[v].down;
 }
 
 std::uint64_t LoadTree::pe_load(PeId pe) const {
   NodeId v = topo_.leaf_node(pe);
   std::uint64_t load = 0;
   while (true) {
-    load += add_[v];
+    load += nodes_[v].add;
     if (v == 1) break;
     v = Topology::parent(v);
   }
@@ -77,7 +84,7 @@ std::vector<std::uint64_t> LoadTree::pe_loads() const {
   while (!scratch_.empty()) {
     const auto [v, prefix] = scratch_.back();
     scratch_.pop_back();
-    const std::uint64_t here = prefix + add_[v];
+    const std::uint64_t here = prefix + nodes_[v].add;
     if (topo_.is_leaf(v)) {
       loads[v - topo_.n_leaves()] = here;
     } else {
@@ -88,40 +95,57 @@ std::vector<std::uint64_t> LoadTree::pe_loads() const {
   return loads;
 }
 
+void LoadTree::build_min() const {
+  // `min` is still all zero, which is already right for an empty tree (a
+  // fresh engine run queries before its first placement).
+  if (active_tasks_ > 0) {
+    // Children before parents: heap indices descend from the last leaf.
+    for (NodeId v = topo_.n_nodes(); v >= 1; --v) {
+      const Node& node = nodes_[v];
+      node.min = node.add;
+      if (!topo_.is_leaf(v)) {
+        node.min += std::min(nodes_[Topology::left(v)].min,
+                             nodes_[Topology::right(v)].min);
+      }
+    }
+  }
+  min_ready_ = true;
+}
+
 void LoadTree::min_load_dfs(NodeId v, std::uint32_t levels_left,
                             std::uint64_t prefix, NodeId& best,
                             std::uint64_t& best_load,
                             std::uint64_t& visits) const {
   ++visits;
+  const Node& node = nodes_[v];
   if (levels_left == 0) {
     // Max PE load inside v: ancestor add-sum plus the subtree aggregate.
-    const std::uint64_t value = prefix + down_[v];
+    const std::uint64_t value = prefix + node.down;
     if (value < best_load) {
       best_load = value;
       best = v;
     }
     return;
   }
-  const std::uint64_t here = prefix + add_[v];
-  if (here >= best_load) return;  // cannot beat the incumbent
-  // Left child first so ties resolve to the leftmost submachine; re-check
-  // the bound before the right child since the left may have tightened it.
+  // Every candidate below v holds a PE loaded at least prefix + min[v] and
+  // lies right of the incumbent, so it cannot win once that reaches
+  // best_load. Left child first so ties resolve to the leftmost
+  // submachine; re-check before the right child since the left may have
+  // tightened the bound.
+  if (prefix + node.min >= best_load) return;
+  const std::uint64_t here = prefix + node.add;
   min_load_dfs(Topology::left(v), levels_left - 1, here, best, best_load,
                visits);
-  if (here >= best_load) return;
+  if (prefix + node.min >= best_load) return;
   min_load_dfs(Topology::right(v), levels_left - 1, here, best, best_load,
                visits);
 }
 
 NodeId LoadTree::min_load_node(std::uint64_t size) const {
+  if (!min_ready_) build_min();
   const std::uint32_t target_depth = topo_.depth_for_size(size);
   NodeId best = kInvalidNode;
   std::uint64_t best_load = UINT64_MAX;
-
-  // DFS with branch-and-bound pruning: the max load of any target-level
-  // node below v is at least the add-sum of its ancestors (prefix), so
-  // subtrees with prefix >= best cannot improve on an already-found
-  // candidate. Recursion depth is at most log N; no allocation per query.
   std::uint64_t visits = 0;
   min_load_dfs(Topology::root(), target_depth, 0, best, best_load, visits);
   obs::record_value(obs::ValueMetric::kMinLoadNodeVisits, visits);
@@ -130,8 +154,8 @@ NodeId LoadTree::min_load_node(std::uint64_t size) const {
 }
 
 void LoadTree::clear() {
-  std::fill(add_.begin(), add_.end(), 0);
-  std::fill(down_.begin(), down_.end(), 0);
+  // All-zero records are consistent for every aggregate, `min` included.
+  std::fill(nodes_.begin(), nodes_.end(), Node{});
   active_size_ = 0;
   active_tasks_ = 0;
 }
@@ -139,8 +163,8 @@ void LoadTree::clear() {
 std::uint64_t LoadTree::digest() const {
   util::Fnv fnv;
   fnv.mix(topo_.n_leaves());
-  for (NodeId v = 1; v <= topo_.n_nodes(); ++v) fnv.mix(add_[v]);
-  fnv.mix(down_[1]);
+  for (NodeId v = 1; v <= topo_.n_nodes(); ++v) fnv.mix(nodes_[v].add);
+  fnv.mix(nodes_[1].down);
   fnv.mix(active_size_);
   fnv.mix(active_tasks_);
   return fnv.value();
@@ -148,7 +172,8 @@ std::uint64_t LoadTree::digest() const {
 
 void LoadTree::debug_corrupt_add(NodeId v, std::uint64_t count) {
   PARTREE_ASSERT(topo_.valid(v), "invalid node");
-  add_[v] = count;  // aggregates deliberately left stale
+  // Aggregates deliberately left stale.
+  nodes_[v].add = static_cast<std::uint32_t>(count);
 }
 
 }  // namespace partree::tree

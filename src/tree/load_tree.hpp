@@ -2,17 +2,19 @@
 //
 // Each active task occupies one whole subtree; the load of a PE is the
 // number of active tasks whose subtree contains it. We therefore store, per
-// node, the number of tasks rooted exactly there (`add`) plus the classic
-// "max of root-to-leaf add-sums below v" aggregate (`down`):
+// node, the number of tasks rooted exactly there (`add`) plus two classic
+// aggregates of the root-to-leaf add-sums below v:
 //
 //   down[v] = add[v] + max(down[left(v)], down[right(v)])      (internal)
-//   down[leaf] = add[leaf]
+//   min[v]  = add[v] + min(min[left(v)], min[right(v)])        (internal)
+//   down[leaf] = min[leaf] = add[leaf]
 //
 // which makes assign/release an O(log N) leaf-to-root path update, gives the
-// machine-wide maximum load as down[root], and the maximum load inside
-// submachine v as prefix(v) + down[v] where prefix sums `add` over strict
-// ancestors. The leftmost minimum-load submachine query (greedy A_G) is an
-// exact DFS over the target level.
+// machine-wide maximum load as down[root], and the maximum and minimum PE
+// loads inside submachine v as prefix(v) + down[v] and prefix(v) + min[v],
+// where prefix sums `add` over strict ancestors. The leftmost minimum-load
+// submachine query (greedy A_G) is an exact DFS over the target level that
+// skips every subtree whose least-loaded PE cannot beat the incumbent.
 #pragma once
 
 #include <cstdint>
@@ -37,11 +39,13 @@ class LoadTree {
   /// Number of tasks rooted exactly at v.
   [[nodiscard]] std::uint64_t tasks_rooted_at(NodeId v) const {
     PARTREE_DEBUG_ASSERT(topo_.valid(v), "invalid node");
-    return add_[v];
+    return nodes_[v].add;
   }
 
   /// Maximum PE load over the whole machine. O(1).
-  [[nodiscard]] std::uint64_t max_load() const noexcept { return down_[1]; }
+  [[nodiscard]] std::uint64_t max_load() const noexcept {
+    return nodes_[1].down;
+  }
 
   /// Maximum PE load within the submachine of v. O(log N).
   [[nodiscard]] std::uint64_t subtree_max(NodeId v) const;
@@ -53,9 +57,12 @@ class LoadTree {
   [[nodiscard]] std::vector<std::uint64_t> pe_loads() const;
 
   /// Leftmost submachine of the given size whose maximum PE load is
-  /// minimal (the greedy A_G target). Exact; O(N/size) node visits with
-  /// branch-and-bound pruning; allocation-free (recursive DFS, depth at
-  /// most log N).
+  /// minimal (the greedy A_G target). Exact branch-and-bound DFS: a subtree
+  /// is skipped once its least-loaded PE is no lighter than the incumbent,
+  /// so a region of equally loaded candidates costs one descent, not a
+  /// scan. Allocation-free (recursive DFS, depth at most log N). The first
+  /// call builds the `min` aggregate in O(N); assign/release maintain it
+  /// from then on.
   [[nodiscard]] NodeId min_load_node(std::uint64_t size) const;
 
   /// Sum over PEs of their load == total size of active tasks. O(1).
@@ -84,7 +91,19 @@ class LoadTree {
   void debug_corrupt_add(NodeId v, std::uint64_t count);
 
  private:
+  // Per-node counts and aggregates in one 12-byte record. 32 bits suffice:
+  // every count is bounded by the number of active tasks, which never
+  // approaches 2^32. `min` stays zero until min_ready_ is set; the first
+  // min_load_node call fills it from its const path, hence mutable.
+  struct Node {
+    std::uint32_t add = 0;
+    std::uint32_t down = 0;
+    mutable std::uint32_t min = 0;
+  };
+  static_assert(sizeof(Node) == 12);
+
   void update_path(NodeId v);
+  void build_min() const;
   void min_load_dfs(NodeId v, std::uint32_t levels_left, std::uint64_t prefix,
                     NodeId& best, std::uint64_t& best_load,
                     std::uint64_t& visits) const;
@@ -95,12 +114,14 @@ class LoadTree {
   };
 
   Topology topo_;
-  std::vector<std::uint64_t> add_;
-  std::vector<std::uint64_t> down_;
+  std::vector<Node> nodes_;
   std::uint64_t active_size_ = 0;
   std::uint64_t active_tasks_ = 0;
-  // Reused DFS stack for the const query paths (pe_loads, min_load_node);
-  // cleared, never shrunk, so steady-state queries allocate nothing.
+  // Set by the first min_load_node call; from then on update_path keeps
+  // `min` current. Trees that are never queried pay nothing for it.
+  mutable bool min_ready_ = false;
+  // Reused DFS stack for pe_loads; cleared, never shrunk, so steady-state
+  // queries allocate nothing.
   mutable std::vector<Frame> scratch_;
 };
 

@@ -62,7 +62,6 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, AdversaryForcesBound,
     ::testing::Combine(::testing::Values<std::uint64_t>(16, 64, 256, 1024),
                        ::testing::Values(std::string("greedy"),
-                                         std::string("greedy-fast"),
                                          std::string("basic"),
                                          std::string("dmix:d=inf"),
                                          std::string("leftmost"),

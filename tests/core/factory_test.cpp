@@ -20,7 +20,6 @@ TEST(FactoryTest, NamesMatchSpecs) {
   const tree::Topology topo(16);
   EXPECT_EQ(make_allocator("optimal", topo)->name(), "optimal");
   EXPECT_EQ(make_allocator("greedy", topo)->name(), "greedy");
-  EXPECT_EQ(make_allocator("greedy-fast", topo)->name(), "greedy-fast");
   EXPECT_EQ(make_allocator("basic", topo)->name(), "basic");
   EXPECT_EQ(make_allocator("dmix:d=3", topo)->name(), "dmix(d=3)");
   EXPECT_EQ(make_allocator("dmix:d=inf", topo)->name(), "dmix(d=inf)");

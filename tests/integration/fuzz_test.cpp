@@ -52,23 +52,15 @@ TEST_P(FuzzSeeds, DmixZeroEqualsOptimalSeries) {
   SCOPED_TRACE("fuzz seed=" + std::to_string(seed));
   const tree::Topology topo(64);
   const auto seq = fuzz_sequence(topo, seed);
-  sim::Engine engine(topo, sim::EngineOptions{.record_series = true});
+  sim::Engine engine(topo, sim::EngineOptions{.record_series = true,
+                                              .record_digests = true});
   auto optimal = core::make_allocator("optimal", topo);
   auto dmix0 = core::make_allocator("dmix:d=0", topo);
-  EXPECT_EQ(engine.run(seq, *optimal).load_series,
-            engine.run(seq, *dmix0).load_series);
-}
-
-TEST_P(FuzzSeeds, GreedyFastEqualsGreedyExact) {
-  const std::uint64_t seed = stream_seed(GetParam(), 1);
-  SCOPED_TRACE("fuzz seed=" + std::to_string(seed));
-  const tree::Topology topo(128);
-  const auto seq = fuzz_sequence(topo, seed);
-  sim::Engine engine(topo, sim::EngineOptions{.record_series = true});
-  auto exact = core::make_allocator("greedy", topo);
-  auto fast = core::make_allocator("greedy-fast", topo);
-  EXPECT_EQ(engine.run(seq, *exact).load_series,
-            engine.run(seq, *fast).load_series);
+  const auto want = engine.run(seq, *optimal);
+  const auto got = engine.run(seq, *dmix0);
+  EXPECT_EQ(want.load_series, got.load_series);
+  EXPECT_EQ(want.epoch_digests, got.epoch_digests);
+  EXPECT_EQ(want.final_digest, got.final_digest);
 }
 
 TEST_P(FuzzSeeds, RandmixZeroMatchesOptimalLoad) {
@@ -203,8 +195,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,
                          ::testing::Range<std::uint64_t>(1, 13));
 
 TEST(ScaleSmokeTest, LargeMachineFastPaths) {
-  // N = 2^14 with ~20k events through the O(log^2 N)/O(log N) paths;
-  // completes in well under a second if the structures scale.
+  // N = 2^14 with ~20k events through the bounded greedy query and the
+  // O(log N) copy paths; completes in well under a second if the
+  // structures scale.
   const tree::Topology topo(std::uint64_t{1} << 14);
   util::Rng rng(99);
   workload::ClosedLoopParams params;
@@ -214,7 +207,7 @@ TEST(ScaleSmokeTest, LargeMachineFastPaths) {
   const auto seq = workload::closed_loop(topo, params, rng);
 
   sim::Engine engine(topo);
-  for (const char* spec : {"greedy-fast", "basic", "dmix:d=2", "random"}) {
+  for (const char* spec : {"greedy", "basic", "dmix:d=2", "random"}) {
     auto alloc = core::make_allocator(spec, topo, 7);
     const auto result = engine.run(seq, *alloc);
     EXPECT_GE(result.max_load, result.optimal_load) << spec;

@@ -18,8 +18,7 @@ TEST(ReplayTest, DeterministicAllocatorsReplayExactly) {
   const auto seq = workload::make_campaign("steady-mix", topo, rng, 0.5);
   sim::Engine engine(topo, sim::EngineOptions{.record_series = true});
   for (const char* spec :
-       {"greedy", "greedy-fast", "basic", "optimal", "dmix:d=2", "leftmost",
-        "roundrobin"}) {
+       {"greedy", "basic", "optimal", "dmix:d=2", "leftmost", "roundrobin"}) {
     auto a = core::make_allocator(spec, topo);
     auto b = core::make_allocator(spec, topo);
     const auto r1 = engine.run(seq, *a);

@@ -214,8 +214,12 @@ TEST_P(LoadTreeRandomized, MatchesOracleUnderRandomChurn) {
   }
 }
 
+// 2^16 and 2^20 run the bounded min_load_node search where it prunes whole
+// regions; each run's first query also builds the `min` aggregate from an
+// already-populated tree.
 INSTANTIATE_TEST_SUITE_P(Sizes, LoadTreeRandomized,
-                         ::testing::Values(1, 2, 4, 8, 16, 64, 256));
+                         ::testing::Values(1, 2, 4, 8, 16, 64, 256, 65536,
+                                           1048576));
 
 }  // namespace
 }  // namespace partree::tree

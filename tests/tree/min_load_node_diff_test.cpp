@@ -1,10 +1,10 @@
 // Differential test: LoadTree::min_load_node (pruned DFS over the `down`
-// aggregate) against a brute-force oracle that recomputes every candidate
-// submachine's max PE load from raw per-PE loads. The DFS is the greedy
-// allocator's hot path and now carries observability instrumentation, so
-// this guards it against behavior drift: 1,000 randomized assign/release
-// schedules across N in {4, 16, 64, 256}, checking every submachine size
-// after every mutation.
+// and `min` aggregates) against a brute-force oracle that recomputes every
+// candidate submachine's max PE load from raw per-PE loads. The DFS is the
+// greedy allocator's hot path and carries observability instrumentation,
+// so this guards it against behavior drift: 1,000 randomized
+// assign/release schedules across N in {4, 16, 64, 256}, checking every
+// submachine size after every mutation.
 #include "tree/load_tree.hpp"
 
 #include <gtest/gtest.h>
@@ -99,6 +99,22 @@ TEST(MinLoadNodeDiffTest, PrunedSearchVisitsFewNodesWhenBalanced) {
   LoadTree tree(topo);
   obs::reset_metrics();
   EXPECT_EQ(tree.min_load_node(1), topo.leaf_node(0));
+  const obs::MetricHistogram visits =
+      obs::snapshot_metrics().value(obs::ValueMetric::kMinLoadNodeVisits);
+  EXPECT_EQ(visits.count, 1u);
+  EXPECT_LE(visits.sum, 2u * topo.height() + 2u);
+}
+
+TEST(MinLoadNodeDiffTest, PrunedSearchSkipsCoveredSubtrees) {
+  // Unit tasks cover PEs 0 .. 3071. Every covered subtree's least-loaded
+  // PE ties the first candidate found, so the search skips each of them
+  // whole and reaches PE 3072 in two descents instead of scanning the
+  // covered leaves.
+  const Topology topo(4096);
+  LoadTree tree(topo);
+  for (PeId pe = 0; pe < 3072; ++pe) tree.assign(topo.leaf_node(pe));
+  obs::reset_metrics();
+  EXPECT_EQ(tree.min_load_node(1), topo.leaf_node(3072));
   const obs::MetricHistogram visits =
       obs::snapshot_metrics().value(obs::ValueMetric::kMinLoadNodeVisits);
   EXPECT_EQ(visits.count, 1u);
