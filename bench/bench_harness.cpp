@@ -177,15 +177,17 @@ void engine_replay_body(const HarnessConfig& config) {
 // Suite 4b: reallocation-round cost -- A_M(d=1) at large N under a
 // high-churn closed loop whose task sizes are biased large, so the d=1
 // trigger fires every few arrivals and the per-round repack cost
-// (copy-tree rebuild + pack + migration planning) dominates the run
-// rather than the O(log N) placement path.
+// (copy-tree clear + pack + migration planning) dominates the run
+// rather than the O(log N) placement path. A round costs a few
+// microseconds, so the suite replays 50k events to stay well above
+// timer noise.
 void realloc_round_body(const HarnessConfig& config) {
   const std::uint64_t n = config.smoke ? 1024 : 65536;
   const tree::Topology topo(n);
   util::Rng rng(config.seed + 29);
   workload::ClosedLoopParams params;
   params.n_events =
-      static_cast<std::uint64_t>(2400 * config.scale) + 100;
+      static_cast<std::uint64_t>(50000 * config.scale) + 100;
   params.utilization = 0.9;
   params.size =
       workload::SizeSpec::uniform_log(topo.height() - 7, topo.height());

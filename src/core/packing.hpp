@@ -62,7 +62,8 @@ struct PackScratch {
 };
 
 /// Repacks the active tasks of `state` per A_R into `copies` (cleared
-/// first), reusing `scratch` buffers. On return scratch.packed holds
+/// first, at a cost of what the copies held rather than O(N) per copy),
+/// reusing `scratch` buffers. On return scratch.packed holds
 /// every task with its new placement in canonical A_R order and
 /// scratch.migrations holds the DELTA migration list -- only tasks whose
 /// node actually changes, since MachineState::migrate treats a missing

@@ -218,6 +218,8 @@ std::string CopySet::check() const {
   const std::uint64_t n_words = (copies_.size() + 63) / 64;
   for (std::uint64_t k = 0; k < copies_.size(); ++k) {
     if (copies_[k]) {
+      const std::string tree = copies_[k]->check();
+      if (!tree.empty()) return "copy " + std::to_string(k) + ": " + tree;
       used += copies_[k]->used();
       ++live;
     }
@@ -233,6 +235,14 @@ std::string CopySet::check() const {
       if (bit != (j < want_rank)) {
         return "copy " + std::to_string(k) + " fits_ bit at level " +
                std::to_string(j) + " disagrees with rank";
+      }
+    }
+  }
+  if (!spares_.empty()) {
+    const VacancyTree fresh(topo_);
+    for (std::size_t i = 0; i < spares_.size(); ++i) {
+      if (spares_[i] != fresh) {
+        return "spare " + std::to_string(i) + " is not a fresh tree";
       }
     }
   }
@@ -257,9 +267,10 @@ void CopySet::debug_corrupt_used(std::uint64_t used) {
 void CopySet::clear() {
   // Drain live trees into the spare pool instead of freeing them: the
   // next repack re-creates roughly the same number of copies, and a
-  // drained tree is behaviourally identical to a freshly built one, so
-  // the O(N)-per-copy allocate + zero cost of a round disappears after
-  // the first one.
+  // cleared tree equals a freshly built one. VacancyTree::clear walks
+  // only the occupied paths, so a round pays for the tasks the copies
+  // held; only a copy count above the pool's size pays a 2N-byte zero
+  // fill.
   for (std::optional<VacancyTree>& copy : copies_) {
     if (!copy) continue;
     copy->clear();

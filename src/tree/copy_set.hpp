@@ -12,9 +12,11 @@
 // first-fit query for a (power-of-two) size 2^j is then one word read per
 // 64 copies -- O(ceil(C/64)) instead of O(C) pointer chases over C live
 // copies -- and an update moves a copy across |delta level| words with no
-// allocation. Copies that drain to empty release their O(N) occupancy
-// storage (slot indices stay stable, so issued CopyPlacements remain
-// valid); an empty slot behaves exactly like a fully-vacant copy.
+// allocation. Copies that drain to empty release their occupancy storage
+// (2N bytes; slot indices stay stable, so issued CopyPlacements remain
+// valid); an empty slot behaves exactly like a fully-vacant copy. clear()
+// costs what the copies hold -- O(tasks * log N), not O(N) per copy --
+// because a VacancyTree resets by walking only its occupied paths.
 #pragma once
 
 #include <cstdint>
@@ -101,8 +103,11 @@ class CopySet {
 
   /// Recomputes every maintained aggregate (used_, live_copies_, per-copy
   /// ranks, fits_ bitset membership) from the ground-truth occupancy and
-  /// compares. Returns "" when consistent, else a description of the first
-  /// inconsistency. The engine's debug_checks net calls this through
+  /// compares; runs VacancyTree::check() on every live copy and requires
+  /// every spare to equal a fresh tree (a spare with stale bytes would
+  /// corrupt the next copy built from it). Returns "" when consistent,
+  /// else a description of the first inconsistency. O((copies + spares) *
+  /// N). The engine's debug_checks net calls this through
   /// Allocator::debug_check_state for CopySet-backed allocators.
   [[nodiscard]] std::string check() const;
 
@@ -132,9 +137,9 @@ class CopySet {
   /// Drained trees kept for the next materialization: a drained
   /// VacancyTree is identical to a freshly built one, so reusing one
   /// turns the drain/refill oscillation under churn -- and clear() plus
-  /// rebuild during a repack round -- into moves instead of O(N)
-  /// free + allocate pairs. Retained storage is bounded by the largest
-  /// simultaneous copy count the set has ever held.
+  /// rebuild during a repack round -- into moves instead of a free plus
+  /// a 2N-byte zero fill per copy. Retained storage is bounded by the
+  /// largest simultaneous copy count the set has ever held.
   std::vector<VacancyTree> spares_;
   std::vector<std::uint32_t> copy_rank_;  // current fits_ rank per copy
   /// Cumulative per-level bitsets over copy ids, stored word-major in one

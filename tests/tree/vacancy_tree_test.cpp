@@ -83,6 +83,34 @@ TEST(VacancyTreeTest, Clear) {
   t.clear();
   EXPECT_TRUE(t.empty());
   EXPECT_EQ(t.max_free(), 4u);
+
+  // clear() walks only the occupied paths, so after random churn it must
+  // still leave the whole tree byte-equal to a fresh one.
+  const Topology topo(64);
+  const VacancyTree fresh{topo};
+  VacancyTree churned{topo};
+  util::Rng rng(7);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<NodeId> held;
+    for (int step = 0; step < 200; ++step) {
+      const std::uint64_t size = std::uint64_t{1} << rng.below(7);
+      if (churned.can_fit(size) && (held.empty() || rng.bernoulli(0.6))) {
+        held.push_back(churned.allocate(size));
+      } else if (!held.empty()) {
+        const std::uint64_t pick = rng.below(held.size());
+        churned.release(held[pick]);
+        held[pick] = held.back();
+        held.pop_back();
+      }
+    }
+    churned.clear();
+    ASSERT_TRUE(churned == fresh) << "round " << round;
+    ASSERT_EQ(churned.check(), "") << "round " << round;
+    EXPECT_EQ(churned.used(), 0u);
+    for (NodeId v = 1; v <= topo.n_nodes(); ++v) {
+      ASSERT_FALSE(churned.occupied(v)) << "round " << round << " node " << v;
+    }
+  }
 }
 
 TEST(VacancyTreeDeathTest, OverAllocate) {
@@ -126,6 +154,7 @@ TEST(VacancyTreeTest, RandomChurnKeepsInvariants) {
     }
     ASSERT_EQ(t.used(), held_size);
     ASSERT_LE(t.max_free(), topo.n_leaves() - held_size);
+    ASSERT_EQ(t.check(), "") << "step " << step;
   }
 }
 
