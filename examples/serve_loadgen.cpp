@@ -11,6 +11,11 @@
 // the end the run SELF-VERIFIES: the recorded admission sequence is
 // replayed serially through Engine::run and the final state digests must
 // match -- any lost, duplicated, or reordered request changes the digest.
+// The replay is timed too, to split a request's wall time into the
+// serial apply cost (serial_apply_ns_per_event: replay time per replayed
+// event) and the service's overhead around it (overhead_ns_per_req: wall
+// time per applied request minus that serial cost) -- perfbench's
+// serve.* definitions.
 // Exit status: 0 verified, 1 digest mismatch, lost requests, or a
 // --metrics snapshot that does not reconcile with the service's stats,
 // 2 I/O error writing --metrics.
@@ -284,7 +289,19 @@ int main(int argc, char** argv) {
   }
   sim::Engine engine(topo, sim::EngineOptions{.record_digests = true});
   auto replay_alloc = core::make_allocator(alloc_spec, topo);
+  const std::uint64_t replay_start = obs::detail::monotonic_ns();
   const sim::SimResult serial = engine.run(service.recorded(), *replay_alloc);
+  const std::uint64_t replay_ns = obs::detail::monotonic_ns() - replay_start;
+  if (serial.events > 0 && stats.applied > 0) {
+    const double serial_ns_per_event = static_cast<double>(replay_ns) /
+                                       static_cast<double>(serial.events);
+    const double wall_ns_per_req = static_cast<double>(t_end - t_start) /
+                                   static_cast<double>(stats.applied);
+    std::printf("  serial_apply_ns_per_event %s  overhead_ns_per_req %s\n",
+                util::format_double(serial_ns_per_event, 1).c_str(),
+                util::format_double(wall_ns_per_req - serial_ns_per_event, 1)
+                    .c_str());
+  }
   if (serial.final_digest != stats.final_digest ||
       serial.max_load != stats.max_load) {
     std::fprintf(

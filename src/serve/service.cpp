@@ -1,6 +1,9 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <iterator>
 #include <utility>
 
 #include "core/step.hpp"
@@ -31,6 +34,7 @@ PartitionService::PartitionService(tree::Topology topo,
   PARTREE_ASSERT(options_.queue_capacity >= 1, "queue capacity must be >= 1");
   PARTREE_ASSERT(options_.batch_size >= 1, "batch size must be >= 1");
   allocator_->reset();
+  queue_.reserve(options_.queue_capacity);
   apply_thread_ = std::thread([this] { apply_loop(); });
 }
 
@@ -57,10 +61,17 @@ std::future<Placement> PartitionService::submit_departure(core::TaskId id) {
 
 // Shared admission path: backpressure, id assignment (arrivals are
 // numbered in admission order under the queue lock, which is what makes
-// the recorded sequence's ids deterministic), and the queue push.
+// the recorded sequence's ids deterministic), and the queue push. The
+// promise/future pair is made before the lock and the depth gauge is
+// recorded after it, so the critical section holds only what must be
+// ordered with the apply thread.
 PartitionService::Admitted PartitionService::admit(core::EventKind kind,
                                                    core::TaskId id,
                                                    std::uint64_t size) {
+  Request req;
+  req.kind = kind;
+  Admitted admitted{kInvalidRequestId, req.promise.get_future()};
+
   std::unique_lock lock(mutex_);
   const auto has_space = [this] {
     return queue_.size() < options_.queue_capacity || !accepting_;
@@ -88,18 +99,17 @@ PartitionService::Admitted PartitionService::admit(core::EventKind kind,
     }
   }
 
-  Request req;
-  req.kind = kind;
   req.task = kind == core::EventKind::kArrival ? core::Task{next_id_++, size}
                                                : core::Task{id, 0};
   if (obs::duration_metrics_enabled()) {
     req.enqueue_ns = obs::detail::monotonic_ns();
   }
-  Admitted admitted{req.task.id, req.promise.get_future()};
+  admitted.id = req.task.id;
   queue_.push_back(std::move(req));
   ++stats_.admitted;
-  obs::gauge_max(obs::GaugeMetric::kServeQueueDepthHwm, queue_.size());
+  const std::size_t depth = queue_.size();
   lock.unlock();
+  obs::gauge_max(obs::GaugeMetric::kServeQueueDepthHwm, depth);
   cv_work_.notify_one();
   return admitted;
 }
@@ -124,18 +134,22 @@ void PartitionService::drain() {
 }
 
 void PartitionService::stop() {
-  {
-    std::unique_lock lock(mutex_);
-    if (stopped_ && !apply_thread_.joinable()) return;
-    accepting_ = false;
-    stopping_ = true;
-    paused_ = false;  // stop() overrides a test pause: everything drains
+  std::unique_lock lock(mutex_);
+  if (stopping_) {
+    // Another caller owns the join; wait until it has finished.
+    cv_applied_.wait(lock, [this] { return stopped_; });
+    return;
   }
+  accepting_ = false;
+  stopping_ = true;
+  paused_ = false;  // stop() overrides a test pause: everything drains
+  lock.unlock();
   cv_work_.notify_all();
   cv_space_.notify_all();  // parked submitters observe kStopped
-  if (apply_thread_.joinable()) apply_thread_.join();
-  std::unique_lock lock(mutex_);
+  apply_thread_.join();
+  lock.lock();
   stopped_ = true;
+  lock.unlock();
   cv_applied_.notify_all();
 }
 
@@ -168,46 +182,71 @@ void PartitionService::resume_applying() {
   cv_work_.notify_all();
 }
 
+// The apply thread takes the lock once per batch: in one critical
+// section it publishes the batch it just finished, waits for work, and
+// takes the next batch.
 void PartitionService::apply_loop() {
   std::uint64_t batch_index = 0;
-  std::deque<Request> batch;
+  std::vector<Request> batch;
+  batch.reserve(options_.queue_capacity);
+  ServiceStats delta;  // the finished batch's counts; zero before the first
+  std::unique_lock lock(mutex_);
   while (true) {
-    {
-      std::unique_lock lock(mutex_);
-      cv_work_.wait(lock, [this] {
-        if (stopping_) return true;  // drain (or exit) regardless of pause
-        return !paused_ && !queue_.empty();
-      });
-      if (queue_.empty()) {
-        if (stopping_) break;
-        continue;
-      }
-      // Close the epoch batch at the cap or at whatever is queued right
-      // now -- the apply thread never waits for a batch to fill, so
-      // queue-empty is a natural flush point and flush()/drain() only
-      // ever wait, never signal special markers.
-      const std::size_t take =
-          std::min(queue_.size(), options_.batch_size);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+    // The batch's futures are complete, so flush()/drain() waiters that
+    // see these counts find every future they cover ready.
+    stats_.applied += delta.applied;
+    stats_.failed += delta.failed;
+    stats_.arrivals += delta.arrivals;
+    stats_.departures += delta.departures;
+    stats_.reallocation_count += delta.reallocation_count;
+    stats_.migration_count += delta.migration_count;
+    stats_.migration_planned_count += delta.migration_planned_count;
+    stats_.migrated_size += delta.migrated_size;
+    stats_.max_load = std::max(stats_.max_load, delta.max_load);
+    stats_.batches += delta.batches;
+    stats_.max_batch = std::max(stats_.max_batch, delta.max_batch);
+    cv_applied_.notify_all();
+    cv_work_.wait(lock, [this] {
+      if (stopping_) return true;  // drain (or exit) regardless of pause
+      return !paused_ && !queue_.empty();
+    });
+    if (queue_.empty()) break;  // stopping, and everything is answered
+    // Close the epoch batch at the cap or at whatever is queued right
+    // now -- the apply thread never waits for a batch to fill, so
+    // queue-empty is a natural flush point and flush()/drain() only
+    // ever wait, never signal special markers.
+    if (queue_.size() <= options_.batch_size) {
+      batch.swap(queue_);
+    } else {
+      const auto end = queue_.begin() +
+                       static_cast<std::ptrdiff_t>(options_.batch_size);
+      batch.assign(std::make_move_iterator(queue_.begin()),
+                   std::make_move_iterator(end));
+      queue_.erase(queue_.begin(), end);
     }
+    lock.unlock();
     cv_space_.notify_all();
-    apply_batch(batch, batch_index++);
-    batch.clear();
+    delta = apply_batch(batch, batch_index++);
+    batch.clear();  // frees spent promises outside the lock
+    lock.lock();
   }
+  lock.unlock();
 
   // Everything admitted has been answered; publish the end-of-run facts.
   const std::uint64_t digest = state_.digest();
-  std::unique_lock lock(mutex_);
+  lock.lock();
   stats_.final_digest = digest;
   stats_.optimal_load = state_.optimal_load();
+  lock.unlock();
   cv_applied_.notify_all();
 }
 
-void PartitionService::apply_batch(std::deque<Request>& batch,
-                                   std::uint64_t batch_index) {
+// Applies the whole batch, then completes its futures newest first: a
+// client parked on its oldest future is woken once and finds its newer
+// results in this batch ready. Returns the batch's stats delta for the
+// caller to publish.
+ServiceStats PartitionService::apply_batch(std::vector<Request>& batch,
+                                           std::uint64_t batch_index) {
   ServiceStats delta;
   for (Request& req : batch) {
     if (req.enqueue_ns != 0) {
@@ -216,33 +255,25 @@ void PartitionService::apply_batch(std::deque<Request>& batch,
     }
     apply_one(req, batch_index, delta);
   }
+  for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
+    it->promise.set_value(it->placement);
+  }
   obs::emit_instant(obs::Instant::kServeBatch, batch.size());
   obs::record_value(obs::ValueMetric::kServeBatchRequests, batch.size());
-
-  std::unique_lock lock(mutex_);
-  stats_.applied += delta.applied;
-  stats_.failed += delta.failed;
-  stats_.arrivals += delta.arrivals;
-  stats_.departures += delta.departures;
-  stats_.reallocation_count += delta.reallocation_count;
-  stats_.migration_count += delta.migration_count;
-  stats_.migration_planned_count += delta.migration_planned_count;
-  stats_.migrated_size += delta.migrated_size;
-  stats_.max_load = std::max(stats_.max_load, delta.max_load);
-  ++stats_.batches;
-  stats_.max_batch = std::max<std::uint64_t>(stats_.max_batch, batch.size());
-  lock.unlock();
-  cv_applied_.notify_all();
+  delta.batches = 1;
+  delta.max_batch = batch.size();
+  return delta;
 }
 
 // One request through core::apply_event -- the same step Engine::run
 // takes per event, so serve == serial replay holds by construction. The
 // service only adds what is service-specific around it: rejecting
-// departures of inactive tasks, recording, and completing the future.
+// departures of inactive tasks, recording, and filling the placement
+// that apply_batch delivers.
 void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
                                  ServiceStats& delta) {
   const obs::MetricTimer apply_timer(obs::DurationMetric::kServeApplyNs);
-  Placement placement;
+  Placement& placement = req.placement;
   placement.id = req.task.id;
   placement.batch = batch_index;
 
@@ -254,7 +285,6 @@ void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
     ++delta.failed;
     placement.ok = false;
     placement.error = ServiceErrorCode::kBadRequest;
-    req.promise.set_value(placement);
     return;
   }
   if (options_.record_sequence) {
@@ -283,7 +313,6 @@ void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
   placement.max_load = state_.max_load();
   delta.max_load = std::max(delta.max_load, placement.max_load);
   ++delta.applied;
-  req.promise.set_value(placement);
 }
 
 }  // namespace partree::serve

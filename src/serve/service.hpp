@@ -7,16 +7,23 @@
 // requests are admitted -- in a single global admission order -- into a
 // bounded MPSC queue. One dedicated apply thread drains the queue in
 // admission order into EPOCH BATCHES (closed when the batch-size cap is
-// hit or the queue runs empty; flush()/drain() force the point), applies
-// each request to the owned MachineState with core::apply_event -- the
-// same step Engine::run takes per event (core/step.hpp) -- and completes
-// the per-request std::future with the assigned placement and post-apply
-// load. The paper's dN reallocation trigger lives where it always lives
-// -- inside the allocator's maybe_reallocate -- so its epoch accounting
-// runs seamlessly ACROSS batches, and a serial Engine::run replay of the
+// hit or the queue runs empty; flush()/drain() force the point) and
+// applies each request to the owned MachineState with core::apply_event
+// -- the same step Engine::run takes per event (core/step.hpp). The
+// paper's dN reallocation trigger lives where it always lives -- inside
+// the allocator's maybe_reallocate -- so its epoch accounting runs
+// seamlessly ACROSS batches, and a serial Engine::run replay of the
 // recorded admission sequence reproduces the exact same state evolution
 // by construction (equal final digests; the Serve differential tests
 // check this under TSan).
+//
+// Completion order: a batch's futures complete only after the whole
+// batch has applied, NEWEST FIRST. A client with several requests in
+// flight waits on its oldest future, so it is woken once per batch and
+// finds its newer results in that batch already ready. A batch's counts
+// reach stats() only after all its futures are complete, so once
+// flush()/drain() return (they wait on those counts) every future they
+// cover is ready.
 //
 // A full queue exerts backpressure, configurable per service: kBlock
 // parks the submitter until space frees (optionally bounded by a
@@ -24,23 +31,24 @@
 // kReject fails the submission immediately with ServiceError::kQueueFull.
 // stop() is graceful: every admitted request is still applied and its
 // future completed before the apply thread exits, and the final state
-// digest (PR-5's canonical MachineState digest) is published in the
-// stats for differential verification.
+// digest (the canonical MachineState digest) is published in the stats
+// for differential verification.
 //
 // Observability: per-request queue-wait and apply-latency histograms
 // (serve_queue_wait_ns / serve_apply_ns, duration-switch gated like all
-// MetricTimer scopes), a per-batch size histogram (serve_batch_requests),
-// a queue-depth high-watermark gauge, and one kServeBatch trace instant
-// per applied epoch batch.
+// MetricTimer scopes; the apply latency excludes completing the future),
+// a per-batch size histogram (serve_batch_requests), a queue-depth
+// high-watermark gauge, and one kServeBatch trace instant per applied
+// epoch batch.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <condition_variable>
 #include <mutex>
@@ -94,7 +102,9 @@ class ServiceError : public std::runtime_error {
 };
 
 struct ServiceOptions {
-  /// Bounded request-queue capacity (backpressure beyond this).
+  /// Bounded request-queue capacity (backpressure beyond this). The
+  /// queue and the apply thread's batch each reserve this many requests
+  /// up front.
   std::size_t queue_capacity = 1024;
   /// Epoch-batch cap: the apply thread drains at most this many requests
   /// per batch (it also closes a batch early when the queue runs empty).
@@ -204,7 +214,8 @@ class PartitionService {
   /// Graceful shutdown: refuses new submissions (parked submitters throw
   /// kStopped), lets the apply thread answer everything already
   /// admitted, joins it, and publishes the final state digest in
-  /// stats(). Idempotent.
+  /// stats(). Idempotent and safe to call from several threads at once:
+  /// the first caller joins the apply thread, the others wait for it.
   void stop();
 
   [[nodiscard]] ServiceStats stats() const;
@@ -232,6 +243,7 @@ class PartitionService {
     core::Task task;
     std::uint64_t enqueue_ns = 0;  ///< 0 unless duration metrics armed
     std::promise<Placement> promise;
+    Placement placement;  ///< filled at apply, delivered at batch end
   };
 
   struct Admitted {
@@ -244,7 +256,8 @@ class PartitionService {
   [[nodiscard]] Admitted admit(core::EventKind kind, core::TaskId id,
                                std::uint64_t size);
   void apply_loop();
-  void apply_batch(std::deque<Request>& batch, std::uint64_t batch_index);
+  [[nodiscard]] ServiceStats apply_batch(std::vector<Request>& batch,
+                                         std::uint64_t batch_index);
   void apply_one(Request& req, std::uint64_t batch_index,
                  ServiceStats& delta);
 
@@ -260,8 +273,8 @@ class PartitionService {
   mutable std::mutex mutex_;
   std::condition_variable cv_space_;    ///< submitters: queue has room
   std::condition_variable cv_work_;     ///< apply thread: work or stop
-  std::condition_variable cv_applied_;  ///< flush()/drain() waiters
-  std::deque<Request> queue_;
+  std::condition_variable cv_applied_;  ///< flush()/drain(), later stop()s
+  std::vector<Request> queue_;  ///< admission order; reserved once
   ServiceStats stats_;
   core::TaskId next_id_ = 0;
   bool accepting_ = true;

@@ -9,7 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <deque>
+#include <future>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -265,6 +269,35 @@ TEST(ServeLifecycleTest, FlushAppliesEverythingAdmittedSoFar) {
   service.stop();
 }
 
+TEST(ServeLifecycleTest, ConcurrentStopJoinsOnce) {
+  const tree::Topology topo(8);
+  PartitionService service(topo, make("greedy", topo));
+  service.pause_applying();  // stop() overrides the pause and drains
+  std::vector<ArrivalTicket> tickets;
+  for (int i = 0; i < 8; ++i) tickets.push_back(service.submit_arrival(1));
+
+  constexpr std::ptrdiff_t kStoppers = 4;
+  std::latch start(kStoppers);
+  std::vector<std::thread> stoppers;
+  for (std::ptrdiff_t i = 0; i < kStoppers; ++i) {
+    stoppers.emplace_back([&] {
+      start.arrive_and_wait();
+      service.stop();
+    });
+  }
+  for (auto& t : stoppers) t.join();
+
+  // Every stop() returned only after the apply thread answered all.
+  for (auto& t : tickets) {
+    EXPECT_EQ(t.placed.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.applied, 8u);
+  EXPECT_EQ(stats.final_digest,
+            replay(topo, "greedy", service.recorded()).final_digest);
+}
+
 TEST(ServeLifecycleTest, DrainEmptiesTheQueue) {
   const tree::Topology topo(8);
   PartitionService service(topo, make("greedy", topo));
@@ -318,6 +351,30 @@ TEST(ServeBatchTest, PlacementsCarryBatchIndexes) {
   service.stop();
 }
 
+TEST(ServeBatchTest, OldestFutureReadyMeansBatchReady) {
+  const tree::Topology topo(8);
+  ServiceOptions options;
+  options.batch_size = 64;  // the 8 requests below make one batch
+  PartitionService service(topo, make("greedy", topo), options);
+  service.pause_applying();
+  std::vector<ArrivalTicket> tickets;
+  for (int i = 0; i < 8; ++i) tickets.push_back(service.submit_arrival(1));
+  service.resume_applying();
+
+  // Block on the oldest future only: a batch completes newest first, so
+  // by then every newer request of the batch is ready too.
+  tickets.front().placed.wait();
+  for (auto& t : tickets) {
+    EXPECT_EQ(t.placed.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+  }
+  const std::uint64_t batch = tickets.front().placed.get().batch;
+  for (std::size_t i = 1; i < tickets.size(); ++i) {
+    EXPECT_EQ(tickets[i].placed.get().batch, batch);
+  }
+  service.stop();
+}
+
 TEST(ServeMetricsTest, RecordsQueueAndApplyDistributions) {
   const tree::Topology topo(8);
   obs::reset_metrics();
@@ -340,53 +397,77 @@ TEST(ServeMetricsTest, RecordsQueueAndApplyDistributions) {
   obs::reset_metrics();
 }
 
-/// One closed-loop client: keeps ~`window` tasks active, alternating
-/// arrivals and departures of its own tasks, blocking on each future so
-/// every departure names a task whose arrival has already applied.
+/// One closed-loop client: keeps ~`hold` tasks active, alternating
+/// arrivals and departures of its own tasks, with up to `window`
+/// requests in flight. At window 1 it waits on each future before its
+/// next submit; wider, a departure can be admitted before its arrival has
+/// applied, and the global admission order still applies the arrival
+/// first.
 void run_client(PartitionService& service, std::uint64_t seed,
-                std::uint64_t requests, std::uint64_t window) {
+                std::uint64_t requests, std::uint64_t hold,
+                std::size_t window) {
   util::Rng rng(seed);
   const std::uint64_t n = service.topology().n_leaves();
   std::uint64_t log2n = 0;
   while ((std::uint64_t{1} << (log2n + 1)) <= n) ++log2n;
   std::vector<core::TaskId> mine;
+  std::deque<std::future<Placement>> in_flight;
+  const auto harvest = [&in_flight](std::size_t keep) {
+    while (in_flight.size() > keep) {
+      (void)in_flight.front().get();
+      in_flight.pop_front();
+    }
+  };
   for (std::uint64_t k = 0; k < requests; ++k) {
     const bool depart = !mine.empty() &&
-                        (mine.size() >= window || rng.bernoulli(0.4));
+                        (mine.size() >= hold || rng.bernoulli(0.4));
     if (depart) {
       const std::uint64_t pick = rng.below(mine.size());
       const core::TaskId id = mine[pick];
       mine[pick] = mine.back();
       mine.pop_back();
-      (void)service.submit_departure(id).get();
+      in_flight.push_back(service.submit_departure(id));
     } else {
       const std::uint64_t size = std::uint64_t{1} << rng.below(log2n + 1);
       auto ticket = service.submit_arrival(size);
       mine.push_back(ticket.id);
-      (void)ticket.placed.get();
+      in_flight.push_back(std::move(ticket.placed));
     }
+    harvest(window - 1);
   }
   // Retire the remaining tasks so the machine ends empty-ish per client.
-  for (const core::TaskId id : mine) (void)service.submit_departure(id).get();
+  for (const core::TaskId id : mine) {
+    in_flight.push_back(service.submit_departure(id));
+    harvest(window - 1);
+  }
+  harvest(0);
 }
 
-/// The tentpole oracle: N client threads hammer the service; the
+/// A differential run's shape: machine size, client threads, requests
+/// per client, and requests each client keeps in flight.
+struct DifferentialShape {
+  std::uint64_t pes = 32;
+  std::uint64_t clients = 4;
+  std::uint64_t requests = 500;
+  std::size_t window = 1;
+};
+
+/// The differential oracle: client threads hammer the service; the
 /// recorded admission sequence replayed serially through Engine::run
 /// must reproduce the exact same final digest and max load. Run under
 /// TSan in CI (threadsanitize job).
-void run_differential(const std::string& spec) {
-  const tree::Topology topo(32);
+void run_differential(const std::string& spec,
+                      const DifferentialShape& shape = {}) {
+  const tree::Topology topo(shape.pes);
   ServiceOptions options;
   options.queue_capacity = 64;
   options.batch_size = 16;
   PartitionService service(topo, make(spec, topo), options);
 
-  constexpr std::uint64_t kClients = 4;
-  constexpr std::uint64_t kRequests = 500;
   std::vector<std::thread> clients;
-  for (std::uint64_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&service, c] {
-      run_client(service, 0x5eed + c, kRequests, 8);
+  for (std::uint64_t c = 0; c < shape.clients; ++c) {
+    clients.emplace_back([&service, &shape, c] {
+      run_client(service, 0x5eed + c, shape.requests, 8, shape.window);
     });
   }
   for (auto& t : clients) t.join();
@@ -396,7 +477,7 @@ void run_differential(const std::string& spec) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.failed, 0u) << spec;
   EXPECT_EQ(stats.applied, stats.admitted) << spec;
-  EXPECT_GE(stats.applied, kClients * kRequests) << spec;
+  EXPECT_GE(stats.applied, shape.clients * shape.requests) << spec;
   EXPECT_EQ(service.recorded().events().size(), stats.applied) << spec;
 
   const auto serial = replay(topo, spec, service.recorded());
@@ -422,6 +503,22 @@ TEST(ServeDifferentialTest, DReallocMatchesSerialReplay) {
 
 TEST(ServeDifferentialTest, RandomizedMatchesSerialReplay) {
   run_differential("random");
+}
+
+// Several requests of one client in one batch: the pattern whose
+// completion order the batch-end hand-off changes, and the one
+// perfbench and serve_loadgen drive.
+TEST(ServeDifferentialTest, WindowedDReallocMatchesSerialReplay) {
+  run_differential("dmix:d=1", {.window = 8});
+}
+
+// serve_dmix's machine size and client shape, where the allocator's
+// large-N paths run.
+TEST(ServeDifferentialTest, WindowedDmixAt65536MatchesSerialReplay) {
+  run_differential("dmix:d=2", {.pes = std::uint64_t{1} << 16,
+                                .clients = 2,
+                                .requests = 2000,
+                                .window = 16});
 }
 
 }  // namespace
