@@ -138,10 +138,9 @@ void BM_PackTasks(benchmark::State& state) {
                           state.range(0));
 }
 
-// The bucketed pack path behind every repack round: same multiset as
-// BM_PackTasks but through pack_tasks_ordered, which routes through the
-// per-size-class buckets and CopySet::place_run instead of a comparison
-// sort plus per-task place().
+// The pack path behind every repack round, called through
+// pack_tasks_ordered on the same multiset as BM_PackTasks: the
+// per-size-class bucket pass, then one CopySet::place() per task.
 void BM_PackTasksBucketed(benchmark::State& state) {
   const tree::Topology topo(1024);
   util::Rng rng(7);
@@ -159,12 +158,12 @@ void BM_PackTasksBucketed(benchmark::State& state) {
                           state.range(0));
 }
 
-// One full delta-planning round over a live machine with reused scratch:
-// the steady-state cost A_M pays per triggered reallocation (bucket the
-// active set, rebuild the canonical layout into the recycled CopySet,
-// diff against current nodes). The state is scattered by A_B so the plan
-// is non-trivial, and it is never applied, so every iteration replans the
-// same round.
+// One full delta-planning round over a live machine through repack_into
+// with a reused CopySet and scratch: the steady-state cost A_M pays per
+// triggered reallocation (bucket the active set, rebuild the canonical
+// layout into the recycled CopySet, diff against current nodes). The
+// state is scattered by A_B so the plan is non-trivial, and it is never
+// applied, so every iteration replans the same round.
 void BM_PlanRepackScratch(benchmark::State& state) {
   const tree::Topology topo(static_cast<std::uint64_t>(state.range(0)));
   core::MachineState machine(topo);
@@ -179,45 +178,14 @@ void BM_PlanRepackScratch(benchmark::State& state) {
     const core::Task task{next_id++, size};
     machine.place(task, scatter->place(task, machine));
   }
+  tree::CopySet copies(topo);
   core::PackScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::plan_repack(machine, scratch));
+    benchmark::DoNotOptimize(core::repack_into(machine, copies, scratch));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(machine.active_count()));
-}
-
-// place_run batches vs the same run issued one place() at a time, so the
-// amortized fits_-bitset walk is visible head to head.
-void BM_PlaceRunBatch(benchmark::State& state) {
-  const tree::Topology topo(1024);
-  tree::CopySet copies(topo);
-  std::vector<tree::CopyPlacement> out;
-  const std::uint64_t count = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    copies.clear();
-    out.clear();
-    copies.place_run(4, count, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_PlaceRunSingles(benchmark::State& state) {
-  const tree::Topology topo(1024);
-  tree::CopySet copies(topo);
-  std::vector<tree::CopyPlacement> out;
-  const std::uint64_t count = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    copies.clear();
-    out.clear();
-    for (std::uint64_t i = 0; i < count; ++i) out.push_back(copies.place(4));
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
 }
 
 }  // namespace
@@ -255,5 +223,3 @@ BENCHMARK(BM_CopySetChurn)->RangeMultiplier(16)->Range(64, 65536);
 BENCHMARK(BM_PackTasks)->RangeMultiplier(8)->Range(64, 4096);
 BENCHMARK(BM_PackTasksBucketed)->RangeMultiplier(8)->Range(64, 4096);
 BENCHMARK(BM_PlanRepackScratch)->RangeMultiplier(16)->Range(256, 65536);
-BENCHMARK(BM_PlaceRunBatch)->RangeMultiplier(8)->Range(8, 512);
-BENCHMARK(BM_PlaceRunSingles)->RangeMultiplier(8)->Range(8, 512);

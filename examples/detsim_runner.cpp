@@ -9,7 +9,9 @@
 //                    subprocess, since their only correct outcome is an
 //                    abort. Also runs the serial-vs-pool differential
 //                    digest sweep. Failures are shrunk (with --shrink) and
-//                    written as partree-detsim-repro-v1 files.
+//                    written as partree-detsim-repro-v1 files. --n-pes and
+//                    --events apply to both phases, and both summary lines
+//                    print n_pes=.
 //   --replay FILE    Re-run one repro file and report whether the recorded
 //                    outcome reproduces (exit 0 iff it does).
 //   --one            Single faulted run, exactly as specified (the
@@ -18,6 +20,7 @@
 // Examples:
 //   detsim_runner --seed-sweep 500 --shrink
 //   detsim_runner --seed-sweep 200 --budget-seconds 60 --repro-dir out
+//   detsim_runner --seed-sweep 12 --n-pes 65536
 //   detsim_runner --replay out/repro_seed42.json
 #include <cstdio>
 #include <cstdlib>
@@ -161,6 +164,8 @@ struct SweepStats {
                                  const partree::util::Cli& cli) {
   const std::uint64_t n_seeds = cli.get_u64("seed-sweep");
   const std::uint64_t base_seed = cli.get_u64("seed");
+  const std::uint64_t n_pes = cli.get_u64("n-pes");
+  const std::uint64_t n_events = cli.get_u64("events");
   const double budget = cli.get_double("budget-seconds");
   const bool shrink = cli.get_flag("shrink");
   const bool no_corruption = cli.get_flag("no-corruption");
@@ -179,8 +184,10 @@ struct SweepStats {
          (budget <= 0.0 || timer.seconds() < budget * 0.4)) {
     const std::uint64_t batch = std::min<std::uint64_t>(32, n_seeds - diff_done);
     DetSimOptions base;
+    base.n_pes = n_pes;
     base.allocator = cli.get("alloc").empty() ? "basic" : cli.get("alloc");
     base.seed = base_seed + diff_done;
+    base.n_events = n_events;
     const std::vector<std::uint64_t> diverged =
         partree::sim::digest_divergences(base, batch, chunk_overrides);
     for (const std::uint64_t seed : diverged) {
@@ -190,7 +197,9 @@ struct SweepStats {
     }
     diff_done += batch;
   }
-  std::printf("differential sweep: %llu/%llu seeds, %llu divergences\n",
+  std::printf("differential sweep: n_pes=%llu %llu/%llu seeds, "
+              "%llu divergences\n",
+              static_cast<unsigned long long>(n_pes),
               static_cast<unsigned long long>(diff_done),
               static_cast<unsigned long long>(n_seeds),
               static_cast<unsigned long long>(stats.failures));
@@ -204,13 +213,14 @@ struct SweepStats {
       break;
     }
     DetSimOptions options;
+    options.n_pes = n_pes;
     options.seed = base_seed + i;
     options.allocator = cli.has("alloc") && !cli.get("alloc").empty()
                             ? cli.get("alloc")
                             : kSweepAllocators[i % std::size(kSweepAllocators)];
-    const std::uint64_t n_events = partree::sim::detsim_event_count(options);
-    options.faults = partree::sim::random_fault_plan(plan_rng, n_events,
-                                                     !no_corruption);
+    options.n_events = n_events;
+    options.faults = partree::sim::random_fault_plan(
+        plan_rng, partree::sim::detsim_event_count(options), !no_corruption);
     ++stats.runs;
 
     if (options.faults.has_corruption()) {
@@ -275,9 +285,10 @@ struct SweepStats {
   }
 
   std::printf(
-      "sweep done in %.1fs: runs=%llu recovered=%llu cancelled=%llu "
-      "skipped=%llu crashes_verified=%llu failures=%llu\n",
-      timer.seconds(), static_cast<unsigned long long>(stats.runs),
+      "sweep done in %.1fs: n_pes=%llu runs=%llu recovered=%llu "
+      "cancelled=%llu skipped=%llu crashes_verified=%llu failures=%llu\n",
+      timer.seconds(), static_cast<unsigned long long>(n_pes),
+      static_cast<unsigned long long>(stats.runs),
       static_cast<unsigned long long>(stats.recovered),
       static_cast<unsigned long long>(stats.cancelled),
       static_cast<unsigned long long>(stats.skipped),

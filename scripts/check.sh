@@ -62,11 +62,12 @@ if [[ "$MODE" == "tsan" ]]; then
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD" -R 'Serve' --no-tests=error \
       --output-on-failure -j "$(nproc)"
-  # The repack pipeline (bucketed pack, place_run, delta planner, scratch
-  # reuse) feeds the serve apply thread; run its equivalence/accounting
-  # suites explicitly so a filter rename can't silently drop them.
+  # The repack pipeline (bucketed pack, the CopySet copy stack, delta
+  # planner, scratch reuse) feeds the serve apply thread; run its
+  # equivalence/accounting suites explicitly so a filter rename can't
+  # silently drop them.
   TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir "$BUILD" -R 'Pack|PlaceRun|ReallocAccounting' \
+    ctest --test-dir "$BUILD" -R 'Pack|CopySet|ReallocAccounting' \
       --no-tests=error --output-on-failure -j "$(nproc)"
   # A crash dump taken while a pool worker records, and the registry's
   # snapshot-while-recording test: the registry's race-freedom claims.
@@ -86,9 +87,10 @@ ctest --test-dir "$BUILD" -R 'Metrics' --no-tests=error \
   --output-on-failure -j "$(nproc)"
 ctest --test-dir "$BUILD" -R 'Serve' --no-tests=error \
   --output-on-failure -j "$(nproc)"
-# Repack-pipeline suites: the bucketed/place_run equivalence properties
-# and the planned-vs-applied accounting pins behind every realloc round.
-ctest --test-dir "$BUILD" -R 'Pack|PlaceRun|ReallocAccounting' \
+# Repack-pipeline suites: the bucketed-pack equivalence properties, the
+# CopySet copy stack (unit and large-N oracles) and the planned-vs-applied
+# accounting pins behind every realloc round.
+ctest --test-dir "$BUILD" -R 'Pack|CopySet|ReallocAccounting' \
   --no-tests=error --output-on-failure -j "$(nproc)"
 
 SMOKE="$BUILD/BENCH_smoke.json"

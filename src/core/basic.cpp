@@ -5,7 +5,7 @@
 namespace partree::core {
 
 BasicAllocator::BasicAllocator(tree::Topology topo, tree::CopyFit fit)
-    : fit_(fit), copies_(topo, fit) {}
+    : copies_(topo, fit), fit_(fit) {}
 
 std::string BasicAllocator::name() const {
   return fit_ == tree::CopyFit::kFirstFit ? "basic" : "basic-bestfit";
@@ -37,7 +37,20 @@ bool BasicAllocator::debug_corrupt_state() {
 
 std::string BasicAllocator::debug_check_state() const {
   const std::string err = copies_.check();
-  return err.empty() ? err : "copy_set: " + err;
+  if (!err.empty()) return "copy_set: " + err;
+  std::uint64_t tracked = 0;
+  for (const auto& [id, cp] : placements_) {
+    if (!copies_.occupied(cp)) {
+      return "placement for task " + std::to_string(id) +
+             " is not occupied in the copy set";
+    }
+    tracked += copies_.topology().subtree_size(cp.node);
+  }
+  if (tracked != copies_.used()) {
+    return "tracked placement sizes " + std::to_string(tracked) +
+           " != copy set used " + std::to_string(copies_.used());
+  }
+  return {};
 }
 
 void BasicAllocator::reset() {

@@ -34,12 +34,19 @@ class BasicAllocator : public Allocator {
   /// debug_check_state (CopySet::check) trips on the next debug_checks
   /// pass. Applies only once at least one task has been placed.
   bool debug_corrupt_state() override;
+  /// CopySet::check(), then an audit of the placement map: every tracked
+  /// placement is occupied in the copy set, and the tracked sizes account
+  /// for every occupied PE.
   [[nodiscard]] std::string debug_check_state() const override;
+
+ protected:
+  // A_M (DReallocAllocator) places with this same bookkeeping between
+  // rounds and repacks into it at each round.
+  tree::CopySet copies_;
+  std::unordered_map<TaskId, tree::CopyPlacement> placements_;
 
  private:
   tree::CopyFit fit_;
-  tree::CopySet copies_;
-  std::unordered_map<TaskId, tree::CopyPlacement> placements_;
 };
 
 }  // namespace partree::core

@@ -5,14 +5,15 @@
 // reallocates all active tasks with A_R whenever the cumulative size of
 // arrivals since the last reallocation reaches dN. Theorem 4.2: load <=
 // min{d + 1, ceil((log N + 1)/2)} * L*. d = 0 degenerates to A_C.
+//
+// So A_M is A_B plus the trigger and A_R: it derives from BasicAllocator,
+// whose copy stack and placement map it places with between rounds and
+// repacks into at each round, and whose self-check audits both.
 #pragma once
 
-#include <unordered_map>
-
-#include "core/allocator.hpp"
+#include "core/basic.hpp"
 #include "core/greedy.hpp"
 #include "core/packing.hpp"
-#include "tree/copy_set.hpp"
 
 namespace partree::core {
 
@@ -27,7 +28,7 @@ struct ReallocParam {
   [[nodiscard]] static ReallocParam inf() { return {0, true}; }
 };
 
-class DReallocAllocator : public Allocator {
+class DReallocAllocator : public BasicAllocator {
  public:
   DReallocAllocator(tree::Topology topo, ReallocParam d);
 
@@ -49,18 +50,13 @@ class DReallocAllocator : public Allocator {
     return reallocations_;
   }
 
-  /// Fault-injection seam: corrupts the CopySet's used-PE aggregate (no-op
-  /// in the greedy regime, which owns no copies).
-  bool debug_corrupt_state() override;
-  [[nodiscard]] std::string debug_check_state() const override;
+  // debug_corrupt_state and debug_check_state are A_B's: in the greedy
+  // regime the copy stack stays empty, so both have nothing to act on.
 
  private:
-  tree::Topology topo_;
   ReallocParam d_;
   std::optional<GreedyAllocator> greedy_;  // engaged in the greedy regime
-  tree::CopySet copies_;
   PackScratch scratch_;  // repack buffers, recycled across rounds
-  std::unordered_map<TaskId, tree::CopyPlacement> placements_;
   std::uint64_t arrived_since_realloc_ = 0;
   bool realloc_pending_ = false;
   std::uint64_t reallocations_ = 0;

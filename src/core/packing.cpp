@@ -20,8 +20,8 @@ void reset_buckets(PackScratch& scratch, std::size_t n_classes) {
 /// first when `decreasing`), ids ascending within a class, filling
 /// scratch.packed / scratch.from_nodes in placement order. Identical
 /// output to sorting (size, id) with one comparison sort and placing one
-/// by one: the class walk IS the size key, the per-class id sort is the
-/// tie-break, and place_run is placement-for-placement equal to place().
+/// by one: the class walk IS the size key and the per-class id sort is
+/// the tie-break.
 void place_buckets(tree::CopySet& copies, PackScratch& scratch,
                    bool decreasing) {
   std::size_t total = 0;
@@ -40,11 +40,9 @@ void place_buckets(tree::CopySet& copies, PackScratch& scratch,
               [](const PackScratch::Pending& a,
                  const PackScratch::Pending& b) { return a.id < b.id; });
     const std::uint64_t size = std::uint64_t{1} << j;
-    scratch.run.clear();
-    copies.place_run(size, bucket.size(), scratch.run);
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      scratch.packed.push_back({bucket[i].id, size, scratch.run[i]});
-      scratch.from_nodes.push_back(bucket[i].from);
+    for (const PackScratch::Pending& pending : bucket) {
+      scratch.packed.push_back({pending.id, size, copies.place(size)});
+      scratch.from_nodes.push_back(pending.from);
     }
   }
 }
@@ -89,8 +87,8 @@ std::vector<PackedTask> pack_tasks_ordered(const tree::Topology& topo,
                                            PackOrder order) {
   tree::CopySet copies(topo);
   if (order == PackOrder::kArrivalOrder) {
-    // Sizes interleave under arrival order, so there is no class run to
-    // batch; a single id sort and per-task placement is the whole job.
+    // Sizes interleave under arrival order, so there is no class to
+    // bucket; a single id sort and per-task placement is the whole job.
     std::vector<PackedTask> packed;
     packed.reserve(tasks.size());
     for (const ActiveTask& at : tasks) {
@@ -120,21 +118,12 @@ std::vector<PackedTask> pack_tasks(const tree::Topology& topo,
 }
 
 std::vector<Migration> plan_repack(const MachineState& state,
-                                   PackScratch& scratch,
                                    std::uint64_t* out_copies) {
-  if (!scratch.copies ||
-      scratch.copies->topology().n_leaves() != state.topology().n_leaves()) {
-    scratch.copies.emplace(state.topology());
-  }
-  const std::uint64_t copies = repack_into(state, *scratch.copies, scratch);
-  if (out_copies != nullptr) *out_copies = copies;
-  return {scratch.migrations.begin(), scratch.migrations.end()};
-}
-
-std::vector<Migration> plan_repack(const MachineState& state,
-                                   std::uint64_t* out_copies) {
+  tree::CopySet copies(state.topology());
   PackScratch scratch;
-  return plan_repack(state, scratch, out_copies);
+  const std::uint64_t count = repack_into(state, copies, scratch);
+  if (out_copies != nullptr) *out_copies = count;
+  return std::move(scratch.migrations);
 }
 
 }  // namespace partree::core

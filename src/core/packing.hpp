@@ -9,14 +9,12 @@
 // at most log N + 1 distinct values and "sort by size" is a bucket pass
 // into per-size-class vectors. Within a class ties break by ascending id
 // (one small per-class sort), which reproduces the comparison sort's
-// output byte for byte. Each class is then placed as one
-// CopySet::place_run, amortizing the first-fit index scan across the
-// whole class. The repack entry points reuse a caller-owned PackScratch
-// so steady-state rounds allocate nothing.
+// output byte for byte. Each task is then placed with one
+// CopySet::place(). repack_into recycles a caller-owned CopySet and
+// PackScratch, so steady-state rounds allocate nothing.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -33,9 +31,9 @@ struct PackedTask {
 };
 
 /// Reusable buffers for the repack pipeline. Allocators that reallocate
-/// repeatedly (DRealloc, RandRealloc, Optimal) hold one of these so every
-/// round after the first runs in recycled storage; the convenience
-/// entry points build a transient one internally.
+/// repeatedly (DRealloc, RandRealloc, Optimal) hold one of these beside
+/// their CopySet so every round after the first runs in recycled storage;
+/// the convenience entry points build a transient one internally.
 struct PackScratch {
   /// One task awaiting placement: its size is implied by the bucket it
   /// sits in, and `from` carries its current node so the delta pass needs
@@ -54,11 +52,6 @@ struct PackScratch {
   std::vector<tree::NodeId> from_nodes;
   /// The delta migration list: one entry per task whose node changes.
   std::vector<Migration> migrations;
-  /// Staging for CopySet::place_run output.
-  std::vector<tree::CopyPlacement> run;
-  /// Lazily-built CopySet for planners that do not maintain their own
-  /// (RandRealloc, the free-function plan_repack overload).
-  std::optional<tree::CopySet> copies;
 };
 
 /// Repacks the active tasks of `state` per A_R into `copies` (cleared
@@ -96,18 +89,12 @@ enum class PackOrder : std::uint8_t {
     const tree::Topology& topo, std::span<const ActiveTask> tasks,
     PackOrder order);
 
-/// Convenience: derives the DELTA migration list that moves the active
-/// tasks of `state` to their A_R packing -- only tasks whose node
-/// changes appear (self-moves are omitted; MachineState::migrate skips
-/// them anyway). `out_copies` (optional) receives the copy count used.
+/// One-shot repack_into on a fresh CopySet and scratch: the DELTA
+/// migration list that moves the active tasks of `state` to their A_R
+/// packing -- only tasks whose node changes appear (self-moves are
+/// omitted; MachineState::migrate skips them anyway). `out_copies`
+/// (optional) receives the copy count used.
 [[nodiscard]] std::vector<Migration> plan_repack(
     const MachineState& state, std::uint64_t* out_copies = nullptr);
-
-/// plan_repack against caller-owned scratch (including its CopySet), for
-/// planners that repack every round and want zero steady-state
-/// allocation beyond the returned vector itself.
-[[nodiscard]] std::vector<Migration> plan_repack(
-    const MachineState& state, PackScratch& scratch,
-    std::uint64_t* out_copies = nullptr);
 
 }  // namespace partree::core

@@ -7,7 +7,7 @@ namespace partree::core {
 RandomizedReallocAllocator::RandomizedReallocAllocator(tree::Topology topo,
                                                        std::uint64_t d,
                                                        std::uint64_t seed)
-    : topo_(topo), d_(d), seed_(seed), rng_(seed) {}
+    : topo_(topo), d_(d), seed_(seed), rng_(seed), copies_(topo) {}
 
 tree::NodeId RandomizedReallocAllocator::place(const Task& task,
                                                const MachineState& state) {
@@ -28,10 +28,16 @@ RandomizedReallocAllocator::maybe_reallocate(const MachineState& state) {
   if (!realloc_pending_) return std::nullopt;
   realloc_pending_ = false;
   arrived_since_realloc_ = 0;
-  // Scratch-backed planning: the bucket pass walks the active set in
-  // place and the CopySet + buffers persist across rounds, so the only
-  // steady-state allocation is the returned delta list itself.
-  return plan_repack(state, scratch_);
+  // The same round as A_M's: the CopySet and buffers persist across
+  // rounds, so the only steady-state allocation is the returned list.
+  repack_into(state, copies_, scratch_);
+  return std::optional<std::vector<Migration>>(
+      std::in_place, scratch_.migrations.begin(), scratch_.migrations.end());
+}
+
+std::string RandomizedReallocAllocator::debug_check_state() const {
+  const std::string err = copies_.check();
+  return err.empty() ? err : "copy_set: " + err;
 }
 
 std::string RandomizedReallocAllocator::name() const {

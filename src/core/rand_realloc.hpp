@@ -10,10 +10,9 @@
 // actual curve against both pure-random and deterministic A_M.
 #pragma once
 
-#include <unordered_map>
-
 #include "core/allocator.hpp"
 #include "core/packing.hpp"
+#include "tree/copy_set.hpp"
 #include "util/rng.hpp"
 
 namespace partree::core {
@@ -30,13 +29,16 @@ class RandomizedReallocAllocator : public Allocator {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] bool is_randomized() const override { return true; }
   void reset() override;
+  /// CopySet::check() on the last round's copies.
+  [[nodiscard]] std::string debug_check_state() const override;
 
  private:
   tree::Topology topo_;
   std::uint64_t d_;
   std::uint64_t seed_;
   util::Rng rng_;
-  PackScratch scratch_;  // repack buffers (incl. CopySet), recycled
+  tree::CopySet copies_;  // A_R's copies, rebuilt at each round
+  PackScratch scratch_;   // repack buffers, recycled across rounds
   std::uint64_t arrived_since_realloc_ = 0;
   bool realloc_pending_ = false;
 };

@@ -12,15 +12,23 @@
 // first-fit query for a (power-of-two) size 2^j is then one word read per
 // 64 copies -- O(ceil(C/64)) instead of O(C) pointer chases over C live
 // copies -- and an update moves a copy across |delta level| words with no
-// allocation. Copies that drain to empty release their occupancy storage
-// (2N bytes; slot indices stay stable, so issued CopyPlacements remain
-// valid); an empty slot behaves exactly like a fully-vacant copy. clear()
-// costs what the copies hold -- O(tasks * log N), not O(N) per copy --
-// because a VacancyTree resets by walking only its occupied paths.
+// allocation.
+//
+// Storage is one vector of VacancyTrees behind a copy count: trees
+// [0, copy_count()) are the copies, and the trees past the count are
+// vacant and wait for the next new copy. A copy that drains to empty keeps
+// its (now all-zero) tree in place, so issued CopyPlacements stay valid;
+// trailing empty copies are dropped by lowering the count. clear() costs
+// what the copies hold -- O(tasks * log N), not O(N) per copy -- because
+// a VacancyTree resets by walking only its occupied paths.
+//
+// The set keeps as many trees as the largest copy count it has ever held.
+// place() appends a copy only when no copy fits, and an empty copy always
+// fits, so at every append every earlier copy holds a task: the largest
+// copy count is also the largest number of nonempty copies ever held.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,41 +59,26 @@ class CopySet {
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
 
   /// Number of copies currently in existence (>= 1 after first placement).
-  [[nodiscard]] std::uint64_t copy_count() const noexcept {
-    return copies_.size();
-  }
+  [[nodiscard]] std::uint64_t copy_count() const noexcept { return count_; }
 
-  /// Number of copies currently holding at least one task. Empty copies
-  /// (interior slots whose tasks all departed) keep their index but hold
-  /// no occupancy storage, so this is what tracks live usage under churn.
-  [[nodiscard]] std::uint64_t live_copy_count() const noexcept {
-    return live_copies_;
-  }
+  /// Number of copies currently holding at least one task. An interior
+  /// copy whose tasks all departed keeps its index but not this count, so
+  /// this is what tracks live usage under churn. O(copies).
+  [[nodiscard]] std::uint64_t live_copy_count() const;
 
   /// First-fit placement: first copy with a vacant block of `size`,
   /// leftmost block within it. Creates a new copy when none fits.
   [[nodiscard]] CopyPlacement place(std::uint64_t size);
 
-  /// Places `count` tasks of one (power-of-two) size, appending the
-  /// placements to `out` in placement order. Byte-identical results to
-  /// `count` repeated place(size) calls; under first-fit the search
-  /// cursor is carried across the run -- placements only shrink vacancy,
-  /// so the first fitting copy never moves backward -- which amortises
-  /// the per-level fits_ word scan over the whole size class instead of
-  /// restarting it at copy 0 for every task.
-  void place_run(std::uint64_t size, std::uint64_t count,
-                 std::vector<CopyPlacement>& out);
-
-  /// True iff `placement` names a live copy with a task rooted exactly at
-  /// its node -- i.e. a placement this set handed out and still holds.
-  /// Used by allocator debug checks to audit external placement maps.
+  /// True iff `placement` names a copy with a task rooted exactly at its
+  /// node -- i.e. a placement this set handed out and still holds. Used
+  /// by allocator debug checks to audit external placement maps.
   [[nodiscard]] bool occupied(const CopyPlacement& placement) const;
 
-  /// Releases a previous placement. A copy that drains to empty releases
-  /// its occupancy storage in place (its index remains valid and it keeps
-  /// behaving like a fully-vacant copy); trailing empty copies are
-  /// discarded entirely (search order over the remaining copies is
-  /// unchanged, so behaviour is identical to keeping them).
+  /// Releases a previous placement. A copy that drains to empty keeps its
+  /// index and behaves like a fully vacant copy; trailing empty copies are
+  /// dropped (search order over the remaining copies is unchanged, so
+  /// behaviour is identical to keeping them).
   void remove(const CopyPlacement& placement);
 
   /// Total occupied PE count across copies. O(1).
@@ -95,20 +88,19 @@ class CopySet {
 
   /// Canonical 64-bit state digest. Copies are an ordered stack, so copy
   /// indices are mixed in order; WITHIN a copy the occupied subtree roots
-  /// form a set and fold commutatively. An empty interior slot digests
-  /// identically whether its storage is reclaimed or never existed, and
-  /// trailing-empty discard is deterministic, so behaviourally equal sets
-  /// digest equal. O(copies * N).
+  /// form a set and fold commutatively. An empty copy mixes a single 0,
+  /// and trailing-empty discard is deterministic, so behaviourally equal
+  /// sets digest equal. O(copies * N).
   [[nodiscard]] std::uint64_t digest() const;
 
-  /// Recomputes every maintained aggregate (used_, live_copies_, per-copy
-  /// ranks, fits_ bitset membership) from the ground-truth occupancy and
-  /// compares; runs VacancyTree::check() on every live copy and requires
-  /// every spare to equal a fresh tree (a spare with stale bytes would
-  /// corrupt the next copy built from it). Returns "" when consistent,
-  /// else a description of the first inconsistency. O((copies + spares) *
-  /// N). The engine's debug_checks net calls this through
-  /// Allocator::debug_check_state for CopySet-backed allocators.
+  /// Recomputes every maintained aggregate (used_, per-copy ranks, fits_
+  /// bitset membership) from the ground-truth occupancy and compares;
+  /// runs VacancyTree::check() on every copy and requires every tree past
+  /// the copy count to equal a fresh tree (one with stale bytes would
+  /// corrupt the next copy built on it). Returns "" when consistent, else
+  /// a description of the first inconsistency. O(trees * N). The engine's
+  /// debug_checks net calls this through Allocator::debug_check_state for
+  /// CopySet-backed allocators.
   [[nodiscard]] std::string check() const;
 
   /// TEST-ONLY fault injection: overwrites the cumulative used-PE count
@@ -124,34 +116,23 @@ class CopySet {
   /// Moves copy k's fits_ membership from its recorded rank to the one
   /// matching its current max_free (flips |delta| words).
   void reindex(std::uint64_t k);
-  [[nodiscard]] std::uint64_t max_free_of(std::uint64_t k) const;
   void set_rank(std::uint64_t k, std::uint32_t from, std::uint32_t to);
-  /// A pooled drained tree if one is cached, else a freshly built one.
-  [[nodiscard]] VacancyTree take_vacant_tree();
 
   Topology topo_;
   CopyFit fit_;
-  /// nullopt = empty copy with reclaimed storage (equivalent to a fully
-  /// vacant VacancyTree); materialized lazily on next placement into it.
-  std::vector<std::optional<VacancyTree>> copies_;
-  /// Drained trees kept for the next materialization: a drained
-  /// VacancyTree is identical to a freshly built one, so reusing one
-  /// turns the drain/refill oscillation under churn -- and clear() plus
-  /// rebuild during a repack round -- into moves instead of a free plus
-  /// a 2N-byte zero fill per copy. Retained storage is bounded by the
-  /// largest simultaneous copy count the set has ever held.
-  std::vector<VacancyTree> spares_;
+  /// [0, count_) are the copies; the rest are all-zero trees kept for the
+  /// next new copy.
+  std::vector<VacancyTree> trees_;
+  std::uint64_t count_ = 0;
   std::vector<std::uint32_t> copy_rank_;  // current fits_ rank per copy
   /// Cumulative per-level bitsets over copy ids, stored word-major in one
   /// flat array: word w of level j lives at fits_[w * n_levels_ + j], and
   /// bit k%64 of word k/64 is set iff copy k's largest vacant block is
-  /// >= 2^j. Word-major keeps one 64-copy stripe contiguous, and the flat
-  /// layout makes the whole index a single allocation (repacks build and
-  /// discard a CopySet per call, so construction cost is on the hot path).
+  /// >= 2^j. Word-major keeps one 64-copy stripe contiguous, so a new
+  /// stripe is one resize.
   std::vector<std::uint64_t> fits_;
   std::uint32_t n_levels_;                // height+1 (levels 0..height)
   std::uint64_t used_ = 0;
-  std::uint64_t live_copies_ = 0;
 };
 
 }  // namespace partree::tree

@@ -170,6 +170,39 @@ std::uint64_t LoadTree::digest() const {
   return fnv.value();
 }
 
+std::string LoadTree::check() const {
+  std::uint64_t size = 0;
+  std::uint64_t tasks = 0;
+  // Children before parents, so each node is recomputed from nodes that
+  // have already been checked.
+  for (NodeId v = topo_.n_nodes(); v >= 1; --v) {
+    const Node& node = nodes_[v];
+    tasks += node.add;
+    size += std::uint64_t{node.add} * topo_.subtree_size(v);
+    std::uint32_t down = node.add;
+    std::uint32_t min = node.add;
+    if (!topo_.is_leaf(v)) {
+      const Node& l = nodes_[Topology::left(v)];
+      const Node& r = nodes_[Topology::right(v)];
+      down += std::max(l.down, r.down);
+      min += std::min(l.min, r.min);
+    }
+    if (!min_ready_) min = 0;
+    if (node.down != down || node.min != min) {
+      return "node " + std::to_string(v) + " (down, min) (" +
+             std::to_string(node.down) + ", " + std::to_string(node.min) +
+             ") != recomputed (" + std::to_string(down) + ", " +
+             std::to_string(min) + ")";
+    }
+  }
+  if (size != active_size_ || tasks != active_tasks_) {
+    return "active size/tasks " + std::to_string(active_size_) + "/" +
+           std::to_string(active_tasks_) + " != sum over nodes " +
+           std::to_string(size) + "/" + std::to_string(tasks);
+  }
+  return "";
+}
+
 void LoadTree::debug_corrupt_add(NodeId v, std::uint64_t count) {
   PARTREE_ASSERT(topo_.valid(v), "invalid node");
   // Aggregates deliberately left stale.

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "tree/topology.hpp"
@@ -82,6 +83,13 @@ class LoadTree {
   /// the maintained aggregates, so a digest mismatch flags either a
   /// different occupancy or drifted incremental aggregates. O(N).
   [[nodiscard]] std::uint64_t digest() const;
+
+  /// Recomputes `down`, and `min` once built (zero until then), bottom-up
+  /// from `add`, plus the active totals, and compares them with the
+  /// maintained values. digest() cannot stand in for this: it mixes only
+  /// `add` and the root's `down`, so a drifted interior aggregate passes
+  /// it. Returns "" when consistent, else the first mismatch. O(N).
+  [[nodiscard]] std::string check() const;
 
   /// TEST-ONLY fault injection: overwrites the task count rooted at v
   /// without touching any aggregate, leaving the tree internally

@@ -134,11 +134,11 @@ TEST(PackingTest, PlanRepackOfCanonicalLayoutIsEmpty) {
 }
 
 TEST(PackingTest, PlanRepackScratchReuseMatchesFreshScratch) {
-  // The scratch-backed overload must produce identical plans when its
-  // buffers (and CopySet) are reused across rounds with different
-  // active sets.
+  // repack_into must produce identical plans when its CopySet and
+  // scratch buffers are reused across rounds with different active sets.
   const tree::Topology topo(16);
   util::Rng rng(29);
+  tree::CopySet copies(topo);
   PackScratch scratch;
   for (int round = 0; round < 50; ++round) {
     MachineState state{topo};
@@ -150,11 +150,11 @@ TEST(PackingTest, PlanRepackScratchReuseMatchesFreshScratch) {
       state.place({static_cast<TaskId>(i), size}, node);
     }
     std::uint64_t copies_fresh = 0;
-    std::uint64_t copies_reused = 0;
     const auto fresh = plan_repack(state, &copies_fresh);
-    const auto reused = plan_repack(state, scratch, &copies_reused);
-    EXPECT_EQ(fresh, reused) << "round " << round;
+    const std::uint64_t copies_reused = repack_into(state, copies, scratch);
+    EXPECT_EQ(fresh, scratch.migrations) << "round " << round;
     EXPECT_EQ(copies_fresh, copies_reused) << "round " << round;
+    EXPECT_EQ(copies.check(), "") << "round " << round;
   }
 }
 

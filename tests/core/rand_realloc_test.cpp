@@ -92,7 +92,7 @@ TEST(RandReallocTest, ReallocCountMatchesDmix) {
 
 TEST(RandReallocTest, ChurnReallocationRoundsStayConsistent) {
   // Churn mirror of the drealloc frequency test, driven through the
-  // shared PackScratch planning path: sustained arrivals + departures
+  // same repack_into round as A_M: sustained arrivals + departures
   // with reallocation rounds firing throughout, under the engine's
   // debug_checks net so every round's state is audited. The delta
   // planner must only ever emit physical moves, so the planned and

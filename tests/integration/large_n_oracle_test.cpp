@@ -1,6 +1,7 @@
 // Oracles at the machine sizes where the fast paths run: VacancyTree and
 // CopySet under seeded churn at N = 2^16 and 2^20, each checked against an
-// independent recompute, and A_R's repack against its closed form.
+// independent recompute, A_R's repack against its closed form, and
+// MachineState plus the allocators against a fresh rebuild.
 //
 // VacancyTree::clear() walks only the occupied paths. At N <= 64 those
 // paths soon cover every node, so a clear() that missed a node would look
@@ -14,10 +15,14 @@
 #include <string>
 #include <vector>
 
+#include "core/factory.hpp"
+#include "core/machine_state.hpp"
 #include "core/packing.hpp"
+#include "core/step.hpp"
 #include "tree/copy_set.hpp"
 #include "tree/vacancy_tree.hpp"
 #include "util/rng.hpp"
+#include "workload/synthetic.hpp"
 
 namespace partree {
 namespace {
@@ -165,9 +170,10 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LargeNOracleVacancyTree,
                          ::testing::Values(16u, 20u), size_name);
 
 // (b) A CopySet of few large tasks per copy, so interior copies drain to
-// empty and their trees go through the spare pool; then clear() and
-// refill from the pool. check() recomputes every live tree and compares
-// every spare with a fresh one.
+// empty and are refilled in place, and trailing ones leave the stack and
+// wait as vacant trees; then clear() and refill from the waiting trees.
+// check() recomputes every copy and compares every waiting tree with a
+// fresh one.
 class LargeNOracleCopySet : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(LargeNOracleCopySet, SpareReuseAndClearKeepEveryTreeConsistent) {
@@ -278,6 +284,59 @@ TEST_P(LargeNOraclePack, RepackIsTheClosedFormPrefixSum) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, LargeNOraclePack,
+                         ::testing::Values(16u, 20u), size_name);
+
+// (d) MachineState and the allocators under a replay_dmix-shaped closed
+// loop (sizes N/2^k, k <= 7), applied through core::apply_event. Every few
+// hundred events the incremental state is compared with one rebuilt from
+// active_tasks(). MachineState::digest() mixes the run's peak active size,
+// which a rebuild cannot know, and LoadTree::digest() mixes only `add` and
+// the root's `down`; so the checks compare the fields a rebuild can
+// reproduce and re-derive every LoadTree aggregate with check(). The
+// allocator's own self-check covers its copy stack, waiting trees
+// included.
+class LargeNOracleMachineState
+    : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(LargeNOracleMachineState, IncrementalStateMatchesAFreshRebuild) {
+  const Topology topo(std::uint64_t{1} << GetParam());
+  util::Rng rng(GetParam() * 7727 + 19);
+  const core::TaskSequence seq = workload::closed_loop(
+      topo,
+      {.n_events = 3000,
+       .utilization = 0.90,
+       .size = workload::SizeSpec::uniform_log(GetParam() - 7, GetParam())},
+      rng);
+
+  for (const char* spec :
+       {"basic", "dmix:d=1", "optimal", "randmix:d=2", "greedy"}) {
+    SCOPED_TRACE(spec);
+    const core::AllocatorPtr alloc = core::make_allocator(spec, topo, 5);
+    core::MachineState state{topo};
+    std::uint64_t step = 0;
+    std::uint64_t checkpoints = 0;
+    for (const core::Event& e : seq.events()) {
+      (void)core::apply_event(state, *alloc, e);
+      if (++step % 250 != 0) continue;
+      core::MachineState fresh{topo};
+      for (const core::ActiveTask& at : state.active_tasks()) {
+        fresh.place(at.task, at.node);
+      }
+      ASSERT_EQ(state.loads().check(), "") << "step " << step;
+      ASSERT_EQ(state.loads().digest(), fresh.loads().digest())
+          << "step " << step;
+      ASSERT_EQ(state.max_load(), fresh.max_load()) << "step " << step;
+      ASSERT_EQ(state.active_size(), fresh.active_size()) << "step " << step;
+      ASSERT_EQ(state.active_count(), fresh.active_count())
+          << "step " << step;
+      ASSERT_EQ(alloc->debug_check_state(), "") << "step " << step;
+      ++checkpoints;
+    }
+    EXPECT_GE(checkpoints, 10u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, LargeNOracleMachineState,
                          ::testing::Values(16u, 20u), size_name);
 
 }  // namespace

@@ -104,25 +104,45 @@ TEST(CopySetTest, ReclaimsInteriorEmptyCopies) {
   EXPECT_EQ(cs.live_copy_count(), 3u);
 
   // Draining an interior copy keeps its index (placements in later copies
-  // stay valid) but drops it from the live count.
+  // stay valid) and its tree, but drops it from the live count.
   cs.remove(b);
   EXPECT_EQ(cs.copy_count(), 3u);
   EXPECT_EQ(cs.live_copy_count(), 2u);
   EXPECT_EQ(cs.used(), 16u);
 
-  // The reclaimed slot is refilled before any new copy is created, at the
-  // same index, exactly like the fully vacant copy it stands for.
+  // The drained copy is refilled before any new copy is created, at the
+  // same index, exactly like the fully vacant copy it is.
   const CopyPlacement d = cs.place(4);
   EXPECT_EQ(d.copy, 1u);
   EXPECT_EQ(cs.live_copy_count(), 3u);
 
-  // Removing from a reused slot still works and trailing reclamation
-  // shrinks the stack through interior empties.
+  // Removing from a refilled copy still works and dropping trailing
+  // empty copies shrinks the stack through interior empties.
   cs.remove(c);
   EXPECT_EQ(cs.copy_count(), 2u);
   cs.remove(d);
   EXPECT_EQ(cs.copy_count(), 1u);
   EXPECT_EQ(cs.live_copy_count(), 1u);
+}
+
+TEST(CopySetTest, ClearRecyclesStorageWithoutBehaviorChange) {
+  // clear() keeps the trees it empties for the next copies; a cleared set
+  // must stay indistinguishable from a freshly constructed one.
+  const Topology topo(8);
+  CopySet recycled{topo};
+  for (int i = 0; i < 9; ++i) (void)recycled.place(2);  // 3 copies
+  EXPECT_EQ(recycled.copy_count(), 3u);
+  recycled.clear();
+  CopySet fresh{topo};
+  EXPECT_EQ(recycled.digest(), fresh.digest());
+  EXPECT_EQ(recycled.copy_count(), 0u);
+  EXPECT_EQ(recycled.used(), 0u);
+  EXPECT_EQ(recycled.check(), "");
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(recycled.place(4), fresh.place(4)) << "placement " << i;
+  }
+  EXPECT_EQ(recycled.digest(), fresh.digest());
+  EXPECT_EQ(recycled.check(), "");
 }
 
 TEST(CopySetTest, LiveCopiesTrackUsageUnderChurn) {

@@ -162,6 +162,22 @@ TEST(LoadTreeTest, SingleLeafMachine) {
   EXPECT_EQ(t.max_load(), 1u);
 }
 
+TEST(LoadTreeTest, CheckRecomputesAggregatesAndCatchesCorruptAdd) {
+  const Topology topo(16);
+  LoadTree t{topo};
+  t.assign(2);   // left half
+  t.assign(5);   // a quarter inside it
+  t.assign(17);  // a single PE on the left
+  t.assign(7);   // a quarter on the right
+  EXPECT_EQ(t.check(), "");
+  (void)t.min_load_node(1);  // builds `min`, which check() then covers
+  t.release(5);
+  EXPECT_EQ(t.check(), "");
+  // One more task rooted at the leaf, with every aggregate left stale.
+  t.debug_corrupt_add(17, 2);
+  EXPECT_NE(t.check(), "");
+}
+
 TEST(LoadTreeDeathTest, ReleaseWithoutAssign) {
   LoadTree t{Topology(4)};
   EXPECT_DEATH(t.release(2), "release");
