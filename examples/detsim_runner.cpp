@@ -25,9 +25,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/factory.hpp"
@@ -35,6 +35,7 @@
 #include "sim/detsim.hpp"
 #include "util/cli.hpp"
 #include "util/digest.hpp"
+#include "util/file.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -50,21 +51,24 @@ using partree::sim::FaultPlan;
 const char* const kSweepAllocators[] = {"greedy", "basic", "dmix:d=1",
                                         "random", "randmix:d=2"};
 
-[[nodiscard]] std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+[[nodiscard]] std::string read_or_exit(const std::string& path) {
+  std::optional<std::string> text = partree::util::read_file(path);
+  if (!text) {
     std::fprintf(stderr, "detsim_runner: cannot read %s\n", path.c_str());
     std::exit(2);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  return *std::move(text);
 }
 
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out << text;
-  if (!out) {
+/// Writes `spec` as repro_seed<seed>.json under `dir` atomically, so a kill
+/// mid-write leaves the previous file or none, never a truncated one that
+/// --replay would reject.
+void write_repro_or_exit(const std::string& dir,
+                         const partree::sim::ReproSpec& spec) {
+  const std::string path =
+      dir + "/repro_seed" + std::to_string(spec.seed) + ".json";
+  if (!partree::util::write_file_atomic(path,
+                                        partree::sim::write_repro(spec))) {
     std::fprintf(stderr, "detsim_runner: cannot write %s\n", path.c_str());
     std::exit(2);
   }
@@ -137,7 +141,7 @@ struct CrashProbe {
   probe.skipped = rc == 0;
   std::error_code ec;
   if (std::filesystem::exists(err_path, ec)) {
-    const std::string err = read_file(err_path);
+    const std::string err = read_or_exit(err_path);
     probe.dump_found = err.find("partree-crash-v1") != std::string::npos;
     std::string named;
     for (const partree::sim::Fault& fault : options.faults.faults()) {
@@ -249,9 +253,7 @@ struct SweepStats {
       partree::sim::ReproSpec spec =
           partree::sim::to_repro(options, baseline_only);
       spec.expect = "crash";
-      write_file(repro_dir + "/repro_seed" + std::to_string(options.seed) +
-                     ".json",
-                 partree::sim::write_repro(spec));
+      write_repro_or_exit(repro_dir, spec);
       continue;
     }
 
@@ -275,10 +277,8 @@ struct SweepStats {
           std::printf("  shrunk to:\n");
           print_report(options, report);
         }
-        write_file(repro_dir + "/repro_seed" + std::to_string(options.seed) +
-                       ".json",
-                   partree::sim::write_repro(
-                       partree::sim::to_repro(options, report)));
+        write_repro_or_exit(repro_dir,
+                            partree::sim::to_repro(options, report));
         break;
       }
     }
@@ -300,7 +300,7 @@ struct SweepStats {
 [[nodiscard]] int run_replay(const std::string& argv0,
                              const partree::util::Cli& cli) {
   const partree::sim::ReproSpec spec =
-      partree::sim::read_repro(read_file(cli.get("replay")));
+      partree::sim::read_repro(read_or_exit(cli.get("replay")));
   DetSimOptions options;
   options.n_pes = spec.n_pes;
   options.allocator = spec.allocator;

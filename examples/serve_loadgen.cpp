@@ -127,8 +127,8 @@ bool reconciles(const obs::MetricsSnapshot& snap,
     std::uint64_t service;
   };
   const Pair pairs[] = {
-      {"migrations_planned.count vs reallocation_count",
-       snap.value(obs::ValueMetric::kMigrationsPlanned).count,
+      {"migrations_applied.count vs reallocation_count",
+       snap.value(obs::ValueMetric::kMigrationsApplied).count,
        stats.reallocation_count},
       {"realloc_round_ns.count vs reallocation_count",
        snap.duration(obs::DurationMetric::kReallocRoundNs).count,

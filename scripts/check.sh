@@ -62,12 +62,16 @@ if [[ "$MODE" == "tsan" ]]; then
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD" -R 'Serve' --no-tests=error \
       --output-on-failure -j "$(nproc)"
-  # The repack pipeline (bucketed pack, the CopySet copy stack, delta
-  # planner, scratch reuse) feeds the serve apply thread; run its
-  # equivalence/accounting suites explicitly so a filter rename can't
-  # silently drop them.
+  # The repack pipeline (bucketed pack, the CopySet copy stack, the
+  # plan's mover list, scratch reuse) feeds the serve apply thread; run
+  # its equivalence suites and the round-contract pins (a plan lists only
+  # movers, MachineState aborts on a self-move, and every step counts a
+  # round by its plan's length) explicitly, so a filter rename can't
+  # silently drop them. The Test suffixes keep the 2^20
+  # LargeNOracleMachineState out of this leg.
   TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir "$BUILD" -R 'Pack|CopySet|ReallocAccounting' \
+    ctest --test-dir "$BUILD" \
+      -R 'Pack|CopySet|ReallocAccounting|ApplyEventTest|MachineState(Death)?Test' \
       --no-tests=error --output-on-failure -j "$(nproc)"
   # A crash dump taken while a pool worker records, and the registry's
   # snapshot-while-recording test: the registry's race-freedom claims.
@@ -88,9 +92,13 @@ ctest --test-dir "$BUILD" -R 'Metrics' --no-tests=error \
 ctest --test-dir "$BUILD" -R 'Serve' --no-tests=error \
   --output-on-failure -j "$(nproc)"
 # Repack-pipeline suites: the bucketed-pack equivalence properties, the
-# CopySet copy stack (unit and large-N oracles) and the planned-vs-applied
-# accounting pins behind every realloc round.
-ctest --test-dir "$BUILD" -R 'Pack|CopySet|ReallocAccounting' \
+# CopySet copy stack (unit and large-N oracles), the plan-delta oracles,
+# and the round-contract pins behind every realloc round: a plan lists
+# only movers, MachineState aborts on a self-move (death test), and each
+# step counts a round by its plan's length. The Test suffixes keep the
+# 2^20 LargeNOracleMachineState out of this leg.
+ctest --test-dir "$BUILD" \
+  -R 'Pack|CopySet|ReallocAccounting|ApplyEventTest|MachineState(Death)?Test' \
   --no-tests=error --output-on-failure -j "$(nproc)"
 
 SMOKE="$BUILD/BENCH_smoke.json"

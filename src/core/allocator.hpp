@@ -45,8 +45,10 @@ class Allocator {
   }
 
   /// Called after each arrival is applied. Return a migration list to
-  /// perform a reallocation now, or nullopt to do nothing. Self-moves
-  /// (from == to) are allowed and not counted as physical migrations.
+  /// perform a reallocation now, or nullopt to do nothing. The list names
+  /// only tasks that move (from != to; MachineState::migrate aborts on a
+  /// self-move), so its length is the round's move count, and an empty
+  /// list is a round that moved nothing.
   [[nodiscard]] virtual std::optional<std::vector<Migration>>
   maybe_reallocate(const MachineState& state) {
     (void)state;

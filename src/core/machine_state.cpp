@@ -35,22 +35,20 @@ tree::NodeId MachineState::remove(TaskId id) {
 }
 
 void MachineState::migrate(std::span<const Migration> migrations) {
-  std::uint64_t moved = 0;
   for (const Migration& m : migrations) {
     const auto it = active_.find(m.id);
     PARTREE_ASSERT(it != active_.end(), "migrating task that is not active");
     PARTREE_ASSERT(it->second.node == m.from,
                    "migration 'from' does not match current placement");
+    PARTREE_ASSERT(m.from != m.to, "migration is a self-move");
     PARTREE_ASSERT(topo_.valid(m.to), "migration target out of range");
     PARTREE_ASSERT(topo_.subtree_size(m.to) == it->second.task.size,
                    "migration target size mismatch");
-    if (m.from == m.to) continue;
     loads_.release(m.from);
     loads_.assign(m.to);
     it->second.node = m.to;
-    ++moved;
   }
-  obs::emit_instant(obs::Instant::kMigrationBatch, moved);
+  obs::emit_instant(obs::Instant::kMigrationBatch, migrations.size());
 }
 
 const ActiveTask& MachineState::active_task(TaskId id) const {
@@ -92,12 +90,6 @@ bool MachineState::debug_corrupt_drop_active() {
   if (active_.empty()) return false;
   active_.erase(active_.begin());  // load deliberately left assigned
   return true;
-}
-
-void MachineState::clear() {
-  loads_.clear();
-  active_.clear();
-  peak_active_size_ = 0;
 }
 
 }  // namespace partree::core

@@ -51,11 +51,11 @@ class MachineState {
   /// Removes an active task; returns where it was placed.
   tree::NodeId remove(TaskId id);
 
-  /// Applies a reallocation: every migration must name an active task and
-  /// a correctly-sized destination. Self-moves (from == to) are permitted
-  /// and counted by the caller, not here. Takes a span so planners can
-  /// hand over any contiguous migration buffer without copying into a
-  /// vector first.
+  /// Applies a reallocation: every migration must name an active task, its
+  /// current node, and a different, correctly-sized destination -- a
+  /// self-move (from == to) aborts, since a plan lists only the tasks
+  /// that move. Takes a span so planners can hand over any contiguous
+  /// migration buffer without copying into a vector first.
   void migrate(std::span<const Migration> migrations);
   void migrate(std::initializer_list<Migration> migrations) {
     migrate(std::span<const Migration>(migrations.begin(),
@@ -114,8 +114,6 @@ class MachineState {
   /// hold the same tasks at the same nodes with consistent accounting;
   /// detsim uses this as its per-epoch equivalence oracle. O(active).
   [[nodiscard]] std::uint64_t digest() const;
-
-  void clear();
 
   /// TEST-ONLY fault injection: forwards to LoadTree::debug_corrupt_add on
   /// the owned load structure, leaving aggregates stale on purpose so the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/assert.hpp"
 #include "util/math.hpp"
 
 namespace partree::core {
@@ -18,7 +17,8 @@ void reset_buckets(PackScratch& scratch, std::size_t n_classes) {
 
 /// Places every bucketed task into `copies` class by class (largest
 /// first when `decreasing`), ids ascending within a class, filling
-/// scratch.packed / scratch.from_nodes in placement order. Identical
+/// scratch.packed in placement order and appending to scratch.migrations
+/// each task whose new node differs from its current one. Identical
 /// output to sorting (size, id) with one comparison sort and placing one
 /// by one: the class walk IS the size key and the per-class id sort is
 /// the tie-break.
@@ -28,8 +28,7 @@ void place_buckets(tree::CopySet& copies, PackScratch& scratch,
   for (const auto& bucket : scratch.buckets) total += bucket.size();
   scratch.packed.clear();
   scratch.packed.reserve(total);
-  scratch.from_nodes.clear();
-  scratch.from_nodes.reserve(total);
+  scratch.migrations.clear();
 
   const std::size_t n_classes = scratch.buckets.size();
   for (std::size_t step = 0; step < n_classes; ++step) {
@@ -41,8 +40,12 @@ void place_buckets(tree::CopySet& copies, PackScratch& scratch,
                  const PackScratch::Pending& b) { return a.id < b.id; });
     const std::uint64_t size = std::uint64_t{1} << j;
     for (const PackScratch::Pending& pending : bucket) {
-      scratch.packed.push_back({pending.id, size, copies.place(size)});
-      scratch.from_nodes.push_back(pending.from);
+      const tree::CopyPlacement placement = copies.place(size);
+      scratch.packed.push_back({pending.id, size, placement});
+      if (placement.node != pending.from) {
+        scratch.migrations.push_back(
+            {pending.id, pending.from, placement.node});
+      }
     }
   }
 }
@@ -59,26 +62,6 @@ std::uint64_t repack_into(const MachineState& state, tree::CopySet& copies,
   });
   copies.clear();
   place_buckets(copies, scratch, /*decreasing=*/true);
-
-  // Delta pass with an exact reserve: count the movers first, then fill.
-  // The debug assert pins that the estimate really covers the fill -- a
-  // planner that reallocates mid-loop would invalidate spans handed out
-  // over this buffer.
-  std::size_t movers = 0;
-  for (std::size_t i = 0; i < scratch.packed.size(); ++i) {
-    if (scratch.packed[i].placement.node != scratch.from_nodes[i]) ++movers;
-  }
-  scratch.migrations.clear();
-  scratch.migrations.reserve(movers);
-  [[maybe_unused]] const std::size_t cap = scratch.migrations.capacity();
-  for (std::size_t i = 0; i < scratch.packed.size(); ++i) {
-    const PackedTask& p = scratch.packed[i];
-    if (p.placement.node == scratch.from_nodes[i]) continue;
-    scratch.migrations.push_back(
-        {p.id, scratch.from_nodes[i], p.placement.node});
-  }
-  PARTREE_DEBUG_ASSERT(scratch.migrations.capacity() == cap,
-                       "delta migration list outgrew its exact reserve");
   return copies.copy_count();
 }
 

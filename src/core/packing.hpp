@@ -36,8 +36,8 @@ struct PackedTask {
 /// the convenience entry points build a transient one internally.
 struct PackScratch {
   /// One task awaiting placement: its size is implied by the bucket it
-  /// sits in, and `from` carries its current node so the delta pass needs
-  /// no per-task hash lookups.
+  /// sits in, and `from` carries its current node so recording a mover
+  /// needs no per-task hash lookup.
   struct Pending {
     TaskId id = kInvalidTask;
     tree::NodeId from = tree::kInvalidNode;
@@ -48,9 +48,8 @@ struct PackScratch {
   std::vector<std::vector<Pending>> buckets;
   /// Tasks in canonical placement order with their new placements.
   std::vector<PackedTask> packed;
-  /// Current node of packed[i] (parallel to `packed`).
-  std::vector<tree::NodeId> from_nodes;
-  /// The delta migration list: one entry per task whose node changes.
+  /// The round's plan: one entry per task whose node changes, in
+  /// placement order, recorded as each task is placed.
   std::vector<Migration> migrations;
 };
 
@@ -58,9 +57,8 @@ struct PackScratch {
 /// first, at a cost of what the copies held rather than O(N) per copy),
 /// reusing `scratch` buffers. On return scratch.packed holds
 /// every task with its new placement in canonical A_R order and
-/// scratch.migrations holds the DELTA migration list -- only tasks whose
-/// node actually changes, since MachineState::migrate treats a missing
-/// entry and a self-move identically. Returns the copy count used
+/// scratch.migrations holds the plan -- only the tasks whose node
+/// changes, in that same order. Returns the copy count used
 /// (Lemma 1: ceil(S/N)).
 std::uint64_t repack_into(const MachineState& state, tree::CopySet& copies,
                           PackScratch& scratch);
@@ -89,11 +87,10 @@ enum class PackOrder : std::uint8_t {
     const tree::Topology& topo, std::span<const ActiveTask> tasks,
     PackOrder order);
 
-/// One-shot repack_into on a fresh CopySet and scratch: the DELTA
-/// migration list that moves the active tasks of `state` to their A_R
-/// packing -- only tasks whose node changes appear (self-moves are
-/// omitted; MachineState::migrate skips them anyway). `out_copies`
-/// (optional) receives the copy count used.
+/// One-shot repack_into on a fresh CopySet and scratch: the plan that
+/// moves the active tasks of `state` to their A_R packing -- only tasks
+/// whose node changes appear. `out_copies` (optional) receives the copy
+/// count used.
 [[nodiscard]] std::vector<Migration> plan_repack(
     const MachineState& state, std::uint64_t* out_copies = nullptr);
 

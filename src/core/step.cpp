@@ -34,14 +34,10 @@ StepRecord apply_arrival(MachineState& state, Allocator& allocator,
     rec.migrations = std::move(*plan);
     obs::emit_instant(obs::Instant::kReallocRound, rec.migrations.size());
     for (const Migration& m : rec.migrations) {
-      if (m.from != m.to) {
-        ++rec.moves;
-        rec.migrated_size += state.active_task(m.id).task.size;
-      }
+      rec.migrated_size += state.active_task(m.id).task.size;
     }
-    obs::record_value(obs::ValueMetric::kMigrationsPlanned,
+    obs::record_value(obs::ValueMetric::kMigrationsApplied,
                       rec.migrations.size());
-    obs::record_value(obs::ValueMetric::kMigrationsApplied, rec.moves);
     state.migrate(rec.migrations);
     if (round_t0 != 0) {
       obs::record_duration(obs::DurationMetric::kReallocRoundNs,

@@ -24,12 +24,11 @@ struct StepRecord {
   std::uint64_t size = 0;
   /// True when the arrival triggered a reallocation round.
   bool reallocated = false;
-  /// The round's migration list exactly as the allocator planned it
-  /// (self-moves included); empty unless `reallocated`.
+  /// The round's plan: one entry per task it moved, so its size is the
+  /// round's move count. Empty unless `reallocated`, and possibly empty
+  /// even then -- a round that moved nothing.
   std::vector<Migration> migrations;
-  /// Physical moves (from != to) the round applied.
-  std::uint64_t moves = 0;
-  /// Total size of the tasks those moves relocated.
+  /// Total size of the tasks the round moved.
   std::uint64_t migrated_size = 0;
 };
 
@@ -42,10 +41,10 @@ struct StepRecord {
 ///
 /// and records the instrumentation every caller shares: the place /
 /// reallocate / departure phase spans, realloc_plan_ns and
-/// realloc_round_ns for applied rounds, the migrations_planned /
-/// migrations_applied histograms, and the realloc-round, arrival and
-/// departure trace instants. A departure must name an active task;
-/// MachineState's validation aborts otherwise.
+/// realloc_round_ns for applied rounds, one migrations_applied sample per
+/// applied round (the plan's length, 0 included), and the realloc-round,
+/// arrival and departure trace instants. A departure must name an active
+/// task; MachineState's validation aborts otherwise.
 StepRecord apply_event(MachineState& state, Allocator& allocator,
                        const Event& event);
 

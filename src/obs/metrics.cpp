@@ -137,48 +137,34 @@ detail::ShardRegistry<MetricsShard>& registry() {
   return *r;
 }
 
-struct MetricHelp {
-  std::string_view name;
-  std::string_view help;
+// JSON names, in enum order.
+constexpr std::string_view kDurationNames[kNumDurationMetrics] = {
+    "arrival_handle_ns",
+    "departure_handle_ns",
+    "realloc_round_ns",
+    "realloc_plan_ns",
+    "pool_dispatch_wait_ns",
+    "pool_region_ns",
+    "pool_worker_busy_ns",
+    "pool_worker_idle_ns",
+    "sweep_shard_ns",
+    "serve_queue_wait_ns",
+    "serve_apply_ns",
 };
 
-constexpr MetricHelp kDurationHelp[kNumDurationMetrics] = {
-    {"arrival_handle_ns", "One arrival fully handled by the engine, ns."},
-    {"departure_handle_ns", "One departure fully handled by the engine, ns."},
-    {"realloc_round_ns", "One applied reallocation round, ns."},
-    {"realloc_plan_ns",
-     "Planning half (maybe_reallocate) of one applied round, ns."},
-    {"pool_dispatch_wait_ns",
-     "Caller wait for the worker pool to go idle before dispatch, ns."},
-    {"pool_region_ns", "One whole parallel region on the calling thread, ns."},
-    {"pool_worker_busy_ns", "One worker's participation in one region, ns."},
-    {"pool_worker_idle_ns",
-     "One worker's parked gap between consecutive regions, ns."},
-    {"sweep_shard_ns", "One sweep shard (all its cells), ns."},
-    {"serve_queue_wait_ns",
-     "One request's wait in the partition-service queue, ns."},
-    {"serve_apply_ns",
-     "One request applied by the partition-service apply thread, ns."},
+constexpr std::string_view kValueNames[kNumValueMetrics] = {
+    "migrations_applied",
+    "min_load_node_visits",
+    "pool_region_items",
+    "pool_chunk_items",
+    "sweep_shard_cells",
+    "serve_batch_requests",
 };
 
-constexpr MetricHelp kValueHelp[kNumValueMetrics] = {
-    {"migrations_planned",
-     "Migrations emitted by the planner per applied reallocation round."},
-    {"migrations_applied",
-     "Physical task moves (from != to) per applied reallocation round."},
-    {"min_load_node_visits", "Tree nodes visited per min_load_node query."},
-    {"pool_region_items", "Items per dispatched parallel region."},
-    {"pool_chunk_items", "Items per chunk claimed off the ticket counter."},
-    {"sweep_shard_cells", "Cells per executed sweep shard."},
-    {"serve_batch_requests",
-     "Requests per applied partition-service epoch batch."},
-};
-
-constexpr MetricHelp kGaugeHelp[kNumGaugeMetrics] = {
-    {"pool_queue_depth_hwm", "Most items queued at any region dispatch."},
-    {"pool_workers_hwm", "Most workers participating in any region."},
-    {"serve_queue_depth_hwm",
-     "Most requests queued in the partition service."},
+constexpr std::string_view kGaugeNames[kNumGaugeMetrics] = {
+    "pool_queue_depth_hwm",
+    "pool_workers_hwm",
+    "serve_queue_depth_hwm",
 };
 
 util::json::Value histogram_to_json(const MetricHistogram& h) {
@@ -201,29 +187,6 @@ util::json::Value histogram_to_json(const MetricHistogram& h) {
   }
   obj.emplace("buckets", std::move(buckets));
   return util::json::Value(std::move(obj));
-}
-
-void prometheus_histogram(std::string& out, const MetricHelp& meta,
-                          const MetricHistogram& h) {
-  const std::string family = "partree_" + std::string(meta.name);
-  out += "# HELP " + family + " " + std::string(meta.help) + "\n";
-  out += "# TYPE " + family + " histogram\n";
-  std::size_t top = 0;
-  for (std::size_t b = 0; b < kLog2Buckets; ++b) {
-    if (h.buckets[b] != 0) top = b;
-  }
-  std::uint64_t cumulative = 0;
-  if (h.count != 0) {
-    for (std::size_t b = 0; b <= top; ++b) {
-      cumulative += h.buckets[b];
-      out += family + "_bucket{le=\"" +
-             std::to_string(log2_bucket_upper(b)) + "\"} " +
-             std::to_string(cumulative) + "\n";
-    }
-  }
-  out += family + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
-  out += family + "_sum " + std::to_string(h.sum) + "\n";
-  out += family + "_count " + std::to_string(h.count) + "\n";
 }
 
 /// Shared histogram checks for validate_metrics_json; "" when valid.
@@ -266,17 +229,17 @@ std::string check_histogram_json(const util::json::Value& section,
 
 std::string_view duration_metric_name(DurationMetric m) noexcept {
   const auto i = static_cast<std::size_t>(m);
-  return i < kNumDurationMetrics ? kDurationHelp[i].name : "unknown";
+  return i < kNumDurationMetrics ? kDurationNames[i] : "unknown";
 }
 
 std::string_view value_metric_name(ValueMetric m) noexcept {
   const auto i = static_cast<std::size_t>(m);
-  return i < kNumValueMetrics ? kValueHelp[i].name : "unknown";
+  return i < kNumValueMetrics ? kValueNames[i] : "unknown";
 }
 
 std::string_view gauge_metric_name(GaugeMetric m) noexcept {
   const auto i = static_cast<std::size_t>(m);
-  return i < kNumGaugeMetrics ? kGaugeHelp[i].name : "unknown";
+  return i < kNumGaugeMetrics ? kGaugeNames[i] : "unknown";
 }
 
 std::uint64_t MetricHistogram::quantile(double q) const noexcept {
@@ -351,17 +314,17 @@ void reset_metrics() { registry().reset(); }
 util::json::Value metrics_to_json(const MetricsSnapshot& snap) {
   util::json::Object durations;
   for (std::size_t i = 0; i < kNumDurationMetrics; ++i) {
-    durations.emplace(std::string(kDurationHelp[i].name),
+    durations.emplace(std::string(kDurationNames[i]),
                       histogram_to_json(snap.durations[i]));
   }
   util::json::Object values;
   for (std::size_t i = 0; i < kNumValueMetrics; ++i) {
-    values.emplace(std::string(kValueHelp[i].name),
+    values.emplace(std::string(kValueNames[i]),
                    histogram_to_json(snap.values[i]));
   }
   util::json::Object gauges;
   for (std::size_t i = 0; i < kNumGaugeMetrics; ++i) {
-    gauges.emplace(std::string(kGaugeHelp[i].name), snap.gauges[i]);
+    gauges.emplace(std::string(kGaugeNames[i]), snap.gauges[i]);
   }
   util::json::Object root;
   root.emplace("schema", "partree-metrics-v1");
@@ -369,23 +332,6 @@ util::json::Value metrics_to_json(const MetricsSnapshot& snap) {
   root.emplace("values", std::move(values));
   root.emplace("gauges", std::move(gauges));
   return util::json::Value(std::move(root));
-}
-
-std::string metrics_to_prometheus(const MetricsSnapshot& snap) {
-  std::string out;
-  for (std::size_t i = 0; i < kNumDurationMetrics; ++i) {
-    prometheus_histogram(out, kDurationHelp[i], snap.durations[i]);
-  }
-  for (std::size_t i = 0; i < kNumValueMetrics; ++i) {
-    prometheus_histogram(out, kValueHelp[i], snap.values[i]);
-  }
-  for (std::size_t i = 0; i < kNumGaugeMetrics; ++i) {
-    const std::string family = "partree_" + std::string(kGaugeHelp[i].name);
-    out += "# HELP " + family + " " + std::string(kGaugeHelp[i].help) + "\n";
-    out += "# TYPE " + family + " gauge\n";
-    out += family + " " + std::to_string(snap.gauges[i]) + "\n";
-  }
-  return out;
 }
 
 std::string validate_metrics_json(const util::json::Value& v) {
@@ -397,25 +343,25 @@ std::string validate_metrics_json(const util::json::Value& v) {
     const util::json::Value& durations = v.at("durations");
     for (std::size_t i = 0; i < kNumDurationMetrics; ++i) {
       if (std::string err = check_histogram_json(durations,
-                                                 kDurationHelp[i].name);
+                                                 kDurationNames[i]);
           !err.empty()) {
         return err;
       }
     }
     const util::json::Value& values = v.at("values");
     for (std::size_t i = 0; i < kNumValueMetrics; ++i) {
-      if (std::string err = check_histogram_json(values, kValueHelp[i].name);
+      if (std::string err = check_histogram_json(values, kValueNames[i]);
           !err.empty()) {
         return err;
       }
     }
     const util::json::Value& gauges = v.at("gauges");
     for (std::size_t i = 0; i < kNumGaugeMetrics; ++i) {
-      if (gauges.find(kGaugeHelp[i].name) == nullptr) {
+      if (gauges.find(kGaugeNames[i]) == nullptr) {
         return "metrics json: missing gauge '" +
-               std::string(kGaugeHelp[i].name) + "'";
+               std::string(kGaugeNames[i]) + "'";
       }
-      (void)gauges.at(kGaugeHelp[i].name).as_u64();
+      (void)gauges.at(kGaugeNames[i]).as_u64();
     }
   } catch (const std::exception& e) {
     return std::string("metrics json: ") + e.what();

@@ -24,9 +24,8 @@
 //     on small events, so it is opt-in (`bench_harness --metrics`).
 //
 // Snapshots aggregate retired + live shards into plain structs, exported
-// two ways: a canonical "partree-metrics-v1" JSON document and a
-// Prometheus text exposition (`partree_*` families). The crash-dump path
-// (obs/trace.hpp write_crash_dump) embeds the JSON document so
+// as a canonical "partree-metrics-v1" JSON document. The crash-dump path
+// (obs/trace.hpp write_crash_dump) embeds that document so
 // invariant-failure forensics include the distributions leading up to the
 // crash.
 #pragma once
@@ -83,13 +82,10 @@ enum class DurationMetric : std::size_t {
 /// Size/count histograms (dimensionless). Always recorded while metrics
 /// are enabled -- no clock involved.
 enum class ValueMetric : std::size_t {
-  /// core::apply_event: migrations the planner EMITTED per applied round.
-  /// With the delta planner this counts tasks whose node changed plus any
-  /// self-moves a custom planner chose to emit; the gap to
-  /// migrations_applied is planner overhead, not physical work.
-  kMigrationsPlanned = 0,
-  /// core::apply_event: physical moves (from != to) per applied round.
-  kMigrationsApplied,
+  /// core::apply_event: tasks moved per applied round (the plan's
+  /// length, which lists only movers). One sample per round, a zero-move
+  /// round included, so count = rounds and sum = moves.
+  kMigrationsApplied = 0,
   /// tree::LoadTree::min_load_node: nodes visited per query. The count is
   /// the number of queries; sum / count << N means the pruning works.
   kMinLoadNodeVisits,
@@ -122,8 +118,7 @@ inline constexpr std::size_t kNumValueMetrics =
 inline constexpr std::size_t kNumGaugeMetrics =
     static_cast<std::size_t>(GaugeMetric::kCount);
 
-/// Stable snake_case names used in the JSON document; the Prometheus
-/// exposition prefixes them with "partree_".
+/// Stable snake_case names used in the JSON document.
 [[nodiscard]] std::string_view duration_metric_name(DurationMetric m) noexcept;
 [[nodiscard]] std::string_view value_metric_name(ValueMetric m) noexcept;
 [[nodiscard]] std::string_view gauge_metric_name(GaugeMetric m) noexcept;
@@ -210,12 +205,6 @@ void reset_metrics();
 /// name with count/sum/min/max/mean and p50/p90/p99, buckets as
 /// [bucket_index, count] pairs (nonzero only), plus the gauges.
 [[nodiscard]] util::json::Value metrics_to_json(const MetricsSnapshot& snap);
-
-/// Prometheus text exposition: one `partree_<name>` histogram family per
-/// metric (cumulative `_bucket{le="..."}` at the log2 upper bounds up to
-/// the highest populated bucket, then `+Inf`, `_sum`, `_count`) and one
-/// gauge family per watermark.
-[[nodiscard]] std::string metrics_to_prometheus(const MetricsSnapshot& snap);
 
 /// Validates a parsed partree-metrics-v1 document: schema tag, every
 /// metric present, bucket totals consistent with counts, min <= max.

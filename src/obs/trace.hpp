@@ -43,7 +43,8 @@ enum class Instant : std::uint8_t {
   kDeparture,
   /// An allocator elected to reallocate; payload = migration list size.
   kReallocRound,
-  /// One MachineState::migrate call; payload = physical moves applied.
+  /// One MachineState::migrate call; payload = the plan's length, which
+  /// lists only tasks that move.
   kMigrationBatch,
   /// One injected fault applied by the detsim harness (sim/faults.hpp);
   /// payload = the step (event index) the fault fired at.

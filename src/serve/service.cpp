@@ -200,7 +200,6 @@ void PartitionService::apply_loop() {
     stats_.departures += delta.departures;
     stats_.reallocation_count += delta.reallocation_count;
     stats_.migration_count += delta.migration_count;
-    stats_.migration_planned_count += delta.migration_planned_count;
     stats_.migrated_size += delta.migrated_size;
     stats_.max_load = std::max(stats_.max_load, delta.max_load);
     stats_.batches += delta.batches;
@@ -305,8 +304,7 @@ void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
   }
   if (step.reallocated) {
     ++delta.reallocation_count;
-    delta.migration_planned_count += step.migrations.size();
-    delta.migration_count += step.moves;
+    delta.migration_count += step.migrations.size();
     delta.migrated_size += step.migrated_size;
   }
 

@@ -167,9 +167,6 @@ struct ServiceStats {
   std::uint64_t max_load = 0;  ///< running max of post-apply machine load
   std::uint64_t reallocation_count = 0;
   std::uint64_t migration_count = 0;
-  /// Migrations emitted by the planner (list lengths); see
-  /// SimResult::migration_planned_count for the planned/applied split.
-  std::uint64_t migration_planned_count = 0;
   std::uint64_t migrated_size = 0;
   /// ceil(peak active size / N) at stop (the paper's L*).
   std::uint64_t optimal_load = 0;

@@ -185,8 +185,7 @@ SimResult Engine::run_interactive(core::EventSource& source,
       }
       if (step_record.reallocated) {
         ++result.reallocation_count;
-        result.migration_planned_count += step_record.migrations.size();
-        result.migration_count += step_record.moves;
+        result.migration_count += step_record.migrations.size();
         result.migrated_size += step_record.migrated_size;
         if (options_.on_reallocation) {
           options_.on_reallocation(step_record.migrations);

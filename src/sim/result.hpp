@@ -35,14 +35,10 @@ struct SimResult {
 
   /// Reallocation accounting ("the trade").
   std::uint64_t reallocation_count = 0;
-  /// Physical task moves (migrations with from != to).
+  /// Task moves: the summed lengths of the rounds' plans, which list only
+  /// the tasks that move.
   std::uint64_t migration_count = 0;
-  /// Migrations EMITTED by planners across all rounds (the length of the
-  /// returned lists). Under the delta planner this equals migration_count
-  /// unless a planner chooses to emit self-moves; the pre-delta planner
-  /// emitted one per active task, so the gap measures planner overhead.
-  std::uint64_t migration_planned_count = 0;
-  /// Sum of sizes of physically moved tasks (PE-sized checkpoint volume).
+  /// Sum of sizes of moved tasks (PE-sized checkpoint volume).
   std::uint64_t migrated_size = 0;
 
   /// Post-event max-load series; filled only when requested.

@@ -15,8 +15,7 @@ LoadTree::LoadTree(Topology topo)
 void LoadTree::update_path(NodeId v) {
   // Recompute the aggregates from v up to the root; stop as soon as a
   // node's aggregates are unchanged (its ancestors only see this child's
-  // aggregates, so nothing above can change either). Until the first
-  // min_load_node call `min` stays zero and only `down` decides the stop.
+  // aggregates, so nothing above can change either).
   while (true) {
     Node& node = nodes_[v];
     std::uint32_t down = node.add;
@@ -27,7 +26,6 @@ void LoadTree::update_path(NodeId v) {
       down += std::max(l.down, r.down);
       min += std::min(l.min, r.min);
     }
-    if (!min_ready_) min = node.min;
     if (down == node.down && min == node.min) return;
     node.down = down;
     node.min = min;
@@ -95,23 +93,6 @@ std::vector<std::uint64_t> LoadTree::pe_loads() const {
   return loads;
 }
 
-void LoadTree::build_min() const {
-  // `min` is still all zero, which is already right for an empty tree (a
-  // fresh engine run queries before its first placement).
-  if (active_tasks_ > 0) {
-    // Children before parents: heap indices descend from the last leaf.
-    for (NodeId v = topo_.n_nodes(); v >= 1; --v) {
-      const Node& node = nodes_[v];
-      node.min = node.add;
-      if (!topo_.is_leaf(v)) {
-        node.min += std::min(nodes_[Topology::left(v)].min,
-                             nodes_[Topology::right(v)].min);
-      }
-    }
-  }
-  min_ready_ = true;
-}
-
 void LoadTree::min_load_dfs(NodeId v, std::uint32_t levels_left,
                             std::uint64_t prefix, NodeId& best,
                             std::uint64_t& best_load,
@@ -142,7 +123,6 @@ void LoadTree::min_load_dfs(NodeId v, std::uint32_t levels_left,
 }
 
 NodeId LoadTree::min_load_node(std::uint64_t size) const {
-  if (!min_ready_) build_min();
   const std::uint32_t target_depth = topo_.depth_for_size(size);
   NodeId best = kInvalidNode;
   std::uint64_t best_load = UINT64_MAX;
@@ -151,13 +131,6 @@ NodeId LoadTree::min_load_node(std::uint64_t size) const {
   obs::record_value(obs::ValueMetric::kMinLoadNodeVisits, visits);
   PARTREE_ASSERT(best != kInvalidNode, "min_load_node found no candidate");
   return best;
-}
-
-void LoadTree::clear() {
-  // All-zero records are consistent for every aggregate, `min` included.
-  std::fill(nodes_.begin(), nodes_.end(), Node{});
-  active_size_ = 0;
-  active_tasks_ = 0;
 }
 
 std::uint64_t LoadTree::digest() const {
@@ -187,7 +160,6 @@ std::string LoadTree::check() const {
       down += std::max(l.down, r.down);
       min += std::min(l.min, r.min);
     }
-    if (!min_ready_) min = 0;
     if (node.down != down || node.min != min) {
       return "node " + std::to_string(v) + " (down, min) (" +
              std::to_string(node.down) + ", " + std::to_string(node.min) +

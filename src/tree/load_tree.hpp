@@ -37,12 +37,6 @@ class LoadTree {
   /// Removes one task rooted at node v (one must be present). O(log N).
   void release(NodeId v);
 
-  /// Number of tasks rooted exactly at v.
-  [[nodiscard]] std::uint64_t tasks_rooted_at(NodeId v) const {
-    PARTREE_DEBUG_ASSERT(topo_.valid(v), "invalid node");
-    return nodes_[v].add;
-  }
-
   /// Maximum PE load over the whole machine. O(1).
   [[nodiscard]] std::uint64_t max_load() const noexcept {
     return nodes_[1].down;
@@ -61,9 +55,7 @@ class LoadTree {
   /// minimal (the greedy A_G target). Exact branch-and-bound DFS: a subtree
   /// is skipped once its least-loaded PE is no lighter than the incumbent,
   /// so a region of equally loaded candidates costs one descent, not a
-  /// scan. Allocation-free (recursive DFS, depth at most log N). The first
-  /// call builds the `min` aggregate in O(N); assign/release maintain it
-  /// from then on.
+  /// scan. Allocation-free (recursive DFS, depth at most log N).
   [[nodiscard]] NodeId min_load_node(std::uint64_t size) const;
 
   /// Sum over PEs of their load == total size of active tasks. O(1).
@@ -76,17 +68,14 @@ class LoadTree {
     return active_tasks_;
   }
 
-  void clear();
-
   /// Canonical 64-bit state digest: FNV-1a over the per-node task counts
   /// (positional, index order -- the tree is a positional structure) plus
   /// the maintained aggregates, so a digest mismatch flags either a
   /// different occupancy or drifted incremental aggregates. O(N).
   [[nodiscard]] std::uint64_t digest() const;
 
-  /// Recomputes `down`, and `min` once built (zero until then), bottom-up
-  /// from `add`, plus the active totals, and compares them with the
-  /// maintained values. digest() cannot stand in for this: it mixes only
+  /// Recomputes `down` and `min` bottom-up from `add`, plus the active
+  /// totals, and compares them with the maintained values. digest() cannot stand in for this: it mixes only
   /// `add` and the root's `down`, so a drifted interior aggregate passes
   /// it. Returns "" when consistent, else the first mismatch. O(N).
   [[nodiscard]] std::string check() const;
@@ -101,17 +90,16 @@ class LoadTree {
  private:
   // Per-node counts and aggregates in one 12-byte record. 32 bits suffice:
   // every count is bounded by the number of active tasks, which never
-  // approaches 2^32. `min` stays zero until min_ready_ is set; the first
-  // min_load_node call fills it from its const path, hence mutable.
+  // approaches 2^32. An all-zero record is consistent for both
+  // aggregates, so a fresh tree needs no build pass.
   struct Node {
     std::uint32_t add = 0;
     std::uint32_t down = 0;
-    mutable std::uint32_t min = 0;
+    std::uint32_t min = 0;
   };
   static_assert(sizeof(Node) == 12);
 
   void update_path(NodeId v);
-  void build_min() const;
   void min_load_dfs(NodeId v, std::uint32_t levels_left, std::uint64_t prefix,
                     NodeId& best, std::uint64_t& best_load,
                     std::uint64_t& visits) const;
@@ -125,9 +113,6 @@ class LoadTree {
   std::vector<Node> nodes_;
   std::uint64_t active_size_ = 0;
   std::uint64_t active_tasks_ = 0;
-  // Set by the first min_load_node call; from then on update_path keeps
-  // `min` current. Trees that are never queried pay nothing for it.
-  mutable bool min_ready_ = false;
   // Reused DFS stack for pe_loads; cleared, never shrunk, so steady-state
   // queries allocate nothing.
   mutable std::vector<Frame> scratch_;

@@ -39,14 +39,6 @@ TEST(MachineStateTest, MigrationMovesLoad) {
   EXPECT_EQ(m.active_task(1).node, 3u);
 }
 
-TEST(MachineStateTest, SelfMigrationIsNoop) {
-  MachineState m{tree::Topology(8)};
-  m.place({0, 2}, 4);
-  m.migrate({{0, 4, 4}});
-  EXPECT_EQ(m.active_task(0).node, 4u);
-  EXPECT_EQ(m.max_load(), 1u);
-}
-
 TEST(MachineStateTest, ActiveTasksSnapshot) {
   MachineState m{tree::Topology(8)};
   m.place({0, 2}, 4);
@@ -65,15 +57,6 @@ TEST(MachineStateTest, PeLoads) {
   EXPECT_EQ(loads[1], 2u);
   EXPECT_EQ(loads[2], 1u);
   EXPECT_EQ(loads[3], 1u);
-}
-
-TEST(MachineStateTest, Clear) {
-  MachineState m{tree::Topology(4)};
-  m.place({0, 4}, 1);
-  m.clear();
-  EXPECT_EQ(m.active_count(), 0u);
-  EXPECT_EQ(m.max_load(), 0u);
-  EXPECT_EQ(m.peak_active_size(), 0u);
 }
 
 TEST(MachineStateDeathTest, RejectsSizeMismatch) {
@@ -101,6 +84,13 @@ TEST(MachineStateDeathTest, RejectsStaleMigrationSource) {
   MachineState m{tree::Topology(8)};
   m.place({0, 4}, 2);
   EXPECT_DEATH(m.migrate({{0, 3, 2}}), "does not match current placement");
+}
+
+// A plan lists only the tasks that move, so a self-move is a planner bug.
+TEST(MachineStateDeathTest, RejectsSelfMigration) {
+  MachineState m{tree::Topology(8)};
+  m.place({0, 2}, 4);
+  EXPECT_DEATH(m.migrate({{0, 4, 4}}), "self-move");
 }
 
 TEST(MachineStateDeathTest, RejectsWrongSizeMigrationTarget) {

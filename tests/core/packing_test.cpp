@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/pack_oracle.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -156,6 +157,39 @@ TEST(PackingTest, PlanRepackScratchReuseMatchesFreshScratch) {
     EXPECT_EQ(copies_fresh, copies_reused) << "round " << round;
     EXPECT_EQ(copies.check(), "") << "round " << round;
   }
+}
+
+TEST(PackingTest, RepackPlanIsTheDeltaOfPackTasks) {
+  // Random machines up to N = 4096 under churn: each state is repacked,
+  // checked against the oracle, and the plan applied, so later states
+  // mix tasks that stay put with tasks that the departures shift.
+  util::Rng rng(61);
+  int states = 0;
+  for (int machine = 0; machine < 40; ++machine) {
+    const tree::Topology topo(std::uint64_t{1} << rng.below(13));
+    MachineState state{topo};
+    tree::CopySet copies(topo);
+    PackScratch scratch;
+    TaskId next_id = 0;
+    for (int round = 0; round < 8; ++round) {
+      for (const ActiveTask& at : state.active_tasks()) {
+        if (rng.bernoulli(0.3)) (void)state.remove(at.task.id);
+      }
+      const std::uint64_t arrivals = 1 + rng.below(16);
+      for (std::uint64_t i = 0; i < arrivals; ++i) {
+        const std::uint64_t size = std::uint64_t{1}
+                                   << rng.below(topo.height() + 1);
+        const std::uint64_t slot = rng.below(topo.count_for_size(size));
+        state.place({next_id++, size}, topo.node_for(size, slot));
+      }
+      (void)repack_into(state, copies, scratch);
+      ASSERT_EQ(scratch.migrations, delta_of_pack_tasks(state))
+          << "N " << topo.n_leaves() << " round " << round;
+      state.migrate(scratch.migrations);
+      ++states;
+    }
+  }
+  EXPECT_EQ(states, 320);
 }
 
 }  // namespace

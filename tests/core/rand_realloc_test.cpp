@@ -94,9 +94,8 @@ TEST(RandReallocTest, ChurnReallocationRoundsStayConsistent) {
   // Churn mirror of the drealloc frequency test, driven through the
   // same repack_into round as A_M: sustained arrivals + departures
   // with reallocation rounds firing throughout, under the engine's
-  // debug_checks net so every round's state is audited. The delta
-  // planner must only ever emit physical moves, so the planned and
-  // applied totals coincide.
+  // debug_checks net so every round's state is audited; MachineState
+  // aborts on a self-move, so every entry of a plan is a real move.
   const tree::Topology topo(64);
   util::Rng rng(23);
   workload::ClosedLoopParams params;
@@ -109,7 +108,6 @@ TEST(RandReallocTest, ChurnReallocationRoundsStayConsistent) {
   auto alloc = make_allocator("randmix:d=1", topo, 31);
   const auto result = engine.run(seq, *alloc);
   EXPECT_GT(result.reallocation_count, 10u);
-  EXPECT_EQ(result.migration_planned_count, result.migration_count);
   EXPECT_GT(result.migration_count, 0u);
 }
 
@@ -132,7 +130,6 @@ TEST(RandReallocTest, ScratchReuseIsDeterministicAcrossRounds) {
   const auto r2 = engine.run(seq, *alloc);
   EXPECT_EQ(r1.load_series, r2.load_series);
   EXPECT_EQ(r1.migration_count, r2.migration_count);
-  EXPECT_EQ(r1.migration_planned_count, r2.migration_planned_count);
   EXPECT_EQ(r1.migrated_size, r2.migrated_size);
 }
 

@@ -1,7 +1,8 @@
 // Oracles at the machine sizes where the fast paths run: VacancyTree and
 // CopySet under seeded churn at N = 2^16 and 2^20, each checked against an
-// independent recompute, A_R's repack against its closed form, and
-// MachineState plus the allocators against a fresh rebuild.
+// independent recompute, A_R's repack against its closed form and a
+// round's plan against the delta of pack_tasks, and MachineState plus the
+// allocators against a fresh rebuild.
 //
 // VacancyTree::clear() walks only the occupied paths. At N <= 64 those
 // paths soon cover every node, so a clear() that missed a node would look
@@ -17,6 +18,7 @@
 
 #include "core/factory.hpp"
 #include "core/machine_state.hpp"
+#include "core/pack_oracle.hpp"
 #include "core/packing.hpp"
 #include "core/step.hpp"
 #include "tree/copy_set.hpp"
@@ -280,6 +282,39 @@ TEST_P(LargeNOraclePack, RepackIsTheClosedFormPrefixSum) {
           << "set " << set << " rank " << i;
       prefix += s;
     }
+  }
+}
+
+// A round's plan at large N: repack_into's mover list against the delta
+// of pack_tasks (core/pack_oracle.hpp), over a churned machine whose
+// plans are applied, so each state mixes movers with tasks that stay.
+TEST_P(LargeNOraclePack, RepackPlanIsTheDeltaOfPackTasks) {
+  const Topology topo(std::uint64_t{1} << GetParam());
+  util::Rng rng(GetParam() * 104729 + 3);
+  const bool huge = GetParam() >= 20;
+  const int rounds = huge ? 12 : 40;
+  const std::uint64_t max_arrivals = huge ? 30 : 120;
+
+  core::MachineState state{topo};
+  tree::CopySet copies(topo);
+  core::PackScratch scratch;
+  core::TaskId next_id = 0;
+  for (int round = 0; round < rounds; ++round) {
+    for (const core::ActiveTask& at : state.active_tasks()) {
+      if (rng.bernoulli(0.3)) (void)state.remove(at.task.id);
+    }
+    const std::uint64_t classes =
+        rng.bernoulli(0.5) ? topo.height() + 1 : std::uint64_t{8};
+    const std::uint64_t arrivals = 1 + rng.below(max_arrivals);
+    for (std::uint64_t i = 0; i < arrivals; ++i) {
+      const std::uint64_t size = std::uint64_t{1} << rng.below(classes);
+      const std::uint64_t slot = rng.below(topo.count_for_size(size));
+      state.place({next_id++, size}, topo.node_for(size, slot));
+    }
+    (void)core::repack_into(state, copies, scratch);
+    ASSERT_EQ(scratch.migrations, core::delta_of_pack_tasks(state))
+        << "round " << round;
+    state.migrate(scratch.migrations);
   }
 }
 

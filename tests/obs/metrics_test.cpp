@@ -1,7 +1,7 @@
 // Tests for the run-metrics registry (obs/metrics.hpp): bucket layout,
 // quantile behavior at the extremes, the two switches, cross-shard
 // aggregation through real pool workers, snapshot-while-recording (the
-// TSan target), the pinned JSON/Prometheus exports, schema validation,
+// TSan target), the pinned JSON export, schema validation,
 // engine integration, and the crash-dump embedding.
 #include "obs/metrics.hpp"
 
@@ -183,9 +183,9 @@ TEST_F(MetricsTest, SnapshotWhileRecordingIsRaceFreeAndExactAfterJoin) {
             kThreads * kPerThread);
 }
 
-// Golden pins: the exported formats are a public contract (dashboards and
-// trace_stats --metrics parse them), so the exact text is asserted, not
-// just its shape. Records are made on this thread only.
+// Golden pins: the exported document is a public contract (trace_stats
+// --metrics parses it), so the exact text is asserted, not just its
+// shape. Records are made on this thread only.
 TEST_F(MetricsTest, GoldenJsonDocument) {
   record_value(ValueMetric::kMigrationsApplied, 0);
   record_value(ValueMetric::kMigrationsApplied, 3);
@@ -225,74 +225,13 @@ TEST_F(MetricsTest, GoldenJsonDocument) {
   EXPECT_EQ(validate_metrics_json(reparsed), "");
 }
 
-TEST_F(MetricsTest, GoldenPrometheusExposition) {
-  record_value(ValueMetric::kMigrationsApplied, 0);
-  record_value(ValueMetric::kMigrationsApplied, 3);
-  record_value(ValueMetric::kMigrationsApplied, 5);
-  gauge_max(GaugeMetric::kPoolWorkersHwm, 4);
-  const std::string text = metrics_to_prometheus(snapshot_metrics());
-
-  const std::string histogram_family =
-      "# HELP partree_migrations_applied Physical task moves (from != to) "
-      "per applied reallocation round.\n"
-      "# TYPE partree_migrations_applied histogram\n"
-      "partree_migrations_applied_bucket{le=\"0\"} 1\n"
-      "partree_migrations_applied_bucket{le=\"1\"} 1\n"
-      "partree_migrations_applied_bucket{le=\"3\"} 2\n"
-      "partree_migrations_applied_bucket{le=\"7\"} 3\n"
-      "partree_migrations_applied_bucket{le=\"+Inf\"} 3\n"
-      "partree_migrations_applied_sum 8\n"
-      "partree_migrations_applied_count 3\n";
-  EXPECT_NE(text.find(histogram_family), std::string::npos) << text;
-
-  const std::string gauge_family =
-      "# HELP partree_pool_workers_hwm Most workers participating in any "
-      "region.\n"
-      "# TYPE partree_pool_workers_hwm gauge\n"
-      "partree_pool_workers_hwm 4\n";
-  EXPECT_NE(text.find(gauge_family), std::string::npos) << text;
-
-  // An empty family still exposes the +Inf bucket and zero totals.
-  const std::string empty_family =
-      "partree_sweep_shard_ns_bucket{le=\"+Inf\"} 0\n"
-      "partree_sweep_shard_ns_sum 0\n"
-      "partree_sweep_shard_ns_count 0\n";
-  EXPECT_NE(text.find(empty_family), std::string::npos) << text;
-}
-
-// The planned/applied migration pair is a public contract for dashboards
-// (planner overhead vs physical work), so both families get byte-level
-// pins side by side.
-TEST_F(MetricsTest, GoldenJsonPlannedVsApplied) {
-  // One round that plans 6 and applies 4, one zero-move round.
-  record_value(ValueMetric::kMigrationsPlanned, 6);
+// A round that moves nothing is still a round: it adds a zero sample, so
+// the count stays the round count while the sum stays the move count.
+TEST_F(MetricsTest, GoldenJsonZeroMoveRoundIsASample) {
+  // One round that moves 4 tasks, one zero-move round.
   record_value(ValueMetric::kMigrationsApplied, 4);
-  record_value(ValueMetric::kMigrationsPlanned, 0);
   record_value(ValueMetric::kMigrationsApplied, 0);
   const util::json::Value doc = metrics_to_json(snapshot_metrics());
-
-  const std::string planned =
-      "{\n"
-      "  \"buckets\": [\n"
-      "    [\n"
-      "      0,\n"
-      "      1\n"
-      "    ],\n"
-      "    [\n"
-      "      3,\n"
-      "      1\n"
-      "    ]\n"
-      "  ],\n"
-      "  \"count\": 2,\n"
-      "  \"max\": 6,\n"
-      "  \"mean\": 3,\n"
-      "  \"min\": 0,\n"
-      "  \"p50\": 0,\n"
-      "  \"p90\": 6,\n"
-      "  \"p99\": 6,\n"
-      "  \"sum\": 6\n"
-      "}";
-  EXPECT_EQ(doc.at("values").at("migrations_planned").dump(), planned);
 
   const std::string applied =
       "{\n"
@@ -319,45 +258,6 @@ TEST_F(MetricsTest, GoldenJsonPlannedVsApplied) {
 
   const util::json::Value reparsed = util::json::parse(doc.dump());
   EXPECT_EQ(validate_metrics_json(reparsed), "");
-}
-
-TEST_F(MetricsTest, GoldenPrometheusPlannedVsApplied) {
-  record_value(ValueMetric::kMigrationsPlanned, 6);
-  record_value(ValueMetric::kMigrationsApplied, 4);
-  const std::string text = metrics_to_prometheus(snapshot_metrics());
-
-  const std::string planned_family =
-      "# HELP partree_migrations_planned Migrations emitted by the planner "
-      "per applied reallocation round.\n"
-      "# TYPE partree_migrations_planned histogram\n"
-      "partree_migrations_planned_bucket{le=\"0\"} 0\n"
-      "partree_migrations_planned_bucket{le=\"1\"} 0\n"
-      "partree_migrations_planned_bucket{le=\"3\"} 0\n"
-      "partree_migrations_planned_bucket{le=\"7\"} 1\n"
-      "partree_migrations_planned_bucket{le=\"+Inf\"} 1\n"
-      "partree_migrations_planned_sum 6\n"
-      "partree_migrations_planned_count 1\n";
-  EXPECT_NE(text.find(planned_family), std::string::npos) << text;
-
-  const std::string applied_family =
-      "# HELP partree_migrations_applied Physical task moves (from != to) "
-      "per applied reallocation round.\n"
-      "# TYPE partree_migrations_applied histogram\n"
-      "partree_migrations_applied_bucket{le=\"0\"} 0\n"
-      "partree_migrations_applied_bucket{le=\"1\"} 0\n"
-      "partree_migrations_applied_bucket{le=\"3\"} 0\n"
-      "partree_migrations_applied_bucket{le=\"7\"} 1\n"
-      "partree_migrations_applied_bucket{le=\"+Inf\"} 1\n"
-      "partree_migrations_applied_sum 4\n"
-      "partree_migrations_applied_count 1\n";
-  EXPECT_NE(text.find(applied_family), std::string::npos) << text;
-
-  // realloc_plan_ns rides the same document even when empty.
-  const std::string plan_family =
-      "partree_realloc_plan_ns_bucket{le=\"+Inf\"} 0\n"
-      "partree_realloc_plan_ns_sum 0\n"
-      "partree_realloc_plan_ns_count 0\n";
-  EXPECT_NE(text.find(plan_family), std::string::npos) << text;
 }
 
 TEST_F(MetricsTest, ValidateCatchesTampering) {

@@ -53,7 +53,6 @@ void expect_identical(const SimResult& a, const SimResult& b) {
 // min_load_node histograms its trials recorded, and the items its pool
 // region dispatched. Held by value -- a snapshot is a temporary.
 struct BatchMetrics {
-  obs::MetricHistogram planned;
   obs::MetricHistogram applied;
   obs::MetricHistogram visits;
   std::uint64_t region_items = 0;
@@ -63,15 +62,12 @@ BatchMetrics metrics_of(const std::function<void()>& batch) {
   obs::reset_metrics();
   batch();
   const obs::MetricsSnapshot snap = obs::snapshot_metrics();
-  return {snap.value(obs::ValueMetric::kMigrationsPlanned),
-          snap.value(obs::ValueMetric::kMigrationsApplied),
+  return {snap.value(obs::ValueMetric::kMigrationsApplied),
           snap.value(obs::ValueMetric::kMinLoadNodeVisits),
           snap.value(obs::ValueMetric::kPoolRegionItems).sum};
 }
 
 void expect_same_metrics(const BatchMetrics& a, const BatchMetrics& b) {
-  EXPECT_EQ(a.planned.buckets, b.planned.buckets);
-  EXPECT_EQ(a.planned.sum, b.planned.sum);
   EXPECT_EQ(a.applied.buckets, b.applied.buckets);
   EXPECT_EQ(a.applied.sum, b.applied.sum);
   EXPECT_EQ(a.visits.buckets, b.visits.buckets);

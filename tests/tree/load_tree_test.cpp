@@ -144,14 +144,6 @@ TEST(LoadTreeTest, PeLoadsSnapshot) {
   EXPECT_EQ(loads[3], 0u);
 }
 
-TEST(LoadTreeTest, Clear) {
-  LoadTree t{Topology(4)};
-  t.assign(1);
-  t.clear();
-  EXPECT_EQ(t.max_load(), 0u);
-  EXPECT_EQ(t.total_active_size(), 0u);
-}
-
 TEST(LoadTreeTest, SingleLeafMachine) {
   LoadTree t{Topology(1)};
   t.assign(1);
@@ -170,7 +162,6 @@ TEST(LoadTreeTest, CheckRecomputesAggregatesAndCatchesCorruptAdd) {
   t.assign(17);  // a single PE on the left
   t.assign(7);   // a quarter on the right
   EXPECT_EQ(t.check(), "");
-  (void)t.min_load_node(1);  // builds `min`, which check() then covers
   t.release(5);
   EXPECT_EQ(t.check(), "");
   // One more task rooted at the leaf, with every aggregate left stale.
@@ -231,8 +222,7 @@ TEST_P(LoadTreeRandomized, MatchesOracleUnderRandomChurn) {
 }
 
 // 2^16 and 2^20 run the bounded min_load_node search where it prunes whole
-// regions; each run's first query also builds the `min` aggregate from an
-// already-populated tree.
+// regions.
 INSTANTIATE_TEST_SUITE_P(Sizes, LoadTreeRandomized,
                          ::testing::Values(1, 2, 4, 8, 16, 64, 256, 65536,
                                            1048576));
