@@ -67,11 +67,14 @@ if [[ "$MODE" == "tsan" ]]; then
   # its equivalence suites and the round-contract pins (a plan lists only
   # movers, MachineState aborts on a self-move, and every step counts a
   # round by its plan's length) explicitly, so a filter rename can't
-  # silently drop them. The Test suffixes keep the 2^20
+  # silently drop them. The same goes for the one task table every
+  # per-event id lookup goes through: its oracle suite, MachineState's
+  # swap-remove and reserved-id pins, TaskSequence::validate, and the
+  # adversary's id-ordered departures. The Test suffixes keep the 2^20
   # LargeNOracleMachineState out of this leg.
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD" \
-      -R 'Pack|CopySet|ReallocAccounting|ApplyEventTest|MachineState(Death)?Test' \
+      -R 'Pack|CopySet|ReallocAccounting|ApplyEventTest|MachineState(Death)?Test|TaskTable|SequenceTest|DetAdversaryTest' \
       --no-tests=error --output-on-failure -j "$(nproc)"
   # A crash dump taken while a pool worker records, and the registry's
   # snapshot-while-recording test: the registry's race-freedom claims.
@@ -95,10 +98,13 @@ ctest --test-dir "$BUILD" -R 'Serve' --no-tests=error \
 # CopySet copy stack (unit and large-N oracles), the plan-delta oracles,
 # and the round-contract pins behind every realloc round: a plan lists
 # only movers, MachineState aborts on a self-move (death test), and each
-# step counts a round by its plan's length. The Test suffixes keep the
-# 2^20 LargeNOracleMachineState out of this leg.
+# step counts a round by its plan's length. Then the task-table suites:
+# TaskTable's oracle and reserved-id tests, MachineState's swap-remove,
+# TaskSequence::validate (reserved id, re-arrival after departure) and
+# the adversary's id-ordered departures. The Test suffixes keep the 2^20
+# LargeNOracleMachineState out of this leg.
 ctest --test-dir "$BUILD" \
-  -R 'Pack|CopySet|ReallocAccounting|ApplyEventTest|MachineState(Death)?Test' \
+  -R 'Pack|CopySet|ReallocAccounting|ApplyEventTest|MachineState(Death)?Test|TaskTable|SequenceTest|DetAdversaryTest' \
   --no-tests=error --output-on-failure -j "$(nproc)"
 
 SMOKE="$BUILD/BENCH_smoke.json"

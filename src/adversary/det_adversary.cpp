@@ -1,5 +1,6 @@
 #include "adversary/det_adversary.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -44,7 +45,14 @@ void DetAdversary::enqueue_departures(const core::MachineState& state) {
   const std::uint64_t child_count = std::uint64_t{1} << child_depth;
   std::vector<std::uint64_t> inside_size(child_count, 0);
 
-  const auto tasks = state.active_tasks();
+  // Ascending ids make the recorded sequence independent of the order in
+  // which MachineState stores its tasks; departures within one stage
+  // commute, so every allocator ends the stage in the same state.
+  auto tasks = state.active_tasks();
+  std::sort(tasks.begin(), tasks.end(),
+            [](const core::ActiveTask& a, const core::ActiveTask& b) {
+              return a.task.id < b.task.id;
+            });
   for (const core::ActiveTask& at : tasks) {
     // Every active task has size <= 2^(i-1) here, so its node lies at or
     // below child depth and has exactly one child-depth ancestor.

@@ -10,7 +10,7 @@
 //       Q(child) = 2^i * l(child) - L(child)   (l = max PE load inside,
 //                                               L = active size inside)
 //       depart every active task inside the child with the SMALLER Q
-//       (ties: the left child departs).
+//       (ties: the left child departs), in ascending id order.
 //     with S = remaining active size, floor((N - S)/2^i) tasks of size 2^i
 //     arrive.
 //

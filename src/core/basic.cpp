@@ -15,18 +15,17 @@ tree::NodeId BasicAllocator::place(const Task& task,
                                    const MachineState& state) {
   (void)state;
   const tree::CopyPlacement cp = copies_.place(task.size);
-  const bool inserted = placements_.emplace(task.id, cp).second;
+  const bool inserted = placements_.insert(task.id, cp);
   PARTREE_ASSERT(inserted, "duplicate arrival id in BasicAllocator");
   return cp.node;
 }
 
 void BasicAllocator::on_departure(TaskId id, const MachineState& state) {
   (void)state;
-  const auto it = placements_.find(id);
-  PARTREE_ASSERT(it != placements_.end(),
-                 "departure of task unknown to BasicAllocator");
-  copies_.remove(it->second);
-  placements_.erase(it);
+  const tree::CopyPlacement* cp = placements_.find(id);
+  PARTREE_ASSERT(cp != nullptr, "departure of task unknown to BasicAllocator");
+  copies_.remove(*cp);
+  placements_.erase(id);
 }
 
 bool BasicAllocator::debug_corrupt_state() {
@@ -38,14 +37,16 @@ bool BasicAllocator::debug_corrupt_state() {
 std::string BasicAllocator::debug_check_state() const {
   const std::string err = copies_.check();
   if (!err.empty()) return "copy_set: " + err;
+  std::string unoccupied;
   std::uint64_t tracked = 0;
-  for (const auto& [id, cp] : placements_) {
-    if (!copies_.occupied(cp)) {
-      return "placement for task " + std::to_string(id) +
-             " is not occupied in the copy set";
+  placements_.for_each([&](TaskId id, const tree::CopyPlacement& cp) {
+    if (unoccupied.empty() && !copies_.occupied(cp)) {
+      unoccupied = "placement for task " + std::to_string(id) +
+                   " is not occupied in the copy set";
     }
     tracked += copies_.topology().subtree_size(cp.node);
-  }
+  });
+  if (!unoccupied.empty()) return unoccupied;
   if (tracked != copies_.used()) {
     return "tracked placement sizes " + std::to_string(tracked) +
            " != copy set used " + std::to_string(copies_.used());

@@ -5,9 +5,8 @@
 // arrival size S, the load never exceeds ceil(S/N).
 #pragma once
 
-#include <unordered_map>
-
 #include "core/allocator.hpp"
+#include "core/task_table.hpp"
 #include "tree/copy_set.hpp"
 
 namespace partree::core {
@@ -34,16 +33,17 @@ class BasicAllocator : public Allocator {
   /// debug_check_state (CopySet::check) trips on the next debug_checks
   /// pass. Applies only once at least one task has been placed.
   bool debug_corrupt_state() override;
-  /// CopySet::check(), then an audit of the placement map: every tracked
+  /// CopySet::check(), then an audit of the placement table: every tracked
   /// placement is occupied in the copy set, and the tracked sizes account
   /// for every occupied PE.
   [[nodiscard]] std::string debug_check_state() const override;
 
  protected:
   // A_M (DReallocAllocator) places with this same bookkeeping between
-  // rounds and repacks into it at each round.
+  // rounds and repacks into it at each round. reset() keeps the table's
+  // capacity, so a run after the first allocates nothing here.
   tree::CopySet copies_;
-  std::unordered_map<TaskId, tree::CopyPlacement> placements_;
+  TaskTable<tree::CopyPlacement> placements_;
 
  private:
   tree::CopyFit fit_;

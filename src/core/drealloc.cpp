@@ -1,6 +1,7 @@
 #include "core/drealloc.hpp"
 
 #include "core/packing.hpp"
+#include "util/assert.hpp"
 #include "util/math.hpp"
 
 namespace partree::core {
@@ -45,11 +46,14 @@ std::optional<std::vector<Migration>> DReallocAllocator::maybe_reallocate(
   // Pack directly into A_B's copies -- the bucketed pass reproduces the
   // A_R order exactly, so no separate plan + replay is needed; the
   // engine's debug_checks net (BasicAllocator::debug_check_state) audits
-  // the resulting placement map instead.
+  // the resulting placement table instead. A round repacks exactly the
+  // active tasks, which A_B already tracks, so each entry is overwritten
+  // in place.
   repack_into(state, copies_, scratch_);
-  placements_.clear();
   for (const PackedTask& p : scratch_.packed) {
-    placements_.emplace(p.id, p.placement);
+    tree::CopyPlacement* cp = placements_.find(p.id);
+    PARTREE_ASSERT(cp != nullptr, "repacked task unknown to BasicAllocator");
+    *cp = p.placement;
   }
   arrived_since_realloc_ = 0;
   ++reallocations_;

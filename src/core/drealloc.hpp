@@ -7,7 +7,7 @@
 // min{d + 1, ceil((log N + 1)/2)} * L*. d = 0 degenerates to A_C.
 //
 // So A_M is A_B plus the trigger and A_R: it derives from BasicAllocator,
-// whose copy stack and placement map it places with between rounds and
+// whose copy stack and placement table it places with between rounds and
 // repacks into at each round, and whose self-check audits both.
 #pragma once
 

@@ -19,49 +19,51 @@ void MachineState::place(const Task& task, tree::NodeId node) {
   PARTREE_ASSERT(topo_.valid(node), "placement node out of range");
   PARTREE_ASSERT(topo_.subtree_size(node) == task.size,
                  "placement node size does not match task size");
-  const bool inserted = active_.emplace(task.id, ActiveTask{task, node}).second;
+  const bool inserted = index_.insert(task.id, tasks_.size());
   PARTREE_ASSERT(inserted, "task id already active");
+  tasks_.push_back({task, node});
   loads_.assign(node);
   peak_active_size_ = std::max(peak_active_size_, loads_.total_active_size());
 }
 
 tree::NodeId MachineState::remove(TaskId id) {
-  const auto it = active_.find(id);
-  PARTREE_ASSERT(it != active_.end(), "removing task that is not active");
-  const tree::NodeId node = it->second.node;
+  const std::size_t* found = index_.find(id);
+  PARTREE_ASSERT(found != nullptr, "removing task that is not active");
+  const std::size_t slot = *found;
+  const tree::NodeId node = tasks_[slot].node;
   loads_.release(node);
-  active_.erase(it);
+  index_.erase(id);
+  // Swap-remove: the last task fills the hole and its index entry follows.
+  if (slot + 1 != tasks_.size()) {
+    tasks_[slot] = tasks_.back();
+    *index_.find(tasks_[slot].task.id) = slot;
+  }
+  tasks_.pop_back();
   return node;
 }
 
 void MachineState::migrate(std::span<const Migration> migrations) {
   for (const Migration& m : migrations) {
-    const auto it = active_.find(m.id);
-    PARTREE_ASSERT(it != active_.end(), "migrating task that is not active");
-    PARTREE_ASSERT(it->second.node == m.from,
+    const std::size_t* slot = index_.find(m.id);
+    PARTREE_ASSERT(slot != nullptr, "migrating task that is not active");
+    ActiveTask& at = tasks_[*slot];
+    PARTREE_ASSERT(at.node == m.from,
                    "migration 'from' does not match current placement");
     PARTREE_ASSERT(m.from != m.to, "migration is a self-move");
     PARTREE_ASSERT(topo_.valid(m.to), "migration target out of range");
-    PARTREE_ASSERT(topo_.subtree_size(m.to) == it->second.task.size,
+    PARTREE_ASSERT(topo_.subtree_size(m.to) == at.task.size,
                    "migration target size mismatch");
     loads_.release(m.from);
     loads_.assign(m.to);
-    it->second.node = m.to;
+    at.node = m.to;
   }
   obs::emit_instant(obs::Instant::kMigrationBatch, migrations.size());
 }
 
 const ActiveTask& MachineState::active_task(TaskId id) const {
-  const auto it = active_.find(id);
-  PARTREE_ASSERT(it != active_.end(), "lookup of inactive task");
-  return it->second;
-}
-
-std::vector<ActiveTask> MachineState::active_tasks() const {
-  std::vector<ActiveTask> tasks;
-  tasks.reserve(active_.size());
-  for (const auto& [id, at] : active_) tasks.push_back(at);
-  return tasks;
+  const std::size_t* slot = index_.find(id);
+  PARTREE_ASSERT(slot != nullptr, "lookup of inactive task");
+  return tasks_[*slot];
 }
 
 std::uint64_t MachineState::optimal_load() const noexcept {
@@ -72,13 +74,13 @@ std::uint64_t MachineState::optimal_load() const noexcept {
 
 std::uint64_t MachineState::digest() const {
   std::uint64_t task_set = 0;
-  for (const auto& [id, at] : active_) {
+  for (const ActiveTask& at : tasks_) {
     task_set = util::commutative_add(
-        task_set, util::element_digest(id, at.task.size, at.node));
+        task_set, util::element_digest(at.task.id, at.task.size, at.node));
   }
   util::Fnv fnv;
   fnv.mix(topo_.n_leaves());
-  fnv.mix(active_.size());
+  fnv.mix(tasks_.size());
   fnv.mix(task_set);
   fnv.mix(loads_.max_load());
   fnv.mix(loads_.total_active_size());
@@ -87,8 +89,9 @@ std::uint64_t MachineState::digest() const {
 }
 
 bool MachineState::debug_corrupt_drop_active() {
-  if (active_.empty()) return false;
-  active_.erase(active_.begin());  // load deliberately left assigned
+  if (tasks_.empty()) return false;
+  index_.erase(tasks_.back().task.id);
+  tasks_.pop_back();  // load deliberately left assigned
   return true;
 }
 

@@ -9,10 +9,10 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/task.hpp"
+#include "core/task_table.hpp"
 #include "tree/load_tree.hpp"
 #include "tree/topology.hpp"
 
@@ -63,22 +63,24 @@ class MachineState {
   }
 
   [[nodiscard]] bool is_active(TaskId id) const {
-    return active_.find(id) != active_.end();
+    return index_.find(id) != nullptr;
   }
   [[nodiscard]] const ActiveTask& active_task(TaskId id) const;
   [[nodiscard]] std::size_t active_count() const noexcept {
-    return active_.size();
+    return tasks_.size();
   }
 
   /// All active tasks (unordered).
-  [[nodiscard]] std::vector<ActiveTask> active_tasks() const;
+  [[nodiscard]] std::vector<ActiveTask> active_tasks() const {
+    return tasks_;
+  }
 
   /// Visits every active task (unordered) without materializing a
   /// vector -- the repack planner's bucketing pass runs on every
   /// reallocation round, so the O(active) allocation matters there.
   template <typename Fn>
   void for_each_active(Fn&& fn) const {
-    for (const auto& [id, at] : active_) fn(at);
+    for (const ActiveTask& at : tasks_) fn(at);
   }
 
   /// Current maximum PE load (the paper's L_A(sigma; tau)). O(1).
@@ -108,11 +110,12 @@ class MachineState {
   }
 
   /// Canonical 64-bit state digest: the active-task set (id, size, node)
-  /// folded commutatively -- the map's iteration order is unspecified, so
-  /// the digest must not depend on it -- mixed with the machine geometry
-  /// and the maintained load aggregates. Two states digest equal iff they
-  /// hold the same tasks at the same nodes with consistent accounting;
-  /// detsim uses this as its per-epoch equivalence oracle. O(active).
+  /// folded commutatively -- a task's position in the dense array depends
+  /// on which tasks left before it, so the digest must not depend on it --
+  /// mixed with the machine geometry and the maintained load aggregates.
+  /// Two states digest equal iff they hold the same tasks at the same
+  /// nodes with consistent accounting; detsim uses this as its per-epoch
+  /// equivalence oracle. O(active).
   [[nodiscard]] std::uint64_t digest() const;
 
   /// TEST-ONLY fault injection: forwards to LoadTree::debug_corrupt_add on
@@ -123,15 +126,18 @@ class MachineState {
     loads_.debug_corrupt_add(v, count);
   }
 
-  /// TEST-ONLY fault injection: erases one entry from the active-task map
-  /// WITHOUT releasing its load, so the task-count/size invariants break.
-  /// Returns false (and does nothing) when no task is active.
+  /// TEST-ONLY fault injection: drops the last task of the dense task
+  /// array WITHOUT releasing its load, so the task-count/size invariants
+  /// break. Returns false (and does nothing) when no task is active.
   bool debug_corrupt_drop_active();
 
  private:
   tree::Topology topo_;
   tree::LoadTree loads_;
-  std::unordered_map<TaskId, ActiveTask> active_;
+  // The active tasks in no particular order (remove() swap-removes), and
+  // each one's position in tasks_ by id.
+  std::vector<ActiveTask> tasks_;
+  TaskTable<std::size_t> index_;
   std::uint64_t peak_active_size_ = 0;
 };
 

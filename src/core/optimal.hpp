@@ -6,7 +6,7 @@
 //
 // That is A_M at d = 0: its trigger fires on every arrival, and d = 0 never
 // selects the greedy regime. So A_C is DReallocAllocator(d = 0) under its
-// own name, with the same copy stack, placement map and self-check.
+// own name, with the same copy stack, placement table and self-check.
 #pragma once
 
 #include "core/drealloc.hpp"

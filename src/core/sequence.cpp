@@ -1,13 +1,35 @@
 #include "core/sequence.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "core/task_table.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
 namespace partree::core {
+namespace {
+
+/// Replays `events` and calls visit(current) with the cumulative active
+/// size after each one.
+template <typename Visit>
+void for_each_active_size(std::span<const Event> events, Visit&& visit) {
+  TaskTable<std::uint64_t> sizes;
+  std::uint64_t current = 0;
+  for (const Event& e : events) {
+    if (e.kind == EventKind::kArrival) {
+      sizes.insert(e.task.id, e.task.size);
+      current += e.task.size;
+    } else {
+      const std::uint64_t* size = sizes.find(e.task.id);
+      PARTREE_ASSERT(size != nullptr, "departure of unknown task");
+      current -= *size;
+      sizes.erase(e.task.id);
+    }
+    visit(current);
+  }
+}
+
+}  // namespace
 
 TaskSequence::TaskSequence(std::vector<Event> events)
     : events_(std::move(events)) {
@@ -42,42 +64,19 @@ std::uint64_t TaskSequence::total_arrival_size() const {
 }
 
 std::uint64_t TaskSequence::peak_active_size() const {
-  std::unordered_map<TaskId, std::uint64_t> active_size;
-  std::uint64_t current = 0;
   std::uint64_t peak = 0;
-  for (const Event& e : events_) {
-    if (e.kind == EventKind::kArrival) {
-      active_size.emplace(e.task.id, e.task.size);
-      current += e.task.size;
-      peak = std::max(peak, current);
-    } else {
-      const auto it = active_size.find(e.task.id);
-      PARTREE_ASSERT(it != active_size.end(),
-                     "departure of unknown task in peak_active_size");
-      current -= it->second;
-      active_size.erase(it);
-    }
-  }
+  for_each_active_size(events_, [&peak](std::uint64_t current) {
+    peak = std::max(peak, current);
+  });
   return peak;
 }
 
 std::uint64_t TaskSequence::active_size_after(std::size_t tau) const {
   PARTREE_ASSERT(tau <= events_.size(), "tau beyond sequence length");
-  std::unordered_map<TaskId, std::uint64_t> active_size;
-  std::uint64_t current = 0;
-  for (std::size_t i = 0; i < tau; ++i) {
-    const Event& e = events_[i];
-    if (e.kind == EventKind::kArrival) {
-      active_size.emplace(e.task.id, e.task.size);
-      current += e.task.size;
-    } else {
-      const auto it = active_size.find(e.task.id);
-      PARTREE_ASSERT(it != active_size.end(), "departure of unknown task");
-      current -= it->second;
-      active_size.erase(it);
-    }
-  }
-  return current;
+  std::uint64_t after = 0;
+  for_each_active_size(std::span<const Event>(events_).first(tau),
+                       [&after](std::uint64_t current) { after = current; });
+  return after;
 }
 
 std::uint64_t TaskSequence::optimal_load(std::uint64_t n_pes) const {
@@ -93,26 +92,33 @@ std::size_t TaskSequence::arrival_count() const {
 }
 
 std::string TaskSequence::validate(std::uint64_t n_pes) const {
-  std::unordered_set<TaskId> seen;
-  std::unordered_set<TaskId> active;
+  // One entry per id that has arrived: true while it is active, false
+  // once it has departed, so a departed id still rejects a re-arrival.
+  TaskTable<bool> active;
+  active.reserve(arrival_count());
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const Event& e = events_[i];
+    if (e.task.id == kInvalidTask) {
+      return "event " + std::to_string(i) + ": task id " +
+             std::to_string(e.task.id) + " is reserved (kInvalidTask)";
+    }
     if (e.kind == EventKind::kArrival) {
       if (!valid_task_size(e.task.size, n_pes)) {
         return "event " + std::to_string(i) + ": task " +
                std::to_string(e.task.id) + " has invalid size " +
                std::to_string(e.task.size);
       }
-      if (!seen.insert(e.task.id).second) {
+      if (!active.insert(e.task.id, true)) {
         return "event " + std::to_string(i) + ": duplicate arrival of task " +
                std::to_string(e.task.id);
       }
-      active.insert(e.task.id);
     } else {
-      if (active.erase(e.task.id) == 0) {
+      bool* is_active = active.find(e.task.id);
+      if (is_active == nullptr || !*is_active) {
         return "event " + std::to_string(i) + ": departure of task " +
                std::to_string(e.task.id) + " which is not active";
       }
+      *is_active = false;
     }
   }
   return "";

@@ -50,8 +50,10 @@ class TaskSequence {
   [[nodiscard]] std::size_t arrival_count() const;
 
   /// Checks model invariants against an N-PE machine: power-of-two sizes
-  /// <= N, unique arrival ids, departures only of active tasks. Returns an
-  /// empty string when valid, else a description of the first violation.
+  /// <= N, unique arrival ids (an id is never reused, not even after it
+  /// departs), no use of the reserved id kInvalidTask, departures only of
+  /// active tasks. Returns an empty string when valid, else a description
+  /// of the first violation.
   [[nodiscard]] std::string validate(std::uint64_t n_pes) const;
 
   /// Appends all events of `other` (ids must not collide).

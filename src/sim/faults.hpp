@@ -26,8 +26,9 @@
 //   corrupt:load_tree   LoadTree::debug_corrupt_add behind the engine's
 //                       back; debug_checks must die with a crash dump
 //                       naming this fault.
-//   corrupt:active_map  one active-map entry dropped without releasing its
-//                       load; debug_checks must die likewise.
+//   corrupt:active_map  one active task dropped from MachineState without
+//                       releasing its load; debug_checks must die
+//                       likewise.
 //   corrupt:copy_set    Allocator::debug_corrupt_state (CopySet-backed
 //                       allocators corrupt their used-PE aggregate);
 //                       debug_checks must die likewise. Skipped (recorded

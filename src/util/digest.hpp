@@ -7,8 +7,9 @@
 //   * ordered  -- Fnv::mix folds words in sequence; use for positional
 //     structures (arrays, ordered copy stacks) where layout is identity.
 //   * unordered -- commutative_add sums per-element digests; use where the
-//     structure is a set (e.g. the active-task map, whose iteration order
-//     is unspecified), so any enumeration order yields the same digest.
+//     structure is a set (e.g. the active tasks, whose storage order
+//     depends on the order of departures), so any enumeration order
+//     yields the same digest.
 //
 // Digests are NOT cryptographic; they are a cheap equivalence oracle. All
 // arithmetic is on fixed-width integers, so values are stable across

@@ -124,6 +124,42 @@ TEST(DetAdversaryTest, PhaseEndsPartitionTheSequence) {
   }
 }
 
+// Each phase's departures leave in ascending id order, whatever order the
+// machine state stores its tasks in, so the recorded sequence does not
+// depend on the standard library or on MachineState's layout.
+TEST(DetAdversaryTest, DeparturesLeaveInAscendingIdOrder) {
+  const tree::Topology topo(256);
+  for (const std::string spec : {"greedy", "basic", "dmix:d=2", "roundrobin"}) {
+    DetAdversary adversary(topo, topo.height());
+    auto alloc = core::make_allocator(spec, topo);
+    core::TaskSequence recorded;
+    sim::Engine engine(topo);
+    (void)engine.run_interactive(adversary, *alloc, &recorded);
+
+    std::size_t departures = 0;
+    std::size_t runs = 0;
+    bool in_run = false;
+    core::TaskId previous = 0;
+    for (const core::Event& e : recorded.events()) {
+      if (e.kind == core::EventKind::kArrival) {
+        in_run = false;
+        continue;
+      }
+      if (in_run) {
+        EXPECT_LT(previous, e.task.id) << spec;
+      } else {
+        ++runs;
+      }
+      in_run = true;
+      previous = e.task.id;
+      ++departures;
+    }
+    EXPECT_GT(departures, 0u) << spec;
+    // One block of departures per phase after phase 0.
+    EXPECT_EQ(runs, adversary.phase_ends().size() - 1) << spec;
+  }
+}
+
 TEST(DetAdversaryTest, ZeroPhasesJustFillsMachine) {
   const tree::Topology topo(8);
   DetAdversary adversary(topo, 0);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "workload/trace.hpp"
+
 namespace partree::core {
 namespace {
 
@@ -90,6 +94,42 @@ TEST(SequenceTest, ValidateRejectsDuplicateArrival) {
   seq.arrive_as(7, 1);
   seq.arrive_as(7, 2);
   EXPECT_NE(seq.validate(8), "");
+}
+
+// Ids are never reused: a departed id stays known, so arriving again
+// under it is a duplicate, not a fresh task.
+TEST(SequenceTest, ValidateRejectsReArrivalAfterDeparture) {
+  TaskSequence seq;
+  seq.arrive_as(7, 1);
+  seq.depart(7);
+  seq.arrive_as(7, 1);
+  EXPECT_EQ(seq.validate(8), "event 2: duplicate arrival of task 7");
+}
+
+// kInvalidTask is the empty-slot key of every task table, so no event may
+// name it; a CSV trace reaches validate() with it intact.
+TEST(SequenceTest, ValidateRejectsReservedTaskId) {
+  TaskSequence arrival;
+  (void)arrival.arrive(1);
+  arrival.arrive_as(kInvalidTask, 1);
+  EXPECT_EQ(arrival.validate(4),
+            "event 1: task id 18446744073709551615 is reserved "
+            "(kInvalidTask)");
+
+  TaskSequence departure;
+  (void)departure.arrive(1);
+  departure.depart(kInvalidTask);
+  EXPECT_EQ(departure.validate(4),
+            "event 1: task id 18446744073709551615 is reserved "
+            "(kInvalidTask)");
+
+  std::istringstream csv("kind,id,size\narrive,18446744073709551615,1\n");
+  const TaskSequence from_trace = workload::read_trace(csv);
+  ASSERT_EQ(from_trace.size(), 1u);
+  EXPECT_EQ(from_trace[0].task.id, kInvalidTask);
+  EXPECT_EQ(from_trace.validate(4),
+            "event 0: task id 18446744073709551615 is reserved "
+            "(kInvalidTask)");
 }
 
 TEST(SequenceTest, ArriveAsAdvancesIds) {

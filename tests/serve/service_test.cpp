@@ -108,6 +108,9 @@ TEST(ServeBasicTest, UnknownDepartureFailsOnlyThatFuture) {
   PartitionService service(topo, make("greedy", topo));
   auto a = service.submit_arrival(1);
   auto bogus = service.submit_departure(12345);
+  // The reserved id is the task table's empty-slot key: it must read as
+  // inactive, not match an empty slot.
+  auto reserved = service.submit_departure(core::kInvalidTask);
   auto b = service.submit_arrival(2);
 
   (void)a.placed.get();
@@ -121,12 +124,16 @@ TEST(ServeBasicTest, UnknownDepartureFailsOnlyThatFuture) {
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.code(), ServiceErrorCode::kBadRequest);
   }
+  const Placement reserved_failed = reserved.get();
+  EXPECT_FALSE(reserved_failed.ok);
+  EXPECT_EQ(reserved_failed.error, ServiceErrorCode::kBadRequest);
+  EXPECT_EQ(reserved_failed.id, core::kInvalidTask);
   EXPECT_TRUE(b.placed.get().ok);  // the neighbour is unaffected
 
   service.stop();
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.applied, 2u);
-  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.failed, 2u);
   // The failed departure is NOT recorded, so the sequence still replays.
   EXPECT_EQ(service.recorded().events().size(), 2u);
   EXPECT_EQ(service.stats().final_digest,

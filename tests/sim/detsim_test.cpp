@@ -27,8 +27,8 @@ TEST(StateDigestTest, EmptyStatesAgreeAndPlacementChangesDigest) {
 }
 
 TEST(StateDigestTest, ActiveSetDigestIsOrderIndependent) {
-  // The active map is an unordered set; building the same final placements
-  // in a different order must yield the same digest.
+  // The active tasks are stored in no particular order; building the same
+  // final placements in a different order must yield the same digest.
   core::MachineState a{tree::Topology(8)};
   core::MachineState b{tree::Topology(8)};
   a.place({0, 1}, 8);
@@ -37,6 +37,11 @@ TEST(StateDigestTest, ActiveSetDigestIsOrderIndependent) {
   b.place({2, 1}, 9);
   b.place({0, 1}, 8);
   b.place({1, 2}, 4);
+  EXPECT_EQ(a.digest(), b.digest());
+  // A swap-remove reorders the storage: task 2 fills task 0's slot, and
+  // task 0 comes back at the end.
+  a.remove(0);
+  a.place({0, 1}, 8);
   EXPECT_EQ(a.digest(), b.digest());
 }
 
