@@ -42,7 +42,6 @@
 #include "util/file.hpp"
 #include "tree/load_tree.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 #include "workload/campaign.hpp"
 #include "workload/synthetic.hpp"
 
@@ -62,6 +61,11 @@ struct HarnessConfig {
   std::uint64_t n_threads = 0;
 };
 
+/// Wall milliseconds since `start_ns` (an obs::detail::monotonic_ns read).
+double millis_since(std::uint64_t start_ns) {
+  return static_cast<double>(obs::detail::monotonic_ns() - start_ns) / 1e6;
+}
+
 /// Times `body` warmup+reps times.
 obs::BenchSuite run_suite(const std::string& name, std::uint64_t n,
                           const HarnessConfig& config,
@@ -73,9 +77,9 @@ obs::BenchSuite run_suite(const std::string& name, std::uint64_t n,
 
   for (std::uint64_t i = 0; i < config.warmup; ++i) body();
   for (std::uint64_t rep = 0; rep < config.reps; ++rep) {
-    util::Timer timer;
+    const std::uint64_t start_ns = obs::detail::monotonic_ns();
     body();
-    suite.wall_ms.push_back(timer.millis());
+    suite.wall_ms.push_back(millis_since(start_ns));
   }
   suite.finalize_stats();
 
@@ -289,10 +293,10 @@ void serve_throughput_body(const HarnessConfig& config) {
 obs::BenchSuite trace_overhead_suite(const HarnessConfig& config) {
   auto timed_one = [&](bool recorder_on, obs::TraceSink* arm) {
     obs::set_flight_recorder_enabled(recorder_on);
-    util::Timer timer;
+    const std::uint64_t start_ns = obs::detail::monotonic_ns();
     greedy_sweep_body(config, arm);
     obs::set_flight_recorder_enabled(true);
-    return timer.millis();
+    return millis_since(start_ns);
   };
 
   for (std::uint64_t i = 0; i < config.warmup + 1; ++i) {
@@ -367,11 +371,11 @@ obs::BenchSuite metrics_overhead_suite(const HarnessConfig& config) {
   auto timed_one = [&](bool master, bool durations) {
     obs::set_metrics_enabled(master);
     obs::set_duration_metrics_enabled(durations);
-    util::Timer timer;
+    const std::uint64_t start_ns = obs::detail::monotonic_ns();
     greedy_sweep_body(config);
     obs::set_metrics_enabled(true);
     obs::set_duration_metrics_enabled(durations_were);
-    return timer.millis();
+    return millis_since(start_ns);
   };
 
   for (std::uint64_t i = 0; i < config.warmup + 1; ++i) {
@@ -465,7 +469,8 @@ int run_traced_sweep(const HarnessConfig& config, const std::string& path) {
       "wrote %s (%llu place spans, %llu arrivals, %llu counter samples, "
       "%llu dropped)\nopen it in chrome://tracing or ui.perfetto.dev\n",
       path.c_str(),
-      static_cast<unsigned long long>(sink.span_count(obs::Phase::kPlace)),
+      static_cast<unsigned long long>(
+          sink.span_count(obs::DurationMetric::kPlaceNs)),
       static_cast<unsigned long long>(
           sink.instant_count(obs::Instant::kArrival)),
       static_cast<unsigned long long>(sink.counter_samples()),

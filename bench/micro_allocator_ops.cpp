@@ -122,6 +122,9 @@ void BM_CopySetChurn(benchmark::State& state) {
   }
 }
 
+// The pack path behind every repack round: pack_tasks is
+// pack_tasks_ordered in decreasing size, so this times the per-size-class
+// bucket pass, then one CopySet::place() per task.
 void BM_PackTasks(benchmark::State& state) {
   const tree::Topology topo(1024);
   util::Rng rng(7);
@@ -133,26 +136,6 @@ void BM_PackTasks(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::pack_tasks(topo, tasks));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-// The pack path behind every repack round, called through
-// pack_tasks_ordered on the same multiset as BM_PackTasks: the
-// per-size-class bucket pass, then one CopySet::place() per task.
-void BM_PackTasksBucketed(benchmark::State& state) {
-  const tree::Topology topo(1024);
-  util::Rng rng(7);
-  std::vector<core::ActiveTask> tasks;
-  for (std::int64_t i = 0; i < state.range(0); ++i) {
-    const std::uint64_t size = std::uint64_t{1} << rng.below(8);
-    tasks.push_back({core::Task{static_cast<core::TaskId>(i), size},
-                     tree::kInvalidNode});
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::pack_tasks_ordered(topo, tasks, core::PackOrder::kDecreasingSize));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
@@ -221,5 +204,4 @@ BENCHMARK(BM_LoadTreeMinQuery)->RangeMultiplier(16)->Range(64, 262144);
 BENCHMARK(BM_VacancyChurn)->RangeMultiplier(16)->Range(64, 65536);
 BENCHMARK(BM_CopySetChurn)->RangeMultiplier(16)->Range(64, 65536);
 BENCHMARK(BM_PackTasks)->RangeMultiplier(8)->Range(64, 4096);
-BENCHMARK(BM_PackTasksBucketed)->RangeMultiplier(8)->Range(64, 4096);
 BENCHMARK(BM_PlanRepackScratch)->RangeMultiplier(16)->Range(256, 65536);

@@ -31,13 +31,13 @@
 #include <vector>
 
 #include "core/factory.hpp"
+#include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "sim/detsim.hpp"
 #include "util/cli.hpp"
 #include "util/digest.hpp"
 #include "util/file.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -176,7 +176,12 @@ struct SweepStats {
   const std::string repro_dir = cli.get("repro-dir");
   std::filesystem::create_directories(repro_dir);
 
-  partree::util::Timer timer;
+  const std::uint64_t start_ns = partree::obs::detail::monotonic_ns();
+  const auto elapsed_s = [start_ns] {
+    return static_cast<double>(partree::obs::detail::monotonic_ns() -
+                               start_ns) /
+           1e9;
+  };
   partree::util::Rng plan_rng(base_seed ^ 0x9e3779b97f4a7c15ULL);
   SweepStats stats;
 
@@ -185,7 +190,7 @@ struct SweepStats {
   const std::size_t chunk_overrides[] = {0, 1, 2, 5};
   std::uint64_t diff_done = 0;
   while (diff_done < n_seeds &&
-         (budget <= 0.0 || timer.seconds() < budget * 0.4)) {
+         (budget <= 0.0 || elapsed_s() < budget * 0.4)) {
     const std::uint64_t batch = std::min<std::uint64_t>(32, n_seeds - diff_done);
     DetSimOptions base;
     base.n_pes = n_pes;
@@ -210,7 +215,7 @@ struct SweepStats {
 
   // Phase 2: per-seed fault injection.
   for (std::uint64_t i = 0; i < n_seeds; ++i) {
-    if (budget > 0.0 && timer.seconds() >= budget) {
+    if (budget > 0.0 && elapsed_s() >= budget) {
       std::printf("budget reached after %llu/%llu fault runs\n",
                   static_cast<unsigned long long>(i),
                   static_cast<unsigned long long>(n_seeds));
@@ -287,7 +292,7 @@ struct SweepStats {
   std::printf(
       "sweep done in %.1fs: n_pes=%llu runs=%llu recovered=%llu "
       "cancelled=%llu skipped=%llu crashes_verified=%llu failures=%llu\n",
-      timer.seconds(), static_cast<unsigned long long>(n_pes),
+      elapsed_s(), static_cast<unsigned long long>(n_pes),
       static_cast<unsigned long long>(stats.runs),
       static_cast<unsigned long long>(stats.recovered),
       static_cast<unsigned long long>(stats.cancelled),

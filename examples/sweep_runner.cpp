@@ -123,6 +123,10 @@ void print_report(const SweepReport& report, bool print_cells) {
                                          const SweepOptions& options,
                                          std::uint64_t procs,
                                          std::uint64_t kill_after) {
+  // A child acts only on the cancel and alloc_fail faults at its own
+  // cells, so an invalid plan would pass silently: reject it here, as
+  // run_sweep does in process.
+  partree::sim::validate_sweep_faults(grid, options.faults);
   std::vector<std::string> notes;
   std::map<std::uint64_t, SweepShard> done =
       partree::sim::load_resumable_shards(grid, options, notes);

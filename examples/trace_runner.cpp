@@ -103,15 +103,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", timeline.c_str());
       return 1;
     }
+    std::uint64_t spans = 0;
+    for (std::size_t m = 0; m < obs::kNumDurationMetrics; ++m) {
+      spans += timeline_sink.span_count(static_cast<obs::DurationMetric>(m));
+    }
     std::printf(
         "\nwrote %s (%llu spans, %llu counter samples, %llu dropped) -- "
         "open it in chrome://tracing or ui.perfetto.dev\n",
         timeline.c_str(),
-        static_cast<unsigned long long>(
-            timeline_sink.span_count(obs::Phase::kPlace) +
-            timeline_sink.span_count(obs::Phase::kReallocate) +
-            timeline_sink.span_count(obs::Phase::kDeparture) +
-            timeline_sink.span_count(obs::Phase::kBookkeeping)),
+        static_cast<unsigned long long>(spans),
         static_cast<unsigned long long>(timeline_sink.counter_samples()),
         static_cast<unsigned long long>(timeline_sink.dropped_events()));
   }

@@ -8,7 +8,7 @@
 //
 // Reports per-thread utilization (interval-union busy time over the trace
 // wall span, so nested/overlapping spans are not double counted), span
-// duration percentiles per phase name, idle-gap structure per thread, and
+// duration percentiles per span name, idle-gap structure per thread, and
 // inter-arrival statistics for the engine instants (arrival, departure,
 // realloc_round, migration_batch). --json writes the same numbers as a
 // partree-trace-stats-v1 document for downstream tooling; --min-utilization

@@ -34,6 +34,20 @@ else
   SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 fi
 
+# Contract suites that both legs run again by name, with --no-tests=error,
+# so a filter rename can't silently drop them:
+#   * the repack pipeline that feeds the serve apply thread: bucketed-pack
+#     equivalence, the CopySet copy stack (unit and large-N oracles) and
+#     the plan-delta oracles;
+#   * the round-contract pins: a plan lists only movers, MachineState
+#     aborts on a self-move, and each step counts a round by its plan's
+#     length;
+#   * the one task table behind every per-event id lookup: TaskTable's
+#     oracle and reserved-id tests, MachineState's swap-remove,
+#     TaskSequence::validate and the adversary's id-ordered departures.
+# The Test suffixes keep the 2^20 LargeNOracleMachineState out.
+CONTRACT_SUITES='Pack|CopySet|ReallocAccounting|ApplyEventTest|MachineState(Death)?Test|TaskTable|SequenceTest|DetAdversaryTest'
+
 cmake -B "$BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
@@ -62,19 +76,8 @@ if [[ "$MODE" == "tsan" ]]; then
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD" -R 'Serve' --no-tests=error \
       --output-on-failure -j "$(nproc)"
-  # The repack pipeline (bucketed pack, the CopySet copy stack, the
-  # plan's mover list, scratch reuse) feeds the serve apply thread; run
-  # its equivalence suites and the round-contract pins (a plan lists only
-  # movers, MachineState aborts on a self-move, and every step counts a
-  # round by its plan's length) explicitly, so a filter rename can't
-  # silently drop them. The same goes for the one task table every
-  # per-event id lookup goes through: its oracle suite, MachineState's
-  # swap-remove and reserved-id pins, TaskSequence::validate, and the
-  # adversary's id-ordered departures. The Test suffixes keep the 2^20
-  # LargeNOracleMachineState out of this leg.
   TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir "$BUILD" \
-      -R 'Pack|CopySet|ReallocAccounting|ApplyEventTest|MachineState(Death)?Test|TaskTable|SequenceTest|DetAdversaryTest' \
+    ctest --test-dir "$BUILD" -R "$CONTRACT_SUITES" \
       --no-tests=error --output-on-failure -j "$(nproc)"
   # A crash dump taken while a pool worker records, and the registry's
   # snapshot-while-recording test: the registry's race-freedom claims.
@@ -94,17 +97,7 @@ ctest --test-dir "$BUILD" -R 'Metrics' --no-tests=error \
   --output-on-failure -j "$(nproc)"
 ctest --test-dir "$BUILD" -R 'Serve' --no-tests=error \
   --output-on-failure -j "$(nproc)"
-# Repack-pipeline suites: the bucketed-pack equivalence properties, the
-# CopySet copy stack (unit and large-N oracles), the plan-delta oracles,
-# and the round-contract pins behind every realloc round: a plan lists
-# only movers, MachineState aborts on a self-move (death test), and each
-# step counts a round by its plan's length. Then the task-table suites:
-# TaskTable's oracle and reserved-id tests, MachineState's swap-remove,
-# TaskSequence::validate (reserved id, re-arrival after departure) and
-# the adversary's id-ordered departures. The Test suffixes keep the 2^20
-# LargeNOracleMachineState out of this leg.
-ctest --test-dir "$BUILD" \
-  -R 'Pack|CopySet|ReallocAccounting|ApplyEventTest|MachineState(Death)?Test|TaskTable|SequenceTest|DetAdversaryTest' \
+ctest --test-dir "$BUILD" -R "$CONTRACT_SUITES" \
   --no-tests=error --output-on-failure -j "$(nproc)"
 
 SMOKE="$BUILD/BENCH_smoke.json"

@@ -56,7 +56,6 @@ std::optional<std::vector<Migration>> DReallocAllocator::maybe_reallocate(
     *cp = p.placement;
   }
   arrived_since_realloc_ = 0;
-  ++reallocations_;
   return std::optional<std::vector<Migration>>(
       std::in_place, scratch_.migrations.begin(), scratch_.migrations.end());
 }
@@ -70,7 +69,6 @@ void DReallocAllocator::reset() {
   BasicAllocator::reset();
   arrived_since_realloc_ = 0;
   realloc_pending_ = false;
-  reallocations_ = 0;
 }
 
 }  // namespace partree::core

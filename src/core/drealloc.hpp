@@ -45,11 +45,6 @@ class DReallocAllocator : public BasicAllocator {
     return greedy_.has_value();
   }
 
-  /// Number of reallocations performed since construction/reset.
-  [[nodiscard]] std::uint64_t reallocations() const noexcept {
-    return reallocations_;
-  }
-
   // debug_corrupt_state and debug_check_state are A_B's: in the greedy
   // regime the copy stack stays empty, so both have nothing to act on.
 
@@ -59,7 +54,6 @@ class DReallocAllocator : public BasicAllocator {
   PackScratch scratch_;  // repack buffers, recycled across rounds
   std::uint64_t arrived_since_realloc_ = 0;
   bool realloc_pending_ = false;
-  std::uint64_t reallocations_ = 0;
 };
 
 }  // namespace partree::core

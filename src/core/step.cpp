@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "obs/timing.hpp"
 #include "obs/trace.hpp"
 
 namespace partree::core {
@@ -13,15 +14,16 @@ StepRecord apply_arrival(MachineState& state, Allocator& allocator,
   StepRecord rec;
   rec.size = task.size;
   {
-    const obs::ScopedTimer place_timer(obs::Phase::kPlace);
+    const obs::ScopedTimer place_timer(obs::DurationMetric::kPlaceNs);
     rec.node = allocator.place(task, state);
     state.place(task, rec.node);
   }
   {
-    const obs::ScopedTimer realloc_timer(obs::Phase::kReallocate);
-    // The round is only a round once maybe_reallocate says yes, so the
-    // duration metrics bracket decision + application by hand and record
-    // nothing for the (overwhelmingly common) no-op decisions.
+    const obs::ScopedTimer realloc_timer(obs::DurationMetric::kReallocateNs);
+    // The round is only a round once maybe_reallocate says yes, so its
+    // two histograms bracket decision + application by hand, with no
+    // span, and record nothing for the (overwhelmingly common) no-op
+    // decisions.
     const std::uint64_t round_t0 =
         obs::duration_metrics_enabled() ? obs::detail::monotonic_ns() : 0;
     auto plan = allocator.maybe_reallocate(state);
@@ -51,7 +53,7 @@ StepRecord apply_arrival(MachineState& state, Allocator& allocator,
 
 StepRecord apply_departure(MachineState& state, Allocator& allocator,
                            TaskId id) {
-  const obs::ScopedTimer departure_timer(obs::Phase::kDeparture);
+  const obs::ScopedTimer departure_timer(obs::DurationMetric::kDepartureNs);
   StepRecord rec;
   rec.size = state.active_task(id).task.size;
   allocator.on_departure(id, state);

@@ -39,7 +39,7 @@ void ChromeTraceSink::append_event(std::string_view body) {
 
 void ChromeTraceSink::consume(const ThreadTrace& chunk) {
   std::lock_guard lock(mutex_);
-  dropped_ += chunk.dropped;
+  tally_.consume(chunk);
   if (chunk.events.empty()) return;
 
   if (tids_seen_.insert(chunk.tid).second) {
@@ -58,10 +58,9 @@ void ChromeTraceSink::consume(const ThreadTrace& chunk) {
   for (const TraceEvent& ev : chunk.events) {
     switch (ev.kind) {
       case TraceEventKind::kSpan: {
-        const auto phase = static_cast<Phase>(ev.id);
-        ++spans_[ev.id];
-        std::string e = common_fields(phase_name(phase), "X", chunk.tid,
-                                      ev.a);
+        const auto metric = static_cast<DurationMetric>(ev.id);
+        std::string e = common_fields(duration_metric_name(metric), "X",
+                                      chunk.tid, ev.a);
         e += ",\"dur\":";
         e += format_us(ev.b - ev.a);
         e += ",\"cat\":\"phase\"}";
@@ -70,7 +69,6 @@ void ChromeTraceSink::consume(const ThreadTrace& chunk) {
       }
       case TraceEventKind::kInstant: {
         const auto instant = static_cast<Instant>(ev.id);
-        ++instants_[ev.id];
         std::string e = common_fields(instant_name(instant), "i", chunk.tid,
                                       ev.ts_ns);
         e += ",\"s\":\"t\",\"cat\":\"engine\",\"args\":{\"value\":";
@@ -80,7 +78,6 @@ void ChromeTraceSink::consume(const ThreadTrace& chunk) {
         break;
       }
       case TraceEventKind::kCounters: {
-        ++counter_samples_;
         const struct {
           const char* name;
           std::uint64_t value;
@@ -103,24 +100,24 @@ void ChromeTraceSink::consume(const ThreadTrace& chunk) {
   }
 }
 
-std::uint64_t ChromeTraceSink::span_count(Phase p) const {
+std::uint64_t ChromeTraceSink::span_count(DurationMetric m) const {
   std::lock_guard lock(mutex_);
-  return spans_[static_cast<std::size_t>(p)];
+  return tally_.spans(m);
 }
 
 std::uint64_t ChromeTraceSink::instant_count(Instant i) const {
   std::lock_guard lock(mutex_);
-  return instants_[static_cast<std::size_t>(i)];
+  return tally_.instants(i);
 }
 
 std::uint64_t ChromeTraceSink::counter_samples() const {
   std::lock_guard lock(mutex_);
-  return counter_samples_;
+  return tally_.counter_samples();
 }
 
 std::uint64_t ChromeTraceSink::dropped_events() const {
   std::lock_guard lock(mutex_);
-  return dropped_;
+  return tally_.dropped();
 }
 
 std::string ChromeTraceSink::document() const {

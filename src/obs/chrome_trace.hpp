@@ -3,8 +3,9 @@
 // ChromeTraceSink serializes drained TraceEvents incrementally into the
 // trace-event JSON format, one compact object per event:
 //
-//   * phase spans   -> "X" (complete) duration events, one track per
-//                      thread ("M" thread_name metadata per tid)
+//   * timed spans   -> "X" (complete) duration events named by their
+//                      DurationMetric, one track per thread ("M"
+//                      thread_name metadata per tid)
 //   * instants      -> "i" instant events on the emitting thread's track
 //   * counter samples -> "C" counter events, one track per series
 //                      (max_load, l_star, active_size, active_tasks)
@@ -15,7 +16,6 @@
 // buffer as {"displayTimeUnit": "ms", "traceEvents": [...]}.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -29,8 +29,8 @@ class ChromeTraceSink final : public TraceSink {
  public:
   void consume(const ThreadTrace& chunk) override;
 
-  /// Spans serialized so far for one phase.
-  [[nodiscard]] std::uint64_t span_count(Phase p) const;
+  /// Spans serialized so far for one timed scope.
+  [[nodiscard]] std::uint64_t span_count(DurationMetric m) const;
   /// Instants serialized so far for one kind.
   [[nodiscard]] std::uint64_t instant_count(Instant i) const;
   /// Counter samples serialized so far (each produces 4 "C" events).
@@ -51,10 +51,7 @@ class ChromeTraceSink final : public TraceSink {
   mutable std::mutex mutex_;
   std::string events_;  ///< comma-joined serialized event objects
   std::set<std::uint64_t> tids_seen_;
-  std::array<std::uint64_t, kNumPhases> spans_{};
-  std::array<std::uint64_t, kNumInstants> instants_{};
-  std::uint64_t counter_samples_ = 0;
-  std::uint64_t dropped_ = 0;
+  CountingTraceSink tally_;  ///< sees every chunk this sink serializes
 };
 
 }  // namespace partree::obs

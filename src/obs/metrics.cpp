@@ -13,7 +13,6 @@ namespace {
 constexpr std::uint64_t kNoMin = std::numeric_limits<std::uint64_t>::max();
 
 std::atomic<bool> g_metrics_enabled{true};
-std::atomic<bool> g_duration_metrics_enabled{false};
 
 // Every cell is written by exactly one thread (its shard owner), so
 // updates are relaxed load+store pairs -- no lock-prefixed RMW on the hot
@@ -137,10 +136,15 @@ detail::ShardRegistry<MetricsShard>& registry() {
   return *r;
 }
 
-// JSON names, in enum order.
+// JSON names, in enum order; also the trace span names (obs/trace.cpp,
+// obs/chrome_trace.cpp).
 constexpr std::string_view kDurationNames[kNumDurationMetrics] = {
     "arrival_handle_ns",
     "departure_handle_ns",
+    "place_ns",
+    "reallocate_ns",
+    "departure_ns",
+    "bookkeeping_ns",
     "realloc_round_ns",
     "realloc_plan_ns",
     "pool_dispatch_wait_ns",
@@ -272,11 +276,8 @@ bool metrics_enabled() noexcept {
 }
 
 void set_duration_metrics_enabled(bool enabled) noexcept {
-  g_duration_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool duration_metrics_enabled() noexcept {
-  return g_duration_metrics_enabled.load(std::memory_order_relaxed);
+  detail::g_duration_metrics_enabled.store(enabled,
+                                           std::memory_order_relaxed);
 }
 
 void record_duration(DurationMetric m, std::uint64_t ns) noexcept {

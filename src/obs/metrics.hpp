@@ -19,9 +19,10 @@
 //     stores; the bench harness gates it below 1% on the E2 greedy sweep
 //     (metrics_overhead_pct).
 //   * `set_duration_metrics_enabled` (default OFF) additionally lets
-//     `MetricTimer` read the monotonic clock, populating the duration
-//     histograms. Two clock reads per instrumented scope are measurable
-//     on small events, so it is opt-in (`bench_harness --metrics`).
+//     obs/timing.hpp's `ScopedTimer` read the monotonic clock, populating
+//     the duration histograms. Two clock reads per timed scope are
+//     measurable on small events, so it is opt-in
+//     (`bench_harness --metrics`).
 //
 // Snapshots aggregate retired + live shards into plain structs, exported
 // as a canonical "partree-metrics-v1" JSON document. The crash-dump path
@@ -31,25 +32,39 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
-#include "obs/timing.hpp"
 #include "util/json.hpp"
 
 namespace partree::obs {
 
-/// Duration histograms (nanoseconds). Populated by MetricTimer scopes
-/// while duration metrics are enabled, or directly via record_duration
-/// when the caller already holds a measurement (e.g. a sweep shard's
-/// wall time, measured anyway for the checkpoint).
+/// Duration histograms (nanoseconds). The timed scopes are populated by
+/// obs/timing.hpp's ScopedTimer, which also names its trace spans after
+/// them; the rest are direct record_duration calls that emit no span,
+/// made where the caller already holds a measurement (e.g. a sweep
+/// shard's wall time, measured anyway for the checkpoint) or times only
+/// part of a scope (an applied round inside `reallocate_ns`).
 enum class DurationMetric : std::size_t {
-  /// Engine: one arrival fully handled (placement + any reallocation +
-  /// slowdown bookkeeping).
+  /// Engine (timed scope): one arrival fully handled (placement + any
+  /// reallocation + slowdown bookkeeping).
   kArrivalHandleNs = 0,
-  /// Engine: one departure fully handled.
+  /// Engine (timed scope): one departure fully handled.
   kDepartureHandleNs,
+  /// core::apply_event (timed scope): the allocator's placement decision
+  /// plus its application to the machine state, per arrival.
+  kPlaceNs,
+  /// core::apply_event (timed scope): the reallocation decision plus any
+  /// migration it applies, per arrival -- a no-op decision included.
+  kReallocateNs,
+  /// core::apply_event (timed scope): one departure (allocator
+  /// notification + state removal).
+  kDepartureNs,
+  /// Engine (timed scope): per-event bookkeeping after the step (peak
+  /// load, series, digests, counter samples, debug checks).
+  kBookkeepingNs,
   /// core::apply_event: one APPLIED reallocation round (decision +
   /// migration).
   kReallocRoundNs,
@@ -61,10 +76,11 @@ enum class DurationMetric : std::size_t {
   /// Pool: a caller's wait for the pool to go idle before its region
   /// dispatches (region-level queueing delay).
   kPoolDispatchWaitNs,
-  /// Pool: one whole region, timed on the calling thread (includes the
-  /// dispatch wait).
+  /// Pool (timed scope): one whole region, timed on the calling thread
+  /// (includes the dispatch wait).
   kPoolRegionNs,
-  /// Pool: one worker's participation in one region, timed on the worker.
+  /// Pool (timed scope): one worker's participation in one region, timed
+  /// on the worker (so a timeline gets one track per pool thread).
   kPoolWorkerBusyNs,
   /// Pool: one worker's parked gap between consecutive regions it ran.
   kPoolWorkerIdleNs,
@@ -73,8 +89,9 @@ enum class DurationMetric : std::size_t {
   /// Serve: one request's wait in the partition-service queue, from
   /// admission to its epoch batch being dequeued.
   kServeQueueWaitNs,
-  /// Serve: one request applied through the allocator by the service
-  /// apply thread (placement or removal + any triggered reallocation).
+  /// Serve (timed scope): one request applied through the allocator by
+  /// the service apply thread (placement or removal + any triggered
+  /// reallocation).
   kServeApplyNs,
   kCount,
 };
@@ -118,7 +135,8 @@ inline constexpr std::size_t kNumValueMetrics =
 inline constexpr std::size_t kNumGaugeMetrics =
     static_cast<std::size_t>(GaugeMetric::kCount);
 
-/// Stable snake_case names used in the JSON document.
+/// Stable snake_case names used in the JSON document; a timed scope's
+/// trace spans carry its duration metric's name.
 [[nodiscard]] std::string_view duration_metric_name(DurationMetric m) noexcept;
 [[nodiscard]] std::string_view value_metric_name(ValueMetric m) noexcept;
 [[nodiscard]] std::string_view gauge_metric_name(GaugeMetric m) noexcept;
@@ -176,11 +194,19 @@ struct MetricsSnapshot {
 void set_metrics_enabled(bool enabled) noexcept;
 [[nodiscard]] bool metrics_enabled() noexcept;
 
-/// Duration-timer switch (default OFF): lets MetricTimer read the clock.
-/// record_duration itself only needs the master switch -- callers that
-/// already measured (sweep shards) record for free.
+namespace detail {
+/// The duration switch, written only by set_duration_metrics_enabled. In
+/// the header so every timed scope's check inlines.
+inline std::atomic<bool> g_duration_metrics_enabled{false};
+}  // namespace detail
+
+/// Duration-timer switch (default OFF): lets ScopedTimer read the clock
+/// and record. record_duration itself only needs the master switch --
+/// callers that already measured (sweep shards) record for free.
 void set_duration_metrics_enabled(bool enabled) noexcept;
-[[nodiscard]] bool duration_metrics_enabled() noexcept;
+[[nodiscard]] inline bool duration_metrics_enabled() noexcept {
+  return detail::g_duration_metrics_enabled.load(std::memory_order_relaxed);
+}
 
 /// Records `ns` into a duration histogram (master switch gated).
 void record_duration(DurationMetric m, std::uint64_t ns) noexcept;
@@ -210,27 +236,5 @@ void reset_metrics();
 /// metric present, bucket totals consistent with counts, min <= max.
 /// Returns "" when valid, else a message naming the violation.
 [[nodiscard]] std::string validate_metrics_json(const util::json::Value& v);
-
-/// RAII duration scope: free (one relaxed load) unless duration metrics
-/// are enabled, in which case it costs two clock reads plus one record.
-class MetricTimer {
- public:
-  explicit MetricTimer(DurationMetric m) noexcept
-      : metric_(m),
-        start_ns_(duration_metrics_enabled() ? detail::monotonic_ns() : 0) {}
-
-  ~MetricTimer() {
-    if (start_ns_ != 0) {
-      record_duration(metric_, detail::monotonic_ns() - start_ns_);
-    }
-  }
-
-  MetricTimer(const MetricTimer&) = delete;
-  MetricTimer& operator=(const MetricTimer&) = delete;
-
- private:
-  DurationMetric metric_;
-  std::uint64_t start_ns_;
-};
 
 }  // namespace partree::obs

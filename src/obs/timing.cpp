@@ -2,22 +2,7 @@
 
 #include <chrono>
 
-namespace partree::obs {
-
-std::string_view phase_name(Phase p) noexcept {
-  switch (p) {
-    case Phase::kPlace: return "place";
-    case Phase::kReallocate: return "reallocate";
-    case Phase::kDeparture: return "departure";
-    case Phase::kBookkeeping: return "bookkeeping";
-    case Phase::kParallelRegion: return "parallel_region";
-    case Phase::kParallelWorker: return "parallel_worker";
-    case Phase::kCount: break;
-  }
-  return "unknown";
-}
-
-namespace detail {
+namespace partree::obs::detail {
 
 std::uint64_t monotonic_ns() noexcept {
   const auto now = std::chrono::steady_clock::now().time_since_epoch();
@@ -27,5 +12,10 @@ std::uint64_t monotonic_ns() noexcept {
   return ns <= 0 ? 1 : static_cast<std::uint64_t>(ns);
 }
 
-}  // namespace detail
-}  // namespace partree::obs
+void close_scope(DurationMetric m, std::uint64_t start_ns) noexcept {
+  const std::uint64_t end_ns = monotonic_ns();
+  if (tracing_enabled()) emit_span(m, start_ns, end_ns);
+  if (duration_metrics_enabled()) record_duration(m, end_ns - start_ns);
+}
+
+}  // namespace partree::obs::detail

@@ -1,42 +1,52 @@
-// Phase names and the monotonic clock.
+// The monotonic clock and the one timed scope.
 //
-// A Phase names one bracketed stretch of engine or pool work. Phases are
-// not accumulated anywhere: while a trace sink is armed, obs/trace.hpp's
-// ScopedTimer records each one as a span event, and the duration
-// histograms of obs/metrics.hpp carry the distributions.
+// Every timed stretch of engine, pool or service work is one
+// DurationMetric, and ScopedTimer is the only RAII timer. It reads the
+// clock only while tracing or duration metrics are armed, and then feeds
+// both from the same two reads: a span into the thread's trace ring while
+// a sink is armed (obs/trace.hpp), and a sample into the metric's
+// duration histogram while duration metrics are on (obs/metrics.hpp). So
+// in a run with both armed, each scope's span count equals its histogram
+// count.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <string_view>
+
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace partree::obs {
-
-enum class Phase : std::size_t {
-  /// Allocator placement decision + state application for one arrival.
-  kPlace = 0,
-  /// Reallocation decision + migration application.
-  kReallocate,
-  /// Departure handling (allocator notification + state removal).
-  kDeparture,
-  /// Per-event metric bookkeeping (series, peak histogram, checks).
-  kBookkeeping,
-  /// One whole sim::parallel_for region, timed on the calling thread.
-  kParallelRegion,
-  /// One worker's lifetime inside a parallel region, timed on the worker
-  /// thread (gives per-thread tracks in timeline exports).
-  kParallelWorker,
-  kCount,
-};
-
-inline constexpr std::size_t kNumPhases = static_cast<std::size_t>(Phase::kCount);
-
-/// Stable snake_case name used in trace exports and crash dumps.
-[[nodiscard]] std::string_view phase_name(Phase p) noexcept;
 
 namespace detail {
 /// Monotonic nanoseconds; never 0, which callers reserve for "no start".
 [[nodiscard]] std::uint64_t monotonic_ns() noexcept;
+
+/// ScopedTimer's exit: reads the clock once more, then emits the span
+/// (while tracing) and records the histogram (while duration metrics
+/// are on).
+void close_scope(DurationMetric m, std::uint64_t start_ns) noexcept;
 }  // namespace detail
+
+/// RAII timed scope. Disarmed, it costs at most two relaxed loads and
+/// never reads the clock; armed, it costs two clock reads.
+class ScopedTimer {
+ public:
+  explicit ScopedTimer(DurationMetric m) noexcept
+      : metric_(m),
+        start_ns_(tracing_enabled() || duration_metrics_enabled()
+                      ? detail::monotonic_ns()
+                      : 0) {}
+
+  ~ScopedTimer() {
+    if (start_ns_ != 0) detail::close_scope(metric_, start_ns_);
+  }
+
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+ private:
+  DurationMetric metric_;
+  std::uint64_t start_ns_;
+};
 
 }  // namespace partree::obs

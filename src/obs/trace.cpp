@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
+#include "obs/timing.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
 
@@ -41,9 +42,6 @@ Registry& registry() {
   static auto* r = new Registry();
   return *r;
 }
-
-// Fast-path mirror of `registry().sink != nullptr`.
-std::atomic<bool> g_tracing{false};
 
 // Flight-recorder kill switch; off only while bench_harness prices the
 // default store against a bare run.
@@ -120,7 +118,8 @@ util::json::Value event_to_json(const TraceEvent& ev) {
   switch (ev.kind) {
     case TraceEventKind::kSpan: {
       obj.emplace("kind", "span");
-      obj.emplace("name", phase_name(static_cast<Phase>(ev.id)));
+      obj.emplace("name",
+                  duration_metric_name(static_cast<DurationMetric>(ev.id)));
       util::json::Object args;
       args.emplace("start_ns", ev.a);
       args.emplace("end_ns", ev.b);
@@ -198,11 +197,7 @@ void set_trace_sink(TraceSink* sink) {
     // stale flight-recorder tail stays out of the timeline.
     for (Ring* ring : reg.rings) ring->drained = ring->next;
   }
-  g_tracing.store(sink != nullptr, std::memory_order_relaxed);
-}
-
-bool tracing_enabled() noexcept {
-  return g_tracing.load(std::memory_order_relaxed);
+  detail::g_tracing.store(sink != nullptr, std::memory_order_relaxed);
 }
 
 void set_flight_recorder_enabled(bool enabled) noexcept {
@@ -320,12 +315,12 @@ std::string write_crash_dump(std::string_view reason) {
 
 namespace detail {
 
-void emit_span(Phase phase, std::uint64_t start_ns,
+void emit_span(DurationMetric m, std::uint64_t start_ns,
                std::uint64_t end_ns) noexcept {
   TraceEvent ev;
   ev.ts_ns = start_ns;
   ev.kind = TraceEventKind::kSpan;
-  ev.id = static_cast<std::uint8_t>(phase);
+  ev.id = static_cast<std::uint8_t>(m);
   ev.a = start_ns;
   ev.b = end_ns;
   push_event(ev);

@@ -4,7 +4,9 @@
 // buffer -- no locks, no allocation past first use -- via three typed emit
 // paths:
 //
-//   * phase spans      (ScopedTimer below; only while a sink is armed)
+//   * timed spans      (obs/timing.hpp's ScopedTimer, one per timed scope,
+//                       named by its DurationMetric; only while a sink is
+//                       armed)
 //   * engine instants  (arrival / departure / realloc round / migration
 //                       batch; ALWAYS recorded -- they double as the flight
 //                       recorder -- with a timestamp only while tracing)
@@ -25,12 +27,13 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/timing.hpp"
+#include "obs/metrics.hpp"
 
 namespace partree::obs {
 
@@ -67,7 +70,8 @@ inline constexpr std::size_t kNumInstants =
 [[nodiscard]] std::string_view instant_name(Instant i) noexcept;
 
 enum class TraceEventKind : std::uint8_t {
-  /// One completed phase span: a = start_ns, b = end_ns, id = Phase.
+  /// One completed timed span: a = start_ns, b = end_ns,
+  /// id = DurationMetric.
   kSpan = 0,
   /// One engine instant: a = payload, id = Instant.
   kInstant,
@@ -86,7 +90,7 @@ struct TraceEvent {
   std::uint64_t c = 0;
   std::uint64_t d = 0;
   TraceEventKind kind = TraceEventKind::kInstant;
-  std::uint8_t id = 0;  ///< Phase for spans, Instant for instants
+  std::uint8_t id = 0;  ///< DurationMetric for spans, Instant for instants
 };
 
 /// Ring capacity per thread (power of two). A sinkless ring wraps; an
@@ -120,8 +124,8 @@ class CountingTraceSink final : public TraceSink {
  public:
   void consume(const ThreadTrace& chunk) override;
 
-  [[nodiscard]] std::uint64_t spans(Phase p) const noexcept {
-    return spans_[static_cast<std::size_t>(p)];
+  [[nodiscard]] std::uint64_t spans(DurationMetric m) const noexcept {
+    return spans_[static_cast<std::size_t>(m)];
   }
   [[nodiscard]] std::uint64_t instants(Instant i) const noexcept {
     return instants_[static_cast<std::size_t>(i)];
@@ -133,7 +137,7 @@ class CountingTraceSink final : public TraceSink {
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:
-  std::array<std::uint64_t, kNumPhases> spans_{};
+  std::array<std::uint64_t, kNumDurationMetrics> spans_{};
   std::array<std::uint64_t, kNumInstants> instants_{};
   std::uint64_t counter_samples_ = 0;
   std::uint64_t total_ = 0;
@@ -146,8 +150,16 @@ class CountingTraceSink final : public TraceSink {
 /// other thread may be emitting during the switch.
 void set_trace_sink(TraceSink* sink);
 
+namespace detail {
+/// Fast-path mirror of "a sink is armed", written only by set_trace_sink.
+/// In the header so every timed scope's check inlines.
+inline std::atomic<bool> g_tracing{false};
+}  // namespace detail
+
 /// True while a sink is armed. One relaxed atomic load.
-[[nodiscard]] bool tracing_enabled() noexcept;
+[[nodiscard]] inline bool tracing_enabled() noexcept {
+  return detail::g_tracing.load(std::memory_order_relaxed);
+}
 
 /// Flushes every live ring into the armed sink. Quiescent points only.
 /// No-op without a sink.
@@ -190,32 +202,9 @@ void set_crash_dump_path(std::string path);
 std::string write_crash_dump(std::string_view reason);
 
 namespace detail {
-/// Span feed from ScopedTimer.
-void emit_span(Phase phase, std::uint64_t start_ns,
+/// Span feed from obs/timing.hpp's ScopedTimer.
+void emit_span(DurationMetric m, std::uint64_t start_ns,
                std::uint64_t end_ns) noexcept;
 }  // namespace detail
-
-/// RAII phase span: while a sink is armed, measures construction to
-/// destruction on the monotonic clock and emits it as a span event.
-/// Disarmed, it costs one relaxed load and never reads the clock.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Phase phase) noexcept
-      : phase_(phase),
-        start_ns_(tracing_enabled() ? detail::monotonic_ns() : 0) {}
-
-  ~ScopedTimer() {
-    if (start_ns_ != 0) {
-      detail::emit_span(phase_, start_ns_, detail::monotonic_ns());
-    }
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Phase phase_;
-  std::uint64_t start_ns_;
-};
 
 }  // namespace partree::obs

@@ -8,6 +8,7 @@
 
 #include "core/step.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 
@@ -271,7 +272,7 @@ ServiceStats PartitionService::apply_batch(std::vector<Request>& batch,
 // that apply_batch delivers.
 void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
                                  ServiceStats& delta) {
-  const obs::MetricTimer apply_timer(obs::DurationMetric::kServeApplyNs);
+  const obs::ScopedTimer apply_timer(obs::DurationMetric::kServeApplyNs);
   Placement& placement = req.placement;
   placement.id = req.task.id;
   placement.batch = batch_index;

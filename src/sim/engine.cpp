@@ -5,11 +5,11 @@
 
 #include "core/step.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "sim/faults.hpp"
 #include "sim/slowdown.hpp"
 #include "util/assert.hpp"
-#include "util/timer.hpp"
 
 namespace partree::sim {
 namespace {
@@ -98,7 +98,7 @@ SimResult Engine::run(const core::TaskSequence& sequence,
 SimResult Engine::run_interactive(core::EventSource& source,
                                   core::Allocator& allocator,
                                   core::TaskSequence* recorded) {
-  util::Timer timer;
+  const std::uint64_t start_ns = obs::detail::monotonic_ns();
   const ScopedTraceArm trace_arm(options_.trace);
   allocator.reset();
   core::MachineState state(topo_);
@@ -170,7 +170,7 @@ SimResult Engine::run_interactive(core::EventSource& source,
     // The step applies the event; the engine observes around it.
     core::StepRecord step_record;
     if (event->kind == core::EventKind::kArrival) {
-      const obs::MetricTimer arrival_metric(
+      const obs::ScopedTimer arrival_timer(
           obs::DurationMetric::kArrivalHandleNs);
       const core::Task& task = event->task;
       if (recorded != nullptr) recorded->arrive_as(task.id, task.size);
@@ -200,7 +200,7 @@ SimResult Engine::run_interactive(core::EventSource& source,
       }
       ++result.arrivals;
     } else {
-      const obs::MetricTimer departure_metric(
+      const obs::ScopedTimer departure_timer(
           obs::DurationMetric::kDepartureHandleNs);
       if (recorded != nullptr) recorded->depart(event->task.id);
       // Before the step: the tracker reads the departing placement.
@@ -210,7 +210,8 @@ SimResult Engine::run_interactive(core::EventSource& source,
     }
     ++result.events;
 
-    const obs::ScopedTimer bookkeeping_timer(obs::Phase::kBookkeeping);
+    const obs::ScopedTimer bookkeeping_timer(
+        obs::DurationMetric::kBookkeepingNs);
     const std::uint64_t load = state.max_load();
     if (load > result.max_load) {
       result.max_load = load;
@@ -227,9 +228,7 @@ SimResult Engine::run_interactive(core::EventSource& source,
       result.epoch_digests.push_back({result.events, digest});
       obs::emit_instant(obs::Instant::kStateDigest, digest);
     }
-    if (obs::tracing_enabled() &&
-        result.events % std::max<std::uint64_t>(
-                            options_.trace_sample_every, 1) == 0) {
+    if (obs::tracing_enabled() && result.events % kTraceSampleEvery == 0) {
       obs::emit_counters(load, state.optimal_load(), state.active_size(),
                          state.active_count());
     }
@@ -250,7 +249,8 @@ SimResult Engine::run_interactive(core::EventSource& source,
     result.mean_slowdown = slowdowns->mean_completed();
   }
   result.optimal_load = state.optimal_load();
-  result.wall_seconds = timer.seconds();
+  result.wall_seconds =
+      static_cast<double>(obs::detail::monotonic_ns() - start_ns) / 1e9;
   return result;
 }
 

@@ -21,6 +21,9 @@ namespace partree::sim {
 
 class FaultInjector;
 
+/// Events between counter samples while a run is traced.
+inline constexpr std::uint64_t kTraceSampleEvery = 64;
+
 struct EngineOptions {
   /// Record the post-event max-load series (needed for max_tau E[L]).
   bool record_series = false;
@@ -37,12 +40,11 @@ struct EngineOptions {
   /// aborts. For tests.
   bool debug_checks = false;
   /// When non-null, the run is traced: the global trace layer is armed
-  /// with this sink for the duration, so phase spans, engine instants,
-  /// and periodic counter samples land in the sink (drained at run end).
-  /// At most one traced run at a time -- the sink is process-wide.
+  /// with this sink for the duration, so timed spans, engine instants,
+  /// and a counter sample every kTraceSampleEvery events land in the sink
+  /// (drained at run end). At most one traced run at a time -- the sink
+  /// is process-wide.
   obs::TraceSink* trace = nullptr;
-  /// Events between counter samples while tracing (>= 1).
-  std::uint64_t trace_sample_every = 64;
   /// Record a MachineState digest at every reallocation epoch boundary
   /// (after each applied reallocation and at run end) into
   /// SimResult::epoch_digests / final_digest, and emit each one as a

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/timing.hpp"
 #include "sim/parallel.hpp"
 
 namespace partree::sim {
@@ -40,8 +40,7 @@ void WorkerPool::run(std::size_t n,
   if (n == 0) return;
   const std::size_t k = resolve_thread_count(n, n_threads);
 
-  const obs::ScopedTimer region_timer(obs::Phase::kParallelRegion);
-  const obs::MetricTimer region_metric(obs::DurationMetric::kPoolRegionNs);
+  const obs::ScopedTimer region_timer(obs::DurationMetric::kPoolRegionNs);
   obs::record_value(obs::ValueMetric::kPoolRegionItems, n);
   obs::gauge_max(obs::GaugeMetric::kPoolQueueDepthHwm, n);
   obs::gauge_max(obs::GaugeMetric::kPoolWorkersHwm, k);
@@ -132,8 +131,7 @@ void WorkerPool::execute_region(std::size_t w) {
   // Timed on the worker thread: with tracing armed, each pool worker gets
   // its own lifetime span per region (and its own ring), so the timeline
   // shows one track per pool thread across back-to-back regions.
-  const obs::ScopedTimer worker_timer(obs::Phase::kParallelWorker);
-  const obs::MetricTimer busy_metric(obs::DurationMetric::kPoolWorkerBusyNs);
+  const obs::ScopedTimer worker_timer(obs::DurationMetric::kPoolWorkerBusyNs);
   const std::function<void(std::size_t, std::size_t)>& fn = *fn_;
   const std::size_t n = n_;
   const std::size_t chunk = chunk_;

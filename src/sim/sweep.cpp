@@ -9,6 +9,7 @@
 
 #include "core/factory.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
@@ -17,7 +18,6 @@
 #include "util/file.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
-#include "util/timer.hpp"
 #include "workload/campaign.hpp"
 
 namespace partree::sim {
@@ -322,7 +322,7 @@ SweepShard run_shard(const SweepGrid& grid, std::uint64_t shard,
   out.index = shard;
   out.cells.resize(static_cast<std::size_t>(last - first));
   std::atomic<std::uint64_t> injected{0};
-  util::Timer timer;
+  const std::uint64_t start_ns = obs::detail::monotonic_ns();
   parallel_for(
       static_cast<std::size_t>(last - first),
       [&](std::size_t i) {
@@ -333,14 +333,13 @@ SweepShard run_shard(const SweepGrid& grid, std::uint64_t shard,
       },
       n_threads);
   out.faults_injected = injected.load(std::memory_order_relaxed);
-  out.wall_seconds = timer.seconds();
+  const std::uint64_t wall_ns = obs::detail::monotonic_ns() - start_ns;
+  out.wall_seconds = static_cast<double>(wall_ns) / 1e9;
   // The wall time is measured anyway for the checkpoint, so the duration
   // histogram gets it for free -- no duration-metrics switch needed; the
   // per-shard wall_seconds each checkpoint carries is the same number,
   // aggregated here into the run-level distribution.
-  obs::record_duration(
-      obs::DurationMetric::kSweepShardNs,
-      static_cast<std::uint64_t>(out.wall_seconds * 1e9));
+  obs::record_duration(obs::DurationMetric::kSweepShardNs, wall_ns);
   obs::record_value(obs::ValueMetric::kSweepShardCells, out.cells.size());
   obs::emit_instant(obs::Instant::kSweepShard, shard);
   return out;
@@ -522,14 +521,23 @@ SweepReport merge_shards(const SweepGrid& grid,
   return report;
 }
 
-SweepReport run_sweep(const SweepGrid& grid, const SweepOptions& options) {
-  for (const Fault& fault : options.faults.faults()) {
-    PARTREE_ASSERT(fault.kind == FaultKind::kCancel ||
-                       fault.kind == FaultKind::kAllocFail,
-                   "sweep fault plans support alloc_fail and cancel only");
-    PARTREE_ASSERT(fault.step < grid.cell_count(),
-                   "sweep fault step must be a valid cell index");
+void validate_sweep_faults(const SweepGrid& grid, const FaultPlan& faults) {
+  for (const Fault& fault : faults.faults()) {
+    if (fault.kind != FaultKind::kCancel &&
+        fault.kind != FaultKind::kAllocFail) {
+      throw std::invalid_argument("sweep fault plans support alloc_fail and "
+                                  "cancel only, not " + fault.to_string());
+    }
+    if (fault.step >= grid.cell_count()) {
+      throw std::invalid_argument(
+          "sweep fault " + fault.to_string() + " names no cell (the grid has " +
+          std::to_string(grid.cell_count()) + " cells)");
+    }
   }
+}
+
+SweepReport run_sweep(const SweepGrid& grid, const SweepOptions& options) {
+  validate_sweep_faults(grid, options.faults);
 
   std::vector<std::string> notes;
   std::map<std::uint64_t, SweepShard> done =

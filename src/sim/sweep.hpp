@@ -145,7 +145,8 @@ struct SweepOptions {
   /// containing cell k (sim/faults.hpp FaultInjectedError); alloc_fail@k
   /// injects a transient allocation failure inside cell k's engine run
   /// (digest-invariant). corrupt:*/perturb kinds are not meaningful at
-  /// the sweep level and are rejected.
+  /// the sweep level and, like steps past the last cell, are rejected
+  /// (validate_sweep_faults).
   FaultPlan faults;
   /// Test/CLI hook: stop (report.complete = false) after this many shards
   /// have been RUN in this invocation (0 = run to completion). The
@@ -190,10 +191,16 @@ struct SweepReport {
                                    std::size_t n_threads = 0,
                                    const FaultPlan* faults = nullptr);
 
+/// Throws std::invalid_argument naming the first fault of `faults` that a
+/// sweep of `grid` cannot apply: a kind other than cancel or alloc_fail,
+/// or a step that is not a cell index. run_sweep and sweep_runner's
+/// --procs mode both call it before running anything.
+void validate_sweep_faults(const SweepGrid& grid, const FaultPlan& faults);
+
 /// The sweep driver: resume (if asked), run the remaining shards with
 /// retry + checkpoint-per-shard, and merge. Throws when a shard keeps
 /// failing past max_retries (the checkpoint keeps everything completed so
-/// far) or when options are invalid.
+/// far) or, via validate_sweep_faults, when the fault plan is invalid.
 [[nodiscard]] SweepReport run_sweep(const SweepGrid& grid,
                                     const SweepOptions& options = {});
 

@@ -22,12 +22,7 @@ namespace {
 
 // A fixed-seed E2-style run: greedy over a closed-loop workload on N=64.
 // Everything below derives from this one deterministic trace.
-struct TracedRun {
-  sim::SimResult result;
-  std::uint64_t sample_every = 16;
-};
-
-TracedRun run_traced(TraceSink* sink, std::uint64_t sample_every = 16) {
+sim::SimResult run_traced(TraceSink* sink) {
   const tree::Topology topo(64);
   util::Rng rng(12345);
   workload::ClosedLoopParams params;
@@ -38,19 +33,14 @@ TracedRun run_traced(TraceSink* sink, std::uint64_t sample_every = 16) {
 
   sim::EngineOptions options;
   options.trace = sink;
-  options.trace_sample_every = sample_every;
   sim::Engine engine(topo, options);
   auto greedy = core::make_allocator("greedy", topo);
-  TracedRun out;
-  out.result = engine.run(seq, *greedy);
-  out.sample_every = sample_every;
-  return out;
+  return engine.run(seq, *greedy);
 }
 
 TEST(ChromeTraceTest, CountingSinkMatchesEngineCounters) {
   CountingTraceSink sink;
-  const TracedRun run = run_traced(&sink);
-  const sim::SimResult& r = run.result;
+  const sim::SimResult r = run_traced(&sink);
   ASSERT_GT(r.events, 100u);
 
   // Run fully drained at disarm: every emit reached the sink, none dropped.
@@ -61,14 +51,17 @@ TEST(ChromeTraceTest, CountingSinkMatchesEngineCounters) {
   // One migrate() per elected reallocation.
   EXPECT_EQ(sink.instants(Instant::kMigrationBatch), r.reallocation_count);
 
-  // Phase spans: place + reallocate bracket each arrival, departure each
-  // departure, bookkeeping each event.
-  EXPECT_EQ(sink.spans(Phase::kPlace), r.arrivals);
-  EXPECT_EQ(sink.spans(Phase::kReallocate), r.arrivals);
-  EXPECT_EQ(sink.spans(Phase::kDeparture), r.departures);
-  EXPECT_EQ(sink.spans(Phase::kBookkeeping), r.events);
+  // Timed spans: arrival_handle, place and reallocate bracket each
+  // arrival, departure_handle and departure each departure, bookkeeping
+  // each event.
+  EXPECT_EQ(sink.spans(DurationMetric::kArrivalHandleNs), r.arrivals);
+  EXPECT_EQ(sink.spans(DurationMetric::kPlaceNs), r.arrivals);
+  EXPECT_EQ(sink.spans(DurationMetric::kReallocateNs), r.arrivals);
+  EXPECT_EQ(sink.spans(DurationMetric::kDepartureHandleNs), r.departures);
+  EXPECT_EQ(sink.spans(DurationMetric::kDepartureNs), r.departures);
+  EXPECT_EQ(sink.spans(DurationMetric::kBookkeepingNs), r.events);
 
-  EXPECT_EQ(sink.counter_samples(), r.events / run.sample_every);
+  EXPECT_EQ(sink.counter_samples(), r.events / sim::kTraceSampleEvery);
 }
 
 TEST(ChromeTraceTest, UntracedRunEmitsNothingToSinks) {
@@ -80,14 +73,13 @@ TEST(ChromeTraceTest, UntracedRunEmitsNothingToSinks) {
 
 TEST(ChromeTraceTest, DocumentIsValidChromeTraceJson) {
   ChromeTraceSink sink;
-  const TracedRun run = run_traced(&sink);
-  const sim::SimResult& r = run.result;
+  const sim::SimResult r = run_traced(&sink);
 
   // Sink accessors agree with the run before we even parse.
   EXPECT_EQ(sink.dropped_events(), 0u);
-  EXPECT_EQ(sink.span_count(Phase::kPlace), r.arrivals);
+  EXPECT_EQ(sink.span_count(DurationMetric::kPlaceNs), r.arrivals);
   EXPECT_EQ(sink.instant_count(Instant::kArrival), r.arrivals);
-  EXPECT_EQ(sink.counter_samples(), r.events / run.sample_every);
+  EXPECT_EQ(sink.counter_samples(), r.events / sim::kTraceSampleEvery);
 
   const util::json::Value doc = util::json::parse(sink.document());
   ASSERT_TRUE(doc.is_object());
@@ -115,7 +107,7 @@ TEST(ChromeTraceTest, DocumentIsValidChromeTraceJson) {
       span_names.insert(name);
       EXPECT_GE(ev.at("dur").as_double(), 0.0);
       EXPECT_EQ(ev.at("cat").as_string(), "phase");
-      if (name == "place") ++x_place;
+      if (name == "place_ns") ++x_place;
     } else if (ph == "i") {
       EXPECT_EQ(ev.at("cat").as_string(), "engine");
       if (name == "arrival") ++i_arrival;
@@ -131,11 +123,13 @@ TEST(ChromeTraceTest, DocumentIsValidChromeTraceJson) {
   EXPECT_TRUE(meta_names.count("process_name"));
   EXPECT_TRUE(meta_names.count("thread_name"));
 
-  // The expected phase tracks and counter series are all present.
-  EXPECT_TRUE(span_names.count("place"));
-  EXPECT_TRUE(span_names.count("reallocate"));
-  EXPECT_TRUE(span_names.count("departure"));
-  EXPECT_TRUE(span_names.count("bookkeeping"));
+  // The expected span tracks and counter series are all present.
+  EXPECT_TRUE(span_names.count("arrival_handle_ns"));
+  EXPECT_TRUE(span_names.count("departure_handle_ns"));
+  EXPECT_TRUE(span_names.count("place_ns"));
+  EXPECT_TRUE(span_names.count("reallocate_ns"));
+  EXPECT_TRUE(span_names.count("departure_ns"));
+  EXPECT_TRUE(span_names.count("bookkeeping_ns"));
   EXPECT_TRUE(counter_tracks.count("max_load"));
   EXPECT_TRUE(counter_tracks.count("l_star"));
   EXPECT_TRUE(counter_tracks.count("active_size"));
@@ -178,10 +172,10 @@ TEST(ChromeTraceTest, BackToBackParallelRegionsKeepOneTrackPerPoolThread) {
   set_trace_sink(nullptr);  // flushes the live per-thread rings
 
   EXPECT_EQ(sink.dropped_events(), 0u);
-  EXPECT_EQ(sink.span_count(Phase::kParallelRegion),
+  EXPECT_EQ(sink.span_count(DurationMetric::kPoolRegionNs),
             static_cast<std::uint64_t>(kRegions));
   // One worker span per worker per region.
-  EXPECT_EQ(sink.span_count(Phase::kParallelWorker),
+  EXPECT_EQ(sink.span_count(DurationMetric::kPoolWorkerBusyNs),
             static_cast<std::uint64_t>(2 * kRegions));
 
   const util::json::Value doc = util::json::parse(sink.document());
@@ -190,9 +184,9 @@ TEST(ChromeTraceTest, BackToBackParallelRegionsKeepOneTrackPerPoolThread) {
   for (const util::json::Value& ev : doc.at("traceEvents").as_array()) {
     if (ev.at("ph").as_string() != "X") continue;
     const std::string name = ev.at("name").as_string();
-    if (name == "parallel_worker") {
+    if (name == "pool_worker_busy_ns") {
       worker_tids.insert(ev.at("tid").as_u64());
-    } else if (name == "parallel_region") {
+    } else if (name == "pool_region_ns") {
       region_tids.insert(ev.at("tid").as_u64());
     }
   }
@@ -205,10 +199,11 @@ TEST(ChromeTraceTest, BackToBackParallelRegionsKeepOneTrackPerPoolThread) {
 TEST(ChromeTraceTest, TracedRunsAreRepeatable) {
   ChromeTraceSink a;
   ChromeTraceSink b;
-  const TracedRun first = run_traced(&a);
-  const TracedRun second = run_traced(&b);
-  EXPECT_EQ(first.result.max_load, second.result.max_load);
-  EXPECT_EQ(a.span_count(Phase::kPlace), b.span_count(Phase::kPlace));
+  const sim::SimResult first = run_traced(&a);
+  const sim::SimResult second = run_traced(&b);
+  EXPECT_EQ(first.max_load, second.max_load);
+  EXPECT_EQ(a.span_count(DurationMetric::kPlaceNs),
+            b.span_count(DurationMetric::kPlaceNs));
   EXPECT_EQ(a.instant_count(Instant::kArrival),
             b.instant_count(Instant::kArrival));
   EXPECT_EQ(a.counter_samples(), b.counter_samples());

@@ -16,6 +16,7 @@
 
 #include "core/factory.hpp"
 #include "core/sequence.hpp"
+#include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
@@ -110,7 +111,7 @@ TEST_F(MetricsTest, MasterSwitchGatesEverything) {
 
 TEST_F(MetricsTest, DurationSwitchGatesTimersButNotDirectRecords) {
   {
-    const MetricTimer t(DurationMetric::kReallocRoundNs);
+    const ScopedTimer t(DurationMetric::kReallocRoundNs);
   }
   EXPECT_EQ(snapshot_metrics().duration(DurationMetric::kReallocRoundNs).count,
             0u);
@@ -123,7 +124,7 @@ TEST_F(MetricsTest, DurationSwitchGatesTimersButNotDirectRecords) {
 
   set_duration_metrics_enabled(true);
   {
-    const MetricTimer t(DurationMetric::kReallocRoundNs);
+    const ScopedTimer t(DurationMetric::kReallocRoundNs);
   }
   set_duration_metrics_enabled(false);
   EXPECT_EQ(snapshot_metrics().duration(DurationMetric::kReallocRoundNs).count,
@@ -219,6 +220,30 @@ TEST_F(MetricsTest, GoldenJsonDocument) {
       "  \"sum\": 8\n"
       "}";
   EXPECT_EQ(doc.at("values").at("migrations_applied").dump(), expected);
+
+  // Every duration histogram, by name: the timed scopes' spans carry
+  // these names too.
+  std::vector<std::string> durations;
+  for (const auto& [name, histogram] : doc.at("durations").as_object()) {
+    durations.push_back(name);
+  }
+  EXPECT_EQ(durations, (std::vector<std::string>{
+                           "arrival_handle_ns",
+                           "bookkeeping_ns",
+                           "departure_handle_ns",
+                           "departure_ns",
+                           "place_ns",
+                           "pool_dispatch_wait_ns",
+                           "pool_region_ns",
+                           "pool_worker_busy_ns",
+                           "pool_worker_idle_ns",
+                           "realloc_plan_ns",
+                           "realloc_round_ns",
+                           "reallocate_ns",
+                           "serve_apply_ns",
+                           "serve_queue_wait_ns",
+                           "sweep_shard_ns",
+                       }));
 
   // The full document round-trips and validates.
   const util::json::Value reparsed = util::json::parse(doc.dump());

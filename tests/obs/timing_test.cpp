@@ -3,70 +3,212 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "core/factory.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/service.hpp"
+#include "sim/engine.hpp"
+#include "sim/parallel.hpp"
+#include "util/file.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
+#include "workload/synthetic.hpp"
 
 namespace partree::obs {
 namespace {
 
-// A ScopedTimer is enabled exactly while a trace sink is armed: disarmed it
-// leaves nothing in the thread's ring, armed it emits one span per scope.
-TEST(TimingTest, ScopedTimerRecordsOnlyWhenEnabled) {
-  emit_instant(Instant::kFaultInjected, 7);  // marks the ring's tail
-  {
-    const ScopedTimer t(Phase::kPlace);
+std::uint64_t histogram_count(DurationMetric m) {
+  return snapshot_metrics().duration(m).count;
+}
+
+// Each test starts from an empty registry with duration metrics off and
+// restores that state, so recordings elsewhere in the process never leak
+// in.
+class TimingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    set_duration_metrics_enabled(false);
+    reset_metrics();
   }
-  const std::vector<TraceEvent> tail = thread_flight_record();
-  ASSERT_FALSE(tail.empty());
-  EXPECT_EQ(tail.back().kind, TraceEventKind::kInstant);
-  EXPECT_EQ(tail.back().a, 7u);
+  void TearDown() override {
+    set_duration_metrics_enabled(false);
+    reset_metrics();
+  }
+};
+
+// A scope reads the clock only while something is armed, and feeds each
+// armed consumer: the ring while a sink is armed, the histogram while
+// duration metrics are on. Disarmed or with durations only, the ring's
+// tail stays what it was.
+TEST_F(TimingTest, ScopedTimerRecordsOnlyWhenEnabled) {
+  emit_instant(Instant::kFaultInjected, 7);  // marks the ring's tail
+  const auto tail_is_marker = [] {
+    const std::vector<TraceEvent> tail = thread_flight_record();
+    return !tail.empty() && tail.back().kind == TraceEventKind::kInstant &&
+           tail.back().a == 7u;
+  };
+
+  {
+    const ScopedTimer t(DurationMetric::kPlaceNs);
+  }
+  EXPECT_TRUE(tail_is_marker());
+  EXPECT_EQ(histogram_count(DurationMetric::kPlaceNs), 0u);
+
+  set_duration_metrics_enabled(true);
+  {
+    const ScopedTimer t(DurationMetric::kPlaceNs);
+  }
+  set_duration_metrics_enabled(false);
+  EXPECT_TRUE(tail_is_marker());
+  EXPECT_EQ(histogram_count(DurationMetric::kPlaceNs), 1u);
 
   ChromeTraceSink sink;
   set_trace_sink(&sink);
   {
-    const ScopedTimer t(Phase::kPlace);
+    const ScopedTimer t(DurationMetric::kPlaceNs);
   }
   {
-    const ScopedTimer t(Phase::kReallocate);
+    const ScopedTimer t(DurationMetric::kReallocateNs);
   }
   set_trace_sink(nullptr);  // disarming drains the calling thread's ring
   {
-    const ScopedTimer t(Phase::kParallelRegion);
+    const ScopedTimer t(DurationMetric::kPoolRegionNs);
   }
 
-  EXPECT_EQ(sink.span_count(Phase::kPlace), 1u);
-  EXPECT_EQ(sink.span_count(Phase::kReallocate), 1u);
-  EXPECT_EQ(sink.span_count(Phase::kDeparture), 0u);
-  EXPECT_EQ(sink.span_count(Phase::kParallelRegion), 0u);
+  EXPECT_EQ(sink.span_count(DurationMetric::kPlaceNs), 1u);
+  EXPECT_EQ(sink.span_count(DurationMetric::kReallocateNs), 1u);
+  EXPECT_EQ(sink.span_count(DurationMetric::kDepartureNs), 0u);
+  EXPECT_EQ(sink.span_count(DurationMetric::kPoolRegionNs), 0u);
   EXPECT_EQ(thread_flight_record().back().id,
-            static_cast<std::uint8_t>(Phase::kReallocate));
+            static_cast<std::uint8_t>(DurationMetric::kReallocateNs));
+  // Tracing alone records no histogram.
+  EXPECT_EQ(histogram_count(DurationMetric::kPlaceNs), 1u);
+  EXPECT_EQ(histogram_count(DurationMetric::kReallocateNs), 0u);
 }
 
-TEST(TimingTest, ArmedSinkSeesEverySpan) {
+TEST_F(TimingTest, ArmedSinkSeesEverySpan) {
   CountingTraceSink sink;
   set_trace_sink(&sink);
+  set_duration_metrics_enabled(true);
   {
-    const ScopedTimer t(Phase::kBookkeeping);
+    const ScopedTimer t(DurationMetric::kBookkeepingNs);
   }
   {
-    const ScopedTimer t(Phase::kDeparture);
+    const ScopedTimer t(DurationMetric::kDepartureNs);
   }
+  set_duration_metrics_enabled(false);
   set_trace_sink(nullptr);  // disarming drains the calling thread's ring
 
-  EXPECT_EQ(sink.spans(Phase::kBookkeeping), 1u);
-  EXPECT_EQ(sink.spans(Phase::kDeparture), 1u);
-  EXPECT_EQ(sink.spans(Phase::kPlace), 0u);
+  EXPECT_EQ(sink.spans(DurationMetric::kBookkeepingNs), 1u);
+  EXPECT_EQ(sink.spans(DurationMetric::kDepartureNs), 1u);
+  EXPECT_EQ(sink.spans(DurationMetric::kPlaceNs), 0u);
   EXPECT_EQ(sink.dropped(), 0u);
   EXPECT_EQ(thread_flight_record().back().kind, TraceEventKind::kSpan);
   EXPECT_EQ(thread_flight_record().back().id,
-            static_cast<std::uint8_t>(Phase::kDeparture));
+            static_cast<std::uint8_t>(DurationMetric::kDepartureNs));
+  // Both armed: the span and the sample come from the same clock reads.
+  const TraceEvent span = thread_flight_record().back();
+  const MetricHistogram h = snapshot_metrics().duration(
+      DurationMetric::kDepartureNs);
+  EXPECT_EQ(h.count, 1u);
+  EXPECT_EQ(h.sum, span.b - span.a);
 }
 
-TEST(TimingTest, PhaseNamesAreStable) {
-  EXPECT_EQ(phase_name(Phase::kPlace), "place");
-  EXPECT_EQ(phase_name(Phase::kParallelRegion), "parallel_region");
+// Spans carry their metric's name, from the one table in metrics.cpp, in
+// Chrome exports and crash dumps alike.
+TEST_F(TimingTest, SpanNamesAreMetricNames) {
+  EXPECT_EQ(duration_metric_name(DurationMetric::kPlaceNs), "place_ns");
+  EXPECT_EQ(duration_metric_name(DurationMetric::kPoolRegionNs),
+            "pool_region_ns");
+
+  ChromeTraceSink sink;
+  set_trace_sink(&sink);
+  {
+    const ScopedTimer t(DurationMetric::kPoolRegionNs);
+  }
+  set_trace_sink(nullptr);
+  const util::json::Value doc = util::json::parse(sink.document());
+  std::vector<std::string> names;
+  for (const util::json::Value& ev : doc.at("traceEvents").as_array()) {
+    if (ev.at("ph").as_string() == "X") {
+      names.push_back(ev.at("name").as_string());
+    }
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"pool_region_ns"});
+
+  const std::string dump_path =
+      ::testing::TempDir() + "timing_test.crash.json";
+  std::remove(dump_path.c_str());
+  set_crash_dump_path(dump_path);
+  ASSERT_EQ(write_crash_dump("span names"), dump_path);
+  set_crash_dump_path("");
+  const std::optional<std::string> text = util::read_file(dump_path);
+  ASSERT_TRUE(text.has_value());
+  const util::json::Value dump = util::json::parse(*text);
+  const util::json::Value& last = dump.at("flight_record").as_array().back();
+  EXPECT_EQ(last.at("kind").as_string(), "span");
+  EXPECT_EQ(last.at("name").as_string(), "pool_region_ns");
+  std::remove(dump_path.c_str());
+}
+
+// With tracing and duration metrics both armed, every timed scope's span
+// count equals its histogram count across the engine, the pool and the
+// service, and the direct records -- which time no scope of their own --
+// emit no span.
+TEST_F(TimingTest, EverySpanReconcilesWithItsHistogram) {
+  const tree::Topology topo(64);
+  util::Rng rng(12345);
+  workload::ClosedLoopParams params;
+  params.n_events = 600;
+  params.size = workload::SizeSpec::uniform_log(0, topo.height());
+  const core::TaskSequence seq = workload::closed_loop(topo, params, rng);
+
+  CountingTraceSink sink;
+  set_trace_sink(&sink);
+  set_duration_metrics_enabled(true);
+  sim::Engine engine(topo);
+  const sim::SimResult run =
+      engine.run(seq, *core::make_allocator("dmix:d=1", topo));
+  sim::parallel_for(64, [](std::size_t) {}, 2);
+  {
+    serve::PartitionService service(topo,
+                                    core::make_allocator("dmix:d=1", topo));
+    std::vector<serve::ArrivalTicket> tickets;
+    for (int i = 0; i < 16; ++i) tickets.push_back(service.submit_arrival(2));
+    for (serve::ArrivalTicket& t : tickets) {
+      (void)t.placed.get();
+      (void)service.submit_departure(t.id).get();
+    }
+    service.stop();  // joins the apply thread, which flushes its ring
+  }
+  set_duration_metrics_enabled(false);
+  set_trace_sink(nullptr);  // flushes the engine's and the workers' rings
+  ASSERT_GT(run.reallocation_count, 0u);
+  EXPECT_EQ(sink.dropped(), 0u);
+
+  const MetricsSnapshot snap = snapshot_metrics();
+  for (const DurationMetric m :
+       {DurationMetric::kArrivalHandleNs, DurationMetric::kDepartureHandleNs,
+        DurationMetric::kPlaceNs, DurationMetric::kReallocateNs,
+        DurationMetric::kDepartureNs, DurationMetric::kBookkeepingNs,
+        DurationMetric::kPoolRegionNs, DurationMetric::kPoolWorkerBusyNs,
+        DurationMetric::kServeApplyNs}) {
+    EXPECT_GT(sink.spans(m), 0u) << duration_metric_name(m);
+    EXPECT_EQ(sink.spans(m), snap.duration(m).count)
+        << duration_metric_name(m);
+  }
+  for (const DurationMetric m :
+       {DurationMetric::kReallocPlanNs, DurationMetric::kReallocRoundNs,
+        DurationMetric::kPoolDispatchWaitNs, DurationMetric::kPoolWorkerIdleNs,
+        DurationMetric::kSweepShardNs, DurationMetric::kServeQueueWaitNs}) {
+    EXPECT_EQ(sink.spans(m), 0u) << duration_metric_name(m);
+  }
 }
 
 }  // namespace

@@ -346,5 +346,27 @@ TEST(SweepTest, AllocFailFaultIsDigestInvariant) {
   EXPECT_EQ(report.combined_digest, reference.combined_digest);
 }
 
+// Kinds the sweep cannot apply and steps past the last cell fail the
+// whole sweep up front, before any shard runs or checkpoints.
+TEST(SweepTest, InvalidFaultPlansThrowBeforeRunning) {
+  const SweepGrid grid = test_grid();
+  ASSERT_EQ(grid.cell_count(), 6u);
+  for (const char* plan : {"perturb:pool@3", "corrupt:load_tree@1",
+                           "cancel@6", "alloc_fail@0,cancel@999"}) {
+    SweepOptions options = fast_options();
+    options.checkpoint_path = temp_ckpt("invalid_faults");
+    options.faults = FaultPlan::parse(plan);
+    EXPECT_THROW(validate_sweep_faults(grid, options.faults),
+                 std::invalid_argument)
+        << plan;
+    EXPECT_THROW((void)run_sweep(grid, options), std::invalid_argument)
+        << plan;
+    EXPECT_FALSE(util::read_file(options.checkpoint_path).has_value())
+        << plan;
+  }
+  EXPECT_NO_THROW(
+      validate_sweep_faults(grid, FaultPlan::parse("alloc_fail@0,cancel@5")));
+}
+
 }  // namespace
 }  // namespace partree::sim
