@@ -36,9 +36,7 @@
 #include "serve/service.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
-#include "sim/sweep.hpp"
 #include "sim/trials.hpp"
-#include "util/digest.hpp"
 #include "util/file.hpp"
 #include "tree/load_tree.hpp"
 #include "util/rng.hpp"
@@ -430,32 +428,6 @@ obs::BenchSuite metrics_overhead_suite(const HarnessConfig& config) {
   return suite;
 }
 
-// --sweep: run a checkpointed grid (preset e3/e7 or a full spec) under the
-// crash-safe sweep runner and exit -- the resumable way to run the
-// experiment suites when a box may die mid-campaign. Exits the normal
-// measuring path entirely, like --trace.
-int run_sweep_mode(const HarnessConfig& config, const std::string& grid_text,
-                   const std::string& ckpt, bool resume) {
-  const sim::SweepGrid grid = sim::SweepGrid::parse(grid_text);
-  sim::SweepOptions options;
-  options.n_threads = config.n_threads;
-  options.checkpoint_path = ckpt;
-  options.resume = resume;
-  const sim::SweepReport report = sim::run_sweep(grid, options);
-  for (const std::string& note : report.notes) {
-    std::printf("note: %s\n", note.c_str());
-  }
-  std::printf(
-      "sweep %s: %llu cells (%llu shards run, %llu resumed), worst ratio "
-      "%.3f\ncombined_digest=%s\n",
-      grid_text.c_str(), static_cast<unsigned long long>(report.cells),
-      static_cast<unsigned long long>(report.shards_run),
-      static_cast<unsigned long long>(report.shards_resumed),
-      report.worst_ratio,
-      util::digest_hex(report.combined_digest).c_str());
-  return report.complete ? 0 : 3;
-}
-
 // --trace: one traced greedy sweep -> Chrome trace JSON; exits the
 // process' normal measuring path entirely.
 int run_traced_sweep(const HarnessConfig& config, const std::string& path) {
@@ -545,12 +517,6 @@ int main(int argc, char** argv) {
   cli.option("n-threads",
              "worker threads for the parallel suites (0 = suite default)",
              "0");
-  cli.option("sweep",
-             "run this sweep grid (preset e3/e7 or sim/sweep.hpp spec) "
-             "under the crash-safe sweep runner and exit (no bench report)",
-             "");
-  cli.option("sweep-ckpt", "checkpoint path for --sweep", "");
-  cli.flag("sweep-resume", "resume --sweep-ckpt instead of starting fresh");
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   bench::HarnessConfig config;
@@ -565,11 +531,6 @@ int main(int argc, char** argv) {
     config.warmup = 0;
   }
   PARTREE_ASSERT(config.reps >= 1, "need at least one repetition");
-
-  if (const std::string grid = cli.get("sweep"); !grid.empty()) {
-    return bench::run_sweep_mode(config, grid, cli.get("sweep-ckpt"),
-                                 cli.get_flag("sweep-resume"));
-  }
 
   const std::string metrics_path = cli.get("metrics");
 

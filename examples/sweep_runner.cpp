@@ -3,7 +3,7 @@
 // Runs a (campaign x allocator x topology x seed-range) grid in
 // deterministic shards, checkpointing after every completed shard --
 // atomically, so a SIGKILL at any instant leaves a complete
-// partree-sweep-ckpt-v1 file that --resume can pick up. Resume re-verifies
+// partree-sweep-ckpt-v2 file that --resume can pick up. Resume re-verifies
 // a sampled subset of completed shards by digest; a mismatch (the
 // checkpoint predates a behavior change in the binary) reruns from
 // scratch with a clear message.
@@ -12,28 +12,18 @@
 //   sweep_runner --grid e3 --resume e3.ckpt.json        # after a kill
 //   sweep_runner --grid 'campaigns=churn;allocs=greedy,basic;pes=64;
 //                        n-seeds=8;shard=4' --out churn.ckpt.json
-//   sweep_runner --grid e7 --out e7.ckpt.json --procs 4 # subprocess shards
 //
-// --procs N trades the in-process worker pool for process-level isolation:
-// each shard runs in its own re-exec'd child (--run-shard), so a shard
-// that crashes -- or is OOM-killed -- costs one retry, not the sweep.
 // --kill-after K hard-aborts (SIGKILL) after K completed shards; the
-// kill-resume CI job uses it to prove checkpoint atomicity.
-#include <algorithm>
-#include <chrono>
+// kill-resume CI job uses it to prove checkpoint atomicity. An invalid
+// grid or fault plan prints `sweep_runner: ...` and exits 1 before any
+// shard runs.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "sim/sweep.hpp"
 #include "util/cli.hpp"
 #include "util/digest.hpp"
-#include "util/file.hpp"
 
 namespace {
 
@@ -42,18 +32,6 @@ using partree::sim::SweepGrid;
 using partree::sim::SweepOptions;
 using partree::sim::SweepReport;
 using partree::sim::SweepShard;
-
-[[nodiscard]] std::string shell_quote(const std::string& s) {
-  std::string out = "'";
-  for (const char c : s) {
-    if (c == '\'') {
-      out += "'\\''";
-    } else {
-      out += c;
-    }
-  }
-  return out + "'";
-}
 
 void print_report(const SweepReport& report, bool print_cells) {
   for (const std::string& note : report.notes) {
@@ -97,157 +75,6 @@ void print_report(const SweepReport& report, bool print_cells) {
               partree::util::digest_hex(report.combined_digest).c_str());
 }
 
-/// Child side of --procs: run exactly one shard, write its JSON
-/// atomically, exit 0. Any failure (including an injected cancel fault)
-/// exits nonzero and the parent retries.
-[[nodiscard]] int run_shard_child(const partree::util::Cli& cli) {
-  const SweepGrid grid = SweepGrid::parse(cli.get("grid"));
-  const std::uint64_t shard = cli.get_u64("run-shard");
-  const FaultPlan faults = FaultPlan::parse(cli.get("faults"));
-  const SweepShard result = partree::sim::run_shard(
-      grid, shard, static_cast<std::size_t>(cli.get_u64("n-threads")),
-      faults.empty() ? nullptr : &faults);
-  const std::string out = partree::sim::shard_to_json(result).dump() + "\n";
-  if (!partree::util::write_file_atomic(cli.get("shard-out"), out)) {
-    std::fprintf(stderr, "sweep_runner: cannot write %s\n",
-                 cli.get("shard-out").c_str());
-    return 2;
-  }
-  return 0;
-}
-
-/// Parent side of --procs: shard-per-subprocess with retry; checkpoints
-/// after every collected shard, exactly like the in-process runner.
-[[nodiscard]] SweepReport run_with_procs(const std::string& argv0,
-                                         const SweepGrid& grid,
-                                         const SweepOptions& options,
-                                         std::uint64_t procs,
-                                         std::uint64_t kill_after) {
-  // A child acts only on the cancel and alloc_fail faults at its own
-  // cells, so an invalid plan would pass silently: reject it here, as
-  // run_sweep does in process.
-  partree::sim::validate_sweep_faults(grid, options.faults);
-  std::vector<std::string> notes;
-  std::map<std::uint64_t, SweepShard> done =
-      partree::sim::load_resumable_shards(grid, options, notes);
-  const std::uint64_t resumed = done.size();
-
-  std::vector<std::uint64_t> pending;
-  for (std::uint64_t s = 0; s < grid.shard_count(); ++s) {
-    if (!done.contains(s)) pending.push_back(s);
-  }
-
-  const std::string scratch = options.checkpoint_path.empty()
-                                  ? std::string("sweep_shard")
-                                  : options.checkpoint_path + ".shard";
-  std::uint64_t retries = 0;
-  std::uint64_t run_count = 0;
-
-  const auto checkpoint = [&] {
-    if (options.checkpoint_path.empty()) return;
-    std::vector<SweepShard> all;
-    all.reserve(done.size());
-    for (const auto& [index, shard] : done) all.push_back(shard);
-    if (!partree::util::write_file_atomic(
-            options.checkpoint_path,
-            partree::sim::write_checkpoint(grid, all))) {
-      notes.push_back("WARNING: could not write checkpoint " +
-                      options.checkpoint_path);
-    }
-  };
-
-  struct Child {
-    std::uint64_t shard = 0;
-    std::string out_path;
-    std::FILE* pipe = nullptr;
-  };
-
-  std::size_t next = 0;
-  std::map<std::uint64_t, std::uint64_t> attempts;
-  while (!pending.empty()) {
-    // Launch up to `procs` children for the head of the pending list.
-    std::vector<Child> batch;
-    for (std::uint64_t p = 0; p < procs && next < pending.size(); ++p) {
-      Child child;
-      child.shard = pending[next++];
-      child.out_path = scratch + std::to_string(child.shard) + ".json";
-      const std::uint64_t attempt = ++attempts[child.shard];
-      std::string cmd = shell_quote(argv0);
-      cmd += " --run-shard " + std::to_string(child.shard);
-      cmd += " --grid " + shell_quote(grid.to_string());
-      cmd += " --shard-out " + shell_quote(child.out_path);
-      cmd += " --n-threads " + std::to_string(options.n_threads);
-      if (attempt == 1 && !options.faults.empty()) {
-        cmd += " --faults " + shell_quote(options.faults.to_string());
-      }
-      child.pipe = popen(cmd.c_str(), "r");
-      batch.push_back(std::move(child));
-    }
-    if (batch.empty()) break;
-
-    std::vector<std::uint64_t> failed;
-    for (Child& child : batch) {
-      const int rc = child.pipe != nullptr ? pclose(child.pipe) : -1;
-      bool ok = rc == 0;
-      if (ok) {
-        const auto text = partree::util::read_file(child.out_path);
-        try {
-          if (!text) throw std::runtime_error("missing shard output");
-          done.emplace(child.shard,
-                       partree::sim::shard_from_json(
-                           partree::util::json::parse(*text)));
-        } catch (const std::exception& e) {
-          notes.push_back("shard " + std::to_string(child.shard) +
-                          " output unreadable (" + e.what() + ")");
-          ok = false;
-        }
-      }
-      std::remove(child.out_path.c_str());
-      if (ok) {
-        done.at(child.shard).attempts = attempts.at(child.shard);
-        ++run_count;
-        checkpoint();
-        if (kill_after != 0 && run_count >= kill_after) {
-          std::raise(SIGKILL);
-        }
-        continue;
-      }
-      if (attempts.at(child.shard) > options.max_retries) {
-        throw std::runtime_error("sweep: shard " +
-                                 std::to_string(child.shard) +
-                                 " failed after " +
-                                 std::to_string(attempts.at(child.shard)) +
-                                 " attempts (subprocess exit " +
-                                 std::to_string(rc) + ")");
-      }
-      ++retries;
-      notes.push_back("shard " + std::to_string(child.shard) + " attempt " +
-                      std::to_string(attempts.at(child.shard)) +
-                      " failed in subprocess; retrying");
-      const std::uint64_t backoff =
-          std::min(options.retry_backoff_ms << (attempts.at(child.shard) - 1),
-                   options.retry_backoff_cap_ms);
-      if (backoff > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      }
-      failed.push_back(child.shard);
-    }
-    // Retries go to the front so a flaky shard cannot starve behind the
-    // rest of the queue.
-    pending.erase(pending.begin(),
-                  pending.begin() + static_cast<std::ptrdiff_t>(next));
-    pending.insert(pending.begin(), failed.begin(), failed.end());
-    next = 0;
-  }
-
-  SweepReport report = partree::sim::merge_shards(grid, done);
-  report.shards_run = run_count;
-  report.shards_resumed = resumed;
-  report.retries = retries;
-  report.notes = std::move(notes);
-  return report;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -259,10 +86,6 @@ int main(int argc, char** argv) {
       .option("out", "checkpoint/output path for a fresh sweep", "")
       .option("resume",
               "checkpoint to resume from (and keep checkpointing to)", "")
-      .option("procs",
-              "run each shard in its own subprocess, N at a time "
-              "(0 = in-process worker pool)",
-              "0")
       .option("n-threads", "worker threads per shard (0 = pool default)",
               "0")
       .option("faults",
@@ -276,9 +99,6 @@ int main(int argc, char** argv) {
               "hard-abort (SIGKILL) after this many completed shards; "
               "kill-resume test hook",
               "0")
-      .option("run-shard", "internal: run one shard and exit", "")
-      .option("shard-out", "internal: where --run-shard writes its JSON",
-              "")
       .flag("cells", "print every cell, not just per-shard summaries");
   if (!cli.parse(argc, argv)) return 2;
 
@@ -289,8 +109,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (!cli.get("run-shard").empty()) return run_shard_child(cli);
-
     const SweepGrid grid = SweepGrid::parse(cli.get("grid"));
     SweepOptions options;
     options.n_threads = static_cast<std::size_t>(cli.get_u64("n-threads"));
@@ -301,20 +119,15 @@ int main(int argc, char** argv) {
     options.max_retries = cli.get_u64("max-retries");
     options.faults = FaultPlan::parse(cli.get("faults"));
 
-    const std::uint64_t procs = cli.get_u64("procs");
-    const std::uint64_t kill_after = cli.get_u64("kill-after");
-    SweepReport report;
-    if (procs > 0) {
-      report = run_with_procs(argv[0], grid, options, procs, kill_after);
-    } else {
-      if (kill_after != 0) {
-        std::uint64_t completed = 0;
-        options.on_shard_done = [&completed, kill_after](const SweepShard&) {
-          if (++completed >= kill_after) std::raise(SIGKILL);
-        };
-      }
-      report = partree::sim::run_sweep(grid, options);
+    if (const std::uint64_t kill_after = cli.get_u64("kill-after");
+        kill_after != 0) {
+      options.on_shard_done = [completed = std::uint64_t{0},
+                               kill_after](const SweepShard&) mutable {
+        if (++completed >= kill_after) std::raise(SIGKILL);
+        return true;
+      };
     }
+    const SweepReport report = partree::sim::run_sweep(grid, options);
     print_report(report, cli.get_flag("cells"));
     return report.complete ? 0 : 3;
   } catch (const std::exception& e) {

@@ -91,8 +91,11 @@ AllocatorPtr make_allocator(std::string_view text, tree::Topology topo,
         topo, parse_count(spec, "d"), seed);
   }
   if (spec.name == "dchoice") {
-    return std::make_unique<DChoicesAllocator>(topo, parse_count(spec, "k"),
-                                               seed);
+    const std::uint64_t k = parse_count(spec, "k");
+    if (k == 0) {
+      throw std::invalid_argument("parameter 'k' of 'dchoice' must be >= 1");
+    }
+    return std::make_unique<DChoicesAllocator>(topo, k, seed);
   }
   if (spec.name == "leftmost") {
     return std::make_unique<LeftmostAllocator>(topo);

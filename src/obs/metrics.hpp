@@ -84,7 +84,7 @@ enum class DurationMetric : std::size_t {
   kPoolWorkerBusyNs,
   /// Pool: one worker's parked gap between consecutive regions it ran.
   kPoolWorkerIdleNs,
-  /// Sweep: one run_shard call (all cells of the shard).
+  /// Sweep: one shard, all its cells (sim/sweep.cpp run_shard).
   kSweepShardNs,
   /// Serve: one request's wait in the partition-service queue, from
   /// admission to its epoch batch being dequeued.

@@ -1,7 +1,9 @@
 #include "sim/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -16,6 +18,8 @@
 #include "util/assert.hpp"
 #include "util/digest.hpp"
 #include "util/file.hpp"
+#include "util/json.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
 #include "workload/campaign.hpp"
@@ -23,7 +27,10 @@
 namespace partree::sim {
 namespace {
 
-constexpr std::string_view kCkptSchema = "partree-sweep-ckpt-v1";
+// v2 folds every measured cell field into the shard digest; a v1 file
+// reads as an unknown schema, so resume starts fresh.
+constexpr std::string_view kCkptSchema = "partree-sweep-ckpt-v2";
+constexpr std::uint64_t kRetryBackoffCapMs = 2000;
 
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                char sep) {
@@ -162,6 +169,19 @@ constexpr std::string_view kCkptSchema = "partree-sweep-ckpt-v1";
   out.migrated_size = res.migrated_size;
   out.final_digest = res.final_digest;
   return out;
+}
+
+/// One cell's identity: its index and every field it measured. The shard
+/// digest and the sweep's combined digest both fold cells through here.
+void fold_cell(util::Fnv& fnv, const SweepCellResult& cell) {
+  fnv.mix(cell.cell.index)
+      .mix(cell.events)
+      .mix(cell.max_load)
+      .mix(cell.optimal_load)
+      .mix(cell.reallocations)
+      .mix(cell.migrations)
+      .mix(cell.migrated_size)
+      .mix(cell.final_digest);
 }
 
 [[nodiscard]] util::json::Value cell_to_json(const SweepCellResult& cell) {
@@ -309,14 +329,20 @@ std::pair<std::uint64_t, std::uint64_t> SweepGrid::shard_range(
 
 std::uint64_t SweepShard::digest() const noexcept {
   util::Fnv fnv;
-  for (const SweepCellResult& cell : cells) {
-    fnv.mix(cell.cell.index).mix(cell.final_digest);
-  }
+  for (const SweepCellResult& cell : cells) fold_cell(fnv, cell);
   return fnv.value();
 }
 
-SweepShard run_shard(const SweepGrid& grid, std::uint64_t shard,
-                     std::size_t n_threads, const FaultPlan* faults) {
+namespace {
+
+/// Runs one shard's cells through the engine (digests on, cells fanned
+/// out over the worker pool) and returns them in cell-index order. When
+/// `faults` is non-null, cancel faults scheduled at this shard's cell
+/// indices throw FaultInjectedError (failing the attempt) and alloc_fail
+/// faults are delegated to the cell's engine run.
+[[nodiscard]] SweepShard run_shard(const SweepGrid& grid, std::uint64_t shard,
+                                   std::size_t n_threads,
+                                   const FaultPlan* faults = nullptr) {
   const auto [first, last] = grid.shard_range(shard);
   SweepShard out;
   out.index = shard;
@@ -345,22 +371,7 @@ SweepShard run_shard(const SweepGrid& grid, std::uint64_t shard,
   return out;
 }
 
-std::string write_checkpoint(const SweepGrid& grid,
-                             const std::vector<SweepShard>& shards) {
-  std::map<std::uint64_t, const SweepShard*> sorted;
-  for (const SweepShard& shard : shards) sorted[shard.index] = &shard;
-  util::json::Array arr;
-  for (const auto& [index, shard] : sorted) {
-    arr.push_back(shard_to_json(*shard));
-  }
-  util::json::Object root;
-  root.emplace("schema", std::string(kCkptSchema));
-  root.emplace("grid", grid.to_string());
-  root.emplace("shards", std::move(arr));
-  return util::json::Value(std::move(root)).dump() + "\n";
-}
-
-util::json::Value shard_to_json(const SweepShard& shard) {
+[[nodiscard]] util::json::Value shard_to_json(const SweepShard& shard) {
   util::json::Array cells;
   for (const SweepCellResult& cell : shard.cells) {
     cells.push_back(cell_to_json(cell));
@@ -375,7 +386,7 @@ util::json::Value shard_to_json(const SweepShard& shard) {
   return util::json::Value(std::move(obj));
 }
 
-SweepShard shard_from_json(const util::json::Value& v) {
+[[nodiscard]] SweepShard shard_from_json(const util::json::Value& v) {
   SweepShard shard;
   shard.index = v.at("shard").as_u64();
   shard.attempts = v.at("attempts").as_u64();
@@ -396,31 +407,46 @@ SweepShard shard_from_json(const util::json::Value& v) {
   return shard;
 }
 
-SweepCheckpoint read_checkpoint(std::string_view text) {
-  const util::json::Value root = util::json::parse(text);
-  const std::string& schema = root.at("schema").as_string();
-  if (schema != kCkptSchema) {
-    throw std::runtime_error("sweep checkpoint: unknown schema '" + schema +
-                             "'");
-  }
-  SweepCheckpoint ckpt;
-  ckpt.grid_text = root.at("grid").as_string();
-  std::map<std::uint64_t, SweepShard> by_index;
-  for (const util::json::Value& entry : root.at("shards").as_array()) {
-    SweepShard shard = shard_from_json(entry);
-    if (by_index.contains(shard.index)) {
-      throw std::runtime_error("sweep checkpoint: duplicate shard " +
-                               std::to_string(shard.index));
+/// Throws std::invalid_argument naming the first part of `grid` or
+/// `faults` that a sweep cannot run. Every shard would fail it alike, so
+/// it fails the sweep before anything resumes, runs or checkpoints.
+void validate_sweep(const SweepGrid& grid, const FaultPlan& faults) {
+  const std::vector<std::string> known = workload::campaign_names();
+  for (const std::string& campaign : grid.campaigns) {
+    if (std::find(known.begin(), known.end(), campaign) == known.end()) {
+      throw std::invalid_argument("sweep grid: unknown campaign '" +
+                                  campaign + "'");
     }
-    by_index.emplace(shard.index, std::move(shard));
   }
-  for (auto& [index, shard] : by_index) {
-    ckpt.shards.push_back(std::move(shard));
+  for (const std::uint64_t n_pes : grid.n_pes) {
+    if (!util::is_pow2(n_pes)) {
+      throw std::invalid_argument("sweep grid: pes=" + std::to_string(n_pes) +
+                                  " is not a power of two");
+    }
+    const tree::Topology topo(n_pes);
+    for (const std::string& spec : grid.allocators) {
+      (void)core::make_allocator(spec, topo);
+    }
   }
-  return ckpt;
+  for (const Fault& fault : faults.faults()) {
+    if (fault.kind != FaultKind::kCancel &&
+        fault.kind != FaultKind::kAllocFail) {
+      throw std::invalid_argument("sweep fault plans support alloc_fail and "
+                                  "cancel only, not " + fault.to_string());
+    }
+    if (fault.step >= grid.cell_count()) {
+      throw std::invalid_argument(
+          "sweep fault " + fault.to_string() + " names no cell (the grid has " +
+          std::to_string(grid.cell_count()) + " cells)");
+    }
+  }
 }
 
-std::map<std::uint64_t, SweepShard> load_resumable_shards(
+/// Loads the shards of `options.checkpoint_path` that are safe to reuse
+/// for `grid`: wrong-grid or unreadable checkpoints yield an empty map, a
+/// digest-verification failure (sampled per options.verify_sample)
+/// discards everything; each decision appends a note.
+[[nodiscard]] std::map<std::uint64_t, SweepShard> load_resumable_shards(
     const SweepGrid& grid, const SweepOptions& options,
     std::vector<std::string>& notes) {
   std::map<std::uint64_t, SweepShard> out;
@@ -495,8 +521,10 @@ std::map<std::uint64_t, SweepShard> load_resumable_shards(
   return out;
 }
 
-SweepReport merge_shards(const SweepGrid& grid,
-                         const std::map<std::uint64_t, SweepShard>& shards) {
+/// Assembles the merged report from a full or partial shard set (shards
+/// keyed by index).
+[[nodiscard]] SweepReport merge_shards(
+    const SweepGrid& grid, const std::map<std::uint64_t, SweepShard>& shards) {
   SweepReport report;
   report.grid = grid;
   util::Fnv fnv;
@@ -513,7 +541,7 @@ SweepReport merge_shards(const SweepGrid& grid,
                              static_cast<double>(cell.optimal_load);
         if (ratio > report.worst_ratio) report.worst_ratio = ratio;
       }
-      fnv.mix(cell.cell.index).mix(cell.final_digest);
+      fold_cell(fnv, cell);
     }
   }
   report.combined_digest = fnv.value();
@@ -521,23 +549,49 @@ SweepReport merge_shards(const SweepGrid& grid,
   return report;
 }
 
-void validate_sweep_faults(const SweepGrid& grid, const FaultPlan& faults) {
-  for (const Fault& fault : faults.faults()) {
-    if (fault.kind != FaultKind::kCancel &&
-        fault.kind != FaultKind::kAllocFail) {
-      throw std::invalid_argument("sweep fault plans support alloc_fail and "
-                                  "cancel only, not " + fault.to_string());
-    }
-    if (fault.step >= grid.cell_count()) {
-      throw std::invalid_argument(
-          "sweep fault " + fault.to_string() + " names no cell (the grid has " +
-          std::to_string(grid.cell_count()) + " cells)");
-    }
+}  // namespace
+
+std::string write_checkpoint(const SweepGrid& grid,
+                             const std::vector<SweepShard>& shards) {
+  std::map<std::uint64_t, const SweepShard*> sorted;
+  for (const SweepShard& shard : shards) sorted[shard.index] = &shard;
+  util::json::Array arr;
+  for (const auto& [index, shard] : sorted) {
+    arr.push_back(shard_to_json(*shard));
   }
+  util::json::Object root;
+  root.emplace("schema", std::string(kCkptSchema));
+  root.emplace("grid", grid.to_string());
+  root.emplace("shards", std::move(arr));
+  return util::json::Value(std::move(root)).dump() + "\n";
+}
+
+SweepCheckpoint read_checkpoint(std::string_view text) {
+  const util::json::Value root = util::json::parse(text);
+  const std::string& schema = root.at("schema").as_string();
+  if (schema != kCkptSchema) {
+    throw std::runtime_error("sweep checkpoint: unknown schema '" + schema +
+                             "'");
+  }
+  SweepCheckpoint ckpt;
+  ckpt.grid_text = root.at("grid").as_string();
+  std::map<std::uint64_t, SweepShard> by_index;
+  for (const util::json::Value& entry : root.at("shards").as_array()) {
+    SweepShard shard = shard_from_json(entry);
+    if (by_index.contains(shard.index)) {
+      throw std::runtime_error("sweep checkpoint: duplicate shard " +
+                               std::to_string(shard.index));
+    }
+    by_index.emplace(shard.index, std::move(shard));
+  }
+  for (auto& [index, shard] : by_index) {
+    ckpt.shards.push_back(std::move(shard));
+  }
+  return ckpt;
 }
 
 SweepReport run_sweep(const SweepGrid& grid, const SweepOptions& options) {
-  validate_sweep_faults(grid, options.faults);
+  validate_sweep(grid, options.faults);
 
   std::vector<std::string> notes;
   std::map<std::uint64_t, SweepShard> done =
@@ -547,10 +601,8 @@ SweepReport run_sweep(const SweepGrid& grid, const SweepOptions& options) {
   std::uint64_t retries = 0;
   std::uint64_t cancels = 0;
   std::uint64_t run_count = 0;
-  bool aborted = false;
-  const std::uint64_t n_shards = grid.shard_count();
 
-  for (std::uint64_t s = 0; s < n_shards && !aborted; ++s) {
+  for (std::uint64_t s = 0; s < grid.shard_count(); ++s) {
     if (done.contains(s)) continue;
     std::uint64_t attempt = 0;
     for (;;) {
@@ -580,7 +632,7 @@ SweepReport run_sweep(const SweepGrid& grid, const SweepOptions& options) {
                         "); retrying");
         const std::uint64_t backoff =
             std::min(options.retry_backoff_ms << (attempt - 1),
-                     options.retry_backoff_cap_ms);
+                     kRetryBackoffCapMs);
         if (backoff > 0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
         }
@@ -598,12 +650,7 @@ SweepReport run_sweep(const SweepGrid& grid, const SweepOptions& options) {
                         options.checkpoint_path);
       }
     }
-    if (options.on_shard_done) options.on_shard_done(done.at(s));
-    if (options.abort_after_shards != 0 &&
-        run_count >= options.abort_after_shards &&
-        done.size() < n_shards) {
-      aborted = true;
-    }
+    if (options.on_shard_done && !options.on_shard_done(done.at(s))) break;
   }
 
   SweepReport report = merge_shards(grid, done);

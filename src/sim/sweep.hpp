@@ -8,20 +8,19 @@
 //   * A SweepGrid is the cross product (campaign x allocator x topology x
 //     seed-range), enumerated in a fixed nested order and split into
 //     deterministic contiguous shards of `shard_cells` cells.
-//   * run_shard replays one shard's cells through the engine (cells fan
-//     out over the PR-4 worker pool) with state digests recorded, and
-//     emits a kSweepShard trace instant per shard.
-//   * run_sweep runs the shards in order and, after EVERY completed
-//     shard, persists a "partree-sweep-ckpt-v1" JSON checkpoint written
-//     atomically (tmp + fsync + rename, util::write_file_atomic), so a
-//     SIGKILL at any instant leaves either the previous or the new
-//     complete checkpoint -- never a truncated one.
+//   * run_sweep is the one entry point. It replays each shard's cells
+//     through the engine (cells fan out over the worker pool) with state
+//     digests recorded, emits a kSweepShard trace instant per shard, and
+//     after EVERY completed shard persists a "partree-sweep-ckpt-v2" JSON
+//     checkpoint written atomically (tmp + fsync + rename,
+//     util::write_file_atomic), so a SIGKILL at any instant leaves either
+//     the previous or the new complete checkpoint -- never a truncated one.
 //   * On restart with SweepOptions::resume, completed shards are loaded
 //     from the checkpoint and skipped -- after re-running a sampled
-//     subset and comparing their per-cell final_digests. A mismatch
-//     means the checkpoint predates a behavior change in this binary;
-//     the runner says so and reruns from scratch rather than merging
-//     incompatible halves.
+//     subset and comparing shard digests, which fold every measured field
+//     of every cell. A mismatch means the checkpoint predates a behavior
+//     change in this binary; the runner says so and reruns from scratch
+//     rather than merging incompatible halves.
 //   * Failed shard attempts (anything the cell body throws, including
 //     sim/faults.hpp cancel faults injected for deterministic testing)
 //     are retried with capped exponential backoff.
@@ -33,13 +32,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sim/faults.hpp"
-#include "util/json.hpp"
 
 namespace partree::sim {
 
@@ -101,7 +98,9 @@ struct SweepCellResult {
   std::uint64_t reallocations = 0;
   std::uint64_t migrations = 0;
   std::uint64_t migrated_size = 0;
-  /// End-of-run MachineState digest; the resume-verification oracle.
+  /// End-of-run MachineState digest. A closed-loop campaign ends with
+  /// every task departed, so this alone depends only on N and the peak
+  /// active size; the shard digest folds the measured fields above too.
   std::uint64_t final_digest = 0;
 
   friend bool operator==(const SweepCellResult&,
@@ -116,11 +115,16 @@ struct SweepShard {
   std::uint64_t faults_injected = 0; ///< engine-level faults applied
   double wall_seconds = 0.0;         ///< informational; not part of identity
 
-  /// Ordered FNV fold of the cells' final digests: the shard's identity
-  /// for checkpoint-consistency and resume verification.
+  /// Ordered FNV fold of each cell's index and every measured field: the
+  /// shard's identity for checkpoint-consistency and resume verification.
   [[nodiscard]] std::uint64_t digest() const noexcept;
 
-  friend bool operator==(const SweepShard&, const SweepShard&) = default;
+  /// Identity without wall_seconds, which the checkpoint rounds to nine
+  /// significant digits.
+  friend bool operator==(const SweepShard& a, const SweepShard& b) {
+    return a.index == b.index && a.cells == b.cells &&
+           a.attempts == b.attempts && a.faults_injected == b.faults_injected;
+  }
 };
 
 struct SweepOptions {
@@ -137,24 +141,20 @@ struct SweepOptions {
   std::uint64_t verify_sample = 2;
   /// Retries per shard after the first failed attempt.
   std::uint64_t max_retries = 3;
-  /// Backoff before retry r: min(retry_backoff_ms << (r-1), cap).
+  /// Backoff before retry r: min(retry_backoff_ms << (r-1), 2 s).
   std::uint64_t retry_backoff_ms = 100;
-  std::uint64_t retry_backoff_cap_ms = 2000;
   /// Deterministic fault plan for testing the retry path; steps are FLAT
   /// CELL INDICES. cancel@k aborts the first attempt of the shard
   /// containing cell k (sim/faults.hpp FaultInjectedError); alloc_fail@k
   /// injects a transient allocation failure inside cell k's engine run
   /// (digest-invariant). corrupt:*/perturb kinds are not meaningful at
-  /// the sweep level and, like steps past the last cell, are rejected
-  /// (validate_sweep_faults).
+  /// the sweep level and, like steps past the last cell, are rejected.
   FaultPlan faults;
-  /// Test/CLI hook: stop (report.complete = false) after this many shards
-  /// have been RUN in this invocation (0 = run to completion). The
-  /// checkpoint stays valid for resume.
-  std::uint64_t abort_after_shards = 0;
   /// Invoked after each shard completes and its checkpoint (if any) is
-  /// durable on disk. Kill-resume tests raise SIGKILL here.
-  std::function<void(const SweepShard&)> on_shard_done;
+  /// durable on disk; returning false stops the sweep there
+  /// (report.complete = false, the checkpoint stays valid for resume).
+  /// Kill-resume tests raise SIGKILL here.
+  std::function<bool(const SweepShard&)> on_shard_done;
 };
 
 struct SweepReport {
@@ -176,35 +176,23 @@ struct SweepReport {
   std::uint64_t total_migrations = 0;
   std::uint64_t total_migrated_size = 0;
   double worst_ratio = 0.0;  ///< max over cells of max_load / optimal_load
-  /// Ordered FNV fold of every cell's final digest -- the whole sweep's
-  /// identity. Equal iff the per-cell results are equal.
+  /// Ordered FNV fold of every cell's index and measured fields (the same
+  /// fold as SweepShard::digest) -- the whole sweep's identity.
   std::uint64_t combined_digest = 0;
 };
 
-/// Runs one shard's cells through the engine (digests on, cells fanned
-/// out over the worker pool) and returns them in cell-index order. When
-/// `faults` is non-null, cancel faults scheduled at this shard's cell
-/// indices throw FaultInjectedError (failing the attempt) and alloc_fail
-/// faults are delegated to the cell's engine run. Used directly by the
-/// sweep_runner --procs children; everyone else goes through run_sweep.
-[[nodiscard]] SweepShard run_shard(const SweepGrid& grid, std::uint64_t shard,
-                                   std::size_t n_threads = 0,
-                                   const FaultPlan* faults = nullptr);
-
-/// Throws std::invalid_argument naming the first fault of `faults` that a
-/// sweep of `grid` cannot apply: a kind other than cancel or alloc_fail,
-/// or a step that is not a cell index. run_sweep and sweep_runner's
-/// --procs mode both call it before running anything.
-void validate_sweep_faults(const SweepGrid& grid, const FaultPlan& faults);
-
-/// The sweep driver: resume (if asked), run the remaining shards with
-/// retry + checkpoint-per-shard, and merge. Throws when a shard keeps
-/// failing past max_retries (the checkpoint keeps everything completed so
-/// far) or, via validate_sweep_faults, when the fault plan is invalid.
+/// Runs a sweep: validate, resume (if asked), run the remaining
+/// shards with retry + checkpoint-per-shard, and merge. Throws
+/// std::invalid_argument before resuming or running anything when the
+/// grid or fault plan is invalid: an n_pes that is not a power of two, an
+/// unknown campaign, an allocator spec make_allocator rejects, a fault
+/// kind other than cancel or alloc_fail, or a fault step that is not a
+/// cell index. Throws std::runtime_error when a shard keeps failing past
+/// max_retries (the checkpoint keeps everything completed so far).
 [[nodiscard]] SweepReport run_sweep(const SweepGrid& grid,
                                     const SweepOptions& options = {});
 
-/// Checkpoint serialization ("partree-sweep-ckpt-v1" JSON). Shards may be
+/// Checkpoint serialization ("partree-sweep-ckpt-v2" JSON). Shards may be
 /// passed in any order; they are written sorted by index.
 [[nodiscard]] std::string write_checkpoint(
     const SweepGrid& grid, const std::vector<SweepShard>& shards);
@@ -219,25 +207,5 @@ struct SweepCheckpoint {
 /// cells), unique shard indices. Throws std::runtime_error naming the
 /// violation, so a corrupt or truncated file fails loudly.
 [[nodiscard]] SweepCheckpoint read_checkpoint(std::string_view text);
-
-/// Loads the shards of `options.checkpoint_path` that are safe to reuse
-/// for `grid`: wrong-grid or unreadable checkpoints yield an empty map, a
-/// digest-verification failure (sampled per options.verify_sample)
-/// discards everything; each decision appends a note. This is run_sweep's
-/// resume step, exposed so the --procs orchestration in sweep_runner can
-/// share it.
-[[nodiscard]] std::map<std::uint64_t, SweepShard> load_resumable_shards(
-    const SweepGrid& grid, const SweepOptions& options,
-    std::vector<std::string>& notes);
-
-/// Assembles the merged report from a full or partial shard set (shards
-/// keyed by index). Exposed for the --procs orchestration.
-[[nodiscard]] SweepReport merge_shards(
-    const SweepGrid& grid, const std::map<std::uint64_t, SweepShard>& shards);
-
-/// Single-shard JSON (the --procs child -> parent handoff format; also
-/// the per-shard element of the checkpoint).
-[[nodiscard]] util::json::Value shard_to_json(const SweepShard& shard);
-[[nodiscard]] SweepShard shard_from_json(const util::json::Value& v);
 
 }  // namespace partree::sim

@@ -57,6 +57,8 @@ TEST(FactoryTest, MalformedParameterThrows) {
   EXPECT_THROW((void)make_allocator("dmix:d=abc", topo),
                std::invalid_argument);
   EXPECT_THROW((void)make_allocator("dmix:d", topo), std::invalid_argument);
+  EXPECT_THROW((void)make_allocator("dchoice:k=0", topo),
+               std::invalid_argument);
 }
 
 TEST(FactoryTest, SeedDifferentiatesRandomized) {

@@ -4,6 +4,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -135,17 +136,12 @@ TEST(SweepTest, RunSweepIsDeterministic) {
   expect_same_results(a.shards, b.shards);
 }
 
-TEST(SweepTest, ShardJsonRoundTrips) {
-  const SweepGrid grid = test_grid();
-  const SweepShard shard = run_shard(grid, 1);
-  const SweepShard back = shard_from_json(shard_to_json(shard));
-  EXPECT_EQ(back, shard);
-  EXPECT_EQ(back.digest(), shard.digest());
-}
-
 TEST(SweepTest, CheckpointRoundTrips) {
   const SweepGrid grid = test_grid();
-  const SweepReport report = run_sweep(grid, fast_options());
+  SweepReport report = run_sweep(grid, fast_options());
+  // A shard of a second or more has ten significant digits at ns
+  // resolution; the checkpoint keeps nine, and identity ignores them.
+  report.shards[1].wall_seconds = 1.234567891;
   const std::string text = write_checkpoint(grid, report.shards);
   const SweepCheckpoint ckpt = read_checkpoint(text);
   EXPECT_EQ(ckpt.grid_text, grid.to_string());
@@ -171,6 +167,14 @@ TEST(SweepTest, CorruptCheckpointFailsLoudly) {
   // Truncation fails loudly too (at the JSON layer).
   EXPECT_THROW((void)read_checkpoint(text.substr(0, text.size() / 2)),
                std::runtime_error);
+
+  // So does a v1 file, whose shard digests folded only final_digest.
+  const std::string v2_tag = "partree-sweep-ckpt-v2";
+  std::string v1 = write_checkpoint(grid, report.shards);
+  const std::size_t tag = v1.find(v2_tag);
+  ASSERT_NE(tag, std::string::npos);
+  v1.replace(tag, v2_tag.size(), "partree-sweep-ckpt-v1");
+  EXPECT_THROW((void)read_checkpoint(v1), std::runtime_error);
 }
 
 TEST(SweepTest, ResumeSkipsCompletedShards) {
@@ -200,12 +204,12 @@ TEST(SweepTest, InterruptedResumeMatchesUninterrupted) {
   const std::string ckpt = temp_ckpt("interrupted.json");
   SweepOptions options = fast_options();
   options.checkpoint_path = ckpt;
-  options.abort_after_shards = 1;
+  options.on_shard_done = [](const SweepShard&) { return false; };
   const SweepReport partial = run_sweep(grid, options);
   EXPECT_FALSE(partial.complete);
   EXPECT_EQ(partial.shards_run, 1u);
 
-  options.abort_after_shards = 0;
+  options.on_shard_done = nullptr;
   options.resume = true;
   const SweepReport resumed = run_sweep(grid, options);
   EXPECT_TRUE(resumed.complete);
@@ -237,6 +241,7 @@ TEST(SweepDeathTest, KilledSweepResumesDigestIdentical) {
         options.checkpoint_path = ckpt;
         options.on_shard_done = [](const SweepShard&) {
           std::raise(SIGKILL);
+          return true;
         };
         (void)run_sweep(grid, options);
       },
@@ -259,27 +264,37 @@ TEST(SweepTest, StaleCheckpointRerunsFromScratch) {
   const std::string ckpt = temp_ckpt("stale.json");
 
   // Forge a checkpoint whose shard 0 carries a self-consistent but WRONG
-  // cell digest -- the shape a behavior change in the binary leaves behind.
-  std::vector<SweepShard> shards = reference.shards;
-  shards[0].cells[0].final_digest ^= 0x1;  // shard.digest() refolds cells
-  ASSERT_TRUE(util::write_file_atomic(ckpt,
-                                      write_checkpoint(grid, shards)));
+  // cell -- the shape a behavior change in the binary leaves behind. A
+  // changed max_load with the final digest untouched is what an allocator
+  // change leaves once every task has departed.
+  const std::vector<void (*)(SweepCellResult&)> forgeries = {
+      [](SweepCellResult& cell) { cell.final_digest ^= 0x1; },
+      [](SweepCellResult& cell) { cell.max_load += 1; },
+  };
+  for (std::size_t f = 0; f < forgeries.size(); ++f) {
+    std::vector<SweepShard> shards = reference.shards;
+    forgeries[f](shards[0].cells[0]);  // shard.digest() refolds cells
+    ASSERT_TRUE(util::write_file_atomic(ckpt,
+                                        write_checkpoint(grid, shards)));
 
-  SweepOptions options = fast_options();
-  options.checkpoint_path = ckpt;
-  options.resume = true;
-  options.verify_sample = grid.shard_count();  // verify every shard
-  const SweepReport report = run_sweep(grid, options);
+    SweepOptions options = fast_options();
+    options.checkpoint_path = ckpt;
+    options.resume = true;
+    options.verify_sample = grid.shard_count();  // verify every shard
+    const SweepReport report = run_sweep(grid, options);
 
-  bool noted_stale = false;
-  for (const std::string& note : report.notes) {
-    if (note.find("STALE") != std::string::npos) noted_stale = true;
+    bool noted_stale = false;
+    for (const std::string& note : report.notes) {
+      if (note.find("STALE") != std::string::npos) noted_stale = true;
+    }
+    EXPECT_TRUE(noted_stale) << "expected a STALE-checkpoint note, forgery "
+                             << f;
+    EXPECT_EQ(report.shards_resumed, 0u) << "forgery " << f;
+    EXPECT_EQ(report.shards_run, grid.shard_count()) << "forgery " << f;
+    // The rerun converges on the truth, not the forged checkpoint.
+    EXPECT_EQ(report.combined_digest, reference.combined_digest)
+        << "forgery " << f;
   }
-  EXPECT_TRUE(noted_stale) << "expected a STALE-checkpoint note";
-  EXPECT_EQ(report.shards_resumed, 0u);
-  EXPECT_EQ(report.shards_run, grid.shard_count());
-  // The rerun converges on the truth, not the forged checkpoint.
-  EXPECT_EQ(report.combined_digest, reference.combined_digest);
   std::remove(ckpt.c_str());
 }
 
@@ -346,26 +361,74 @@ TEST(SweepTest, AllocFailFaultIsDigestInvariant) {
   EXPECT_EQ(report.combined_digest, reference.combined_digest);
 }
 
-// Kinds the sweep cannot apply and steps past the last cell fail the
-// whole sweep up front, before any shard runs or checkpoints.
+// Fault kinds the sweep cannot apply, steps past the last cell, and grids
+// no shard can run (a machine size that is not a power of two, an unknown
+// campaign or allocator spec) fail the whole sweep up front, before any
+// shard runs or checkpoints.
 TEST(SweepTest, InvalidFaultPlansThrowBeforeRunning) {
   const SweepGrid grid = test_grid();
   ASSERT_EQ(grid.cell_count(), 6u);
+  const std::string ckpt = temp_ckpt("invalid");
+  const auto expect_rejected = [&ckpt](const SweepGrid& bad,
+                                       const char* plan) {
+    SweepOptions options = fast_options();
+    options.checkpoint_path = ckpt;
+    options.faults = FaultPlan::parse(plan);
+    EXPECT_THROW((void)run_sweep(bad, options), std::invalid_argument)
+        << bad.to_string() << " faults " << plan;
+    EXPECT_FALSE(util::read_file(ckpt).has_value())
+        << bad.to_string() << " faults " << plan;
+  };
   for (const char* plan : {"perturb:pool@3", "corrupt:load_tree@1",
                            "cancel@6", "alloc_fail@0,cancel@999"}) {
-    SweepOptions options = fast_options();
-    options.checkpoint_path = temp_ckpt("invalid_faults");
-    options.faults = FaultPlan::parse(plan);
-    EXPECT_THROW(validate_sweep_faults(grid, options.faults),
-                 std::invalid_argument)
-        << plan;
-    EXPECT_THROW((void)run_sweep(grid, options), std::invalid_argument)
-        << plan;
-    EXPECT_FALSE(util::read_file(options.checkpoint_path).has_value())
-        << plan;
+    expect_rejected(grid, plan);
   }
-  EXPECT_NO_THROW(
-      validate_sweep_faults(grid, FaultPlan::parse("alloc_fail@0,cancel@5")));
+  for (const char* spec : {"pes=100", "pes=0", "allocs=dchoice:k=0",
+                           "campaigns=nope", "allocs=bogus",
+                           "allocs=dmix:d=x"}) {
+    expect_rejected(SweepGrid::parse(spec), "");
+  }
+
+  const SweepReport reference = run_sweep(grid, fast_options());
+  SweepOptions options = fast_options();
+  options.faults = FaultPlan::parse("alloc_fail@0,cancel@5");
+  const SweepReport report = run_sweep(grid, options);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.combined_digest, reference.combined_digest);
+}
+
+// A shard that keeps failing past max_retries fails the sweep, naming
+// the shard; the checkpoint keeps every shard completed before it, and a
+// resume picks up from there.
+TEST(SweepTest, ExhaustedRetriesKeepTheCheckpoint) {
+  const SweepGrid grid = test_grid();
+  const SweepReport reference = run_sweep(grid, fast_options());
+  const std::string ckpt = temp_ckpt("exhausted.json");
+
+  SweepOptions options = fast_options();
+  options.checkpoint_path = ckpt;
+  options.max_retries = 0;
+  options.faults = FaultPlan::parse("cancel@2");  // aborts shard 1, try 1
+  try {
+    (void)run_sweep(grid, options);
+    ADD_FAILURE() << "expected the sweep to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("shard 1 "), std::string::npos)
+        << e.what();
+  }
+  const std::optional<std::string> text = util::read_file(ckpt);
+  ASSERT_TRUE(text.has_value());
+  const SweepCheckpoint kept = read_checkpoint(*text);
+  ASSERT_EQ(kept.shards.size(), 1u);
+  EXPECT_EQ(kept.shards[0].index, 0u);
+
+  options.faults = FaultPlan();
+  options.resume = true;
+  const SweepReport resumed = run_sweep(grid, options);
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.shards_resumed, 1u);
+  EXPECT_EQ(resumed.combined_digest, reference.combined_digest);
+  std::remove(ckpt.c_str());
 }
 
 }  // namespace
