@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("n", "machine size (power of two)", "256");
+  cli.option("n", "machine size (power of two)", "256",
+             util::Cli::Kind::kPow2);
   cli.option("trials", "random task sets per configuration", "300");
   cli.option("churn-steps", "repack rounds in the stability test", "400");
   if (!bench::parse_standard(cli, argc, argv)) return 1;

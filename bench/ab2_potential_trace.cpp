@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("n", "machine size (power of two)", "1024");
+  cli.option("n", "machine size (power of two)", "1024",
+             util::Cli::Kind::kPow2);
   cli.option("allocator", "target allocator spec", "greedy");
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 

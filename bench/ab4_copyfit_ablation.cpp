@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("n", "machine size (power of two)", "256");
+  cli.option("n", "machine size (power of two)", "256",
+             util::Cli::Kind::kPow2);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   const tree::Topology topo(cli.get_u64("n"));

@@ -14,7 +14,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("sizes", "machine sizes to sweep", "4,16,64,256,1024");
+  cli.option("sizes", "machine sizes to sweep", "4,16,64,256,1024",
+             util::Cli::Kind::kPow2List);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   bench::banner("E1 / Theorem 3.1",

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
 
   util::Cli cli;
   cli.option("sizes", "machine sizes to sweep",
-             "4,16,64,256,1024,4096,16384");
+             "4,16,64,256,1024,4096,16384",
+             util::Cli::Kind::kPow2List);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   bench::banner(

@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("sizes", "machine sizes to sweep", "16,64,256,1024,4096");
+  cli.option("sizes", "machine sizes to sweep", "16,64,256,1024,4096",
+             util::Cli::Kind::kPow2List);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   bench::banner(

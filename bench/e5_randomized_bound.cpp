@@ -14,7 +14,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("sizes", "machine sizes to sweep", "16,64,256,1024,4096");
+  cli.option("sizes", "machine sizes to sweep", "16,64,256,1024,4096",
+             util::Cli::Kind::kPow2List);
   cli.option("trials", "trials per configuration", "32");
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("sizes", "machine sizes to sweep", "256,1024,4096,65536");
+  cli.option("sizes", "machine sizes to sweep", "256,1024,4096,65536",
+             util::Cli::Kind::kPow2List);
   cli.option("draws", "independent sigma_r draws per N", "20");
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 

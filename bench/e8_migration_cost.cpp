@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("n", "machine size (power of two)", "1024");
+  cli.option("n", "machine size (power of two)", "1024",
+             util::Cli::Kind::kPow2);
   cli.option("d-max", "largest finite d in the sweep", "6");
   cli.option("campaign", "workload campaign", "steady-mix");
   cli.option("bytes-per-pe", "checkpoint bytes per PE", "1");

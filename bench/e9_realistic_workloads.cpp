@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("n", "machine size (power of two)", "1024");
+  cli.option("n", "machine size (power of two)", "1024",
+             util::Cli::Kind::kPow2);
   cli.option("scale", "workload scale factor", "1.0");
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 

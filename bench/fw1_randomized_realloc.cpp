@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("n", "machine size (power of two)", "1024");
+  cli.option("n", "machine size (power of two)", "1024",
+             util::Cli::Kind::kPow2);
   cli.option("d-max", "largest d in the sweep", "6");
   cli.option("trials", "trials per configuration", "16");
   if (!bench::parse_standard(cli, argc, argv)) return 1;

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("n", "number of PEs (power of two)", "256")
+  cli.option("n", "number of PEs (power of two)", "256",
+             util::Cli::Kind::kPow2)
       .option("allocator", "allocator spec (see factory)", "greedy")
       .option("phases", "adversary phases (0 = log2 N)", "0")
       .option("seed", "seed for randomized allocators", "1")

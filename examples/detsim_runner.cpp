@@ -348,7 +348,8 @@ int main(int argc, char** argv) {
   cli.option("seed-sweep", "seeds to sweep with random fault plans", "0")
       .option("seed", "base seed", "1")
       .option("alloc", "allocator spec (sweep default: rotate)", "")
-      .option("n-pes", "machine size (power of two)", "64")
+      .option("n-pes", "machine size (power of two)", "64",
+              partree::util::Cli::Kind::kPow2)
       .option("events", "workload length; 0 = seed-derived", "0")
       .option("faults", "explicit fault plan for --one", "")
       .option("replay", "repro file to re-run", "")

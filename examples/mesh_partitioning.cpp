@@ -1,56 +1,64 @@
 // Mesh partitioning on a quadtree-decomposable machine.
 //
-//   ./mesh_partitioning [--side 32] [--d 1]
+//   ./mesh_partitioning [--side 32] [--events 4000] [--seed 1]
 //
 // A side x side 2-D mesh (side a power of two) decomposes into quadrants;
-// users request square power-of-4 partitions. Runs the generalized
-// algorithm family from src/karytree and shows the same reallocation
-// trade-off the paper proves on the binary tree.
+// users request square power-of-4 partitions. A quadtree machine is the
+// binary tree with task sizes restricted to powers of 4, so the paper's
+// allocators run on it unchanged and show the same reallocation trade-off
+// the paper proves on the binary tree.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
-#include "karytree/k_allocators.hpp"
+#include "core/factory.hpp"
+#include "sim/engine.hpp"
 #include "util/cli.hpp"
 #include "util/math.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
+#include "workload/synthetic.hpp"
 
 int main(int argc, char** argv) {
   using namespace partree;
-  using namespace partree::karytree;
 
   util::Cli cli;
-  cli.option("side", "mesh side length (power of two)", "32")
+  cli.option("side", "mesh side length (power of two)", "32",
+             util::Cli::Kind::kPow2)
       .option("events", "workload events", "4000")
       .option("seed", "workload seed", "1");
   if (!cli.parse(argc, argv)) return 1;
 
   const std::uint64_t side = cli.get_u64("side");
-  if (!util::is_pow2(side)) {
-    std::fprintf(stderr, "side must be a power of two\n");
-    return 1;
-  }
   // side x side PEs = 4^(log2 side) leaves of a quadtree.
-  const KTopology topo(4, util::exact_log2(side));
+  const tree::Topology topo(side * side);
   std::printf("mesh %llu x %llu = %llu PEs, quadtree height %u\n\n",
               static_cast<unsigned long long>(side),
               static_cast<unsigned long long>(side),
               static_cast<unsigned long long>(topo.n_leaves()),
-              topo.height());
+              util::exact_log2(side));
 
-  const auto events =
-      k_closed_loop(topo, cli.get_u64("events"), 0.85, cli.get_u64("seed"));
+  util::Rng rng(cli.get_u64("seed"));
+  const core::TaskSequence events = workload::arity_closed_loop(
+      topo, 4, cli.get_u64("events"), 0.85, rng);
+
+  sim::Engine engine(topo);
+  auto run = [&](const std::string& spec) {
+    const auto allocator = core::make_allocator(spec, topo);
+    return engine.run(events, *allocator);
+  };
 
   util::Table table(
       {"policy", "d", "max_load", "L*", "ratio", "reallocs", "migrations"});
   for (const std::uint64_t d : {0ull, 1ull, 2ull, 4ull}) {
-    const KRunResult r = k_run(topo, events, KPolicy::kDRealloc, d);
+    const sim::SimResult r = run("dmix:d=" + std::to_string(d));
     table.add("k-dmix", d, r.max_load, r.optimal_load, r.ratio(),
-              r.reallocations, r.migrations);
+              r.reallocation_count, r.migration_count);
   }
-  const KRunResult greedy = k_run(topo, events, KPolicy::kGreedy);
+  const sim::SimResult greedy = run("greedy");
   table.add("k-greedy", "-", greedy.max_load, greedy.optimal_load,
             greedy.ratio(), 0, 0);
-  const KRunResult basic = k_run(topo, events, KPolicy::kBasic);
+  const sim::SimResult basic = run("basic");
   table.add("k-basic", "-", basic.max_load, basic.optimal_load,
             basic.ratio(), 0, 0);
 

@@ -163,7 +163,8 @@ std::uint64_t percentile(const std::vector<std::uint64_t>& sorted, double q) {
 
 int main(int argc, char** argv) {
   util::Cli cli;
-  cli.option("pes", "machine size (power-of-two leaves)", "256")
+  cli.option("pes", "machine size (power-of-two leaves)", "256",
+             util::Cli::Kind::kPow2)
       .option("alloc", "allocator spec (core/factory.hpp)", "dmix:d=2")
       .option("clients", "client threads", "4")
       .option("requests", "total requests across all clients", "100000")
@@ -176,6 +177,14 @@ int main(int argc, char** argv) {
               "timers; validate with trace_stats --metrics)",
               "");
   if (!cli.parse(argc, argv)) return 2;
+  // PartitionService asserts both; reject them here as usage errors.
+  for (const char* name : {"queue", "batch"}) {
+    if (cli.get_u64(name) == 0) {
+      std::fprintf(stderr, "option --%s must be >= 1\n%s", name,
+                   cli.usage(argv[0]).c_str());
+      return 2;
+    }
+  }
 
   const std::uint64_t pes = cli.get_u64("pes");
   const std::string alloc_spec = cli.get("alloc");

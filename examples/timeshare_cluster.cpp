@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("n", "number of PEs (power of two)", "256")
+  cli.option("n", "number of PEs (power of two)", "256",
+             util::Cli::Kind::kPow2)
       .option("scale", "workload scale factor", "1.0")
       .option("seed", "workload RNG seed", "42")
       .option("csv", "write results to this CSV path", "");

@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
   cli.option("trace", "CSV trace to replay", "")
       .option("campaign", "generate this named campaign instead of reading "
                           "a CSV (see workload/campaign.hpp)", "")
-      .option("n", "number of PEs (power of two)", "1024")
+      .option("n", "number of PEs (power of two)", "1024",
+              util::Cli::Kind::kPow2)
       .option("allocator", "allocator spec (see factory)", "greedy")
       .option("seed", "seed for campaigns and randomized allocators", "1")
       .option("scale", "campaign length multiplier", "0.5")

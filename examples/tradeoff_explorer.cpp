@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("n", "number of PEs (power of two)", "1024")
+  cli.option("n", "number of PEs (power of two)", "1024",
+             util::Cli::Kind::kPow2)
       .option("d-max", "largest reallocation parameter to sweep", "8")
       .option("campaign", "workload campaign name", "staircase")
       .option("seed", "workload RNG seed", "1")

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "util/assert.hpp"
+#include "util/math.hpp"
 #include "util/str.hpp"
 
 namespace partree::util {
@@ -20,10 +21,31 @@ Cli& Cli::declare(std::string name, Spec spec) {
   return *this;
 }
 
+namespace {
+
+bool is_pow2_value(std::string_view text) {
+  const auto parsed = parse_u64(text);
+  return parsed && is_pow2(*parsed);
+}
+
+/// True iff `raw` is a value of `kind`, read as get_u64 and get_u64_list
+/// read it.
+bool matches(Cli::Kind kind, std::string_view raw) {
+  if (kind != Cli::Kind::kPow2List) {
+    return kind == Cli::Kind::kAny || is_pow2_value(raw);
+  }
+  const auto fields = split(raw, ',');
+  return std::all_of(fields.begin(), fields.end(), [](const std::string& f) {
+    return is_pow2_value(trim(f));
+  });
+}
+
+}  // namespace
+
 Cli& Cli::option(std::string name, std::string help,
-                 std::optional<std::string> default_value) {
-  return declare(std::move(name),
-                 Spec{std::move(help), std::move(default_value), false});
+                 std::optional<std::string> default_value, Kind kind) {
+  return declare(std::move(name), Spec{std::move(help),
+                                       std::move(default_value), false, kind});
 }
 
 Cli& Cli::flag(std::string name, std::string help) {
@@ -73,6 +95,18 @@ bool Cli::parse(int argc, const char* const* argv) {
     } else {
       std::fprintf(stderr, "option --%s requires a value\n%s", name.c_str(),
                    usage(argv[0]).c_str());
+      return false;
+    }
+  }
+  for (const auto& [name, spec] : specs_) {
+    if (spec.kind == Kind::kAny || !has(name)) continue;
+    if (const std::string raw = get(name); !matches(spec.kind, raw)) {
+      std::fprintf(stderr, "option --%s expects %s, got '%s'\n%s",
+                   name.c_str(),
+                   spec.kind == Kind::kPow2
+                       ? "a power of two >= 1"
+                       : "a comma-separated list of powers of two >= 1",
+                   raw.c_str(), usage(argv[0]).c_str());
       return false;
     }
   }

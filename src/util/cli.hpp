@@ -16,14 +16,25 @@ namespace partree::util {
 
 class Cli {
  public:
-  /// Declares an option with a help string and optional default.
-  /// Redeclaring a name (as option or flag) is an assertion failure.
+  /// The values an option accepts. parse() checks every given and default
+  /// value against its option's kind, so a bad machine size is a usage
+  /// error instead of an assertion deep in the library.
+  enum class Kind : std::uint8_t {
+    kAny,       ///< any string; the typed getters check it when read
+    kPow2,      ///< a power of two >= 1, e.g. a machine size
+    kPow2List,  ///< a comma-separated list of powers of two >= 1
+  };
+
+  /// Declares an option with a help string, optional default and value
+  /// kind. Redeclaring a name (as option or flag) is an assertion failure.
   Cli& option(std::string name, std::string help,
-              std::optional<std::string> default_value = std::nullopt);
+              std::optional<std::string> default_value = std::nullopt,
+              Kind kind = Kind::kAny);
   /// Declares a boolean flag (present => true). Same redeclaration rule.
   Cli& flag(std::string name, std::string help);
 
-  /// Parses argv. Returns false (after printing usage) on error or --help.
+  /// Parses argv and checks each option's value against its kind.
+  /// Returns false (after printing usage) on error or --help.
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(std::string_view name) const;
@@ -43,6 +54,7 @@ class Cli {
     std::string help;
     std::optional<std::string> default_value;
     bool is_flag = false;
+    Kind kind = Kind::kAny;
   };
 
   Cli& declare(std::string name, Spec spec);

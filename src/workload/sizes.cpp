@@ -100,4 +100,13 @@ std::string SizeSpec::describe() const {
   return "unknown";
 }
 
+std::uint32_t log_arity(std::uint64_t n_pes, std::uint64_t arity) {
+  PARTREE_ASSERT(arity >= 2 && util::is_pow2(arity),
+                 "arity must be a power of two >= 2");
+  const std::uint32_t bits = util::exact_log2(arity);
+  const std::uint32_t height = util::exact_log2(n_pes);
+  PARTREE_ASSERT(height % bits == 0, "N is not a power of the arity");
+  return height / bits;
+}
+
 }  // namespace partree::workload

@@ -38,4 +38,10 @@ struct SizeSpec {
   [[nodiscard]] std::string describe() const;
 };
 
+/// log_A(n_pes): the height of an arity-A machine with n_pes PEs. A must be
+/// a power of two >= 2 and n_pes a power of A; such a machine is the
+/// n_pes-leaf binary tree with task sizes restricted to powers of A.
+[[nodiscard]] std::uint32_t log_arity(std::uint64_t n_pes,
+                                      std::uint64_t arity);
+
 }  // namespace partree::workload

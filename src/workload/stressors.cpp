@@ -4,6 +4,7 @@
 
 #include "util/assert.hpp"
 #include "util/math.hpp"
+#include "workload/sizes.hpp"
 
 namespace partree::workload {
 
@@ -46,6 +47,30 @@ core::TaskSequence staircase(tree::Topology topo, std::uint64_t phases) {
       active_size -= size;
     }
     previous_phase = std::move(phase);
+  }
+  return seq;
+}
+
+core::TaskSequence arity_staircase(tree::Topology topo,
+                                   std::uint64_t arity) {
+  const std::uint32_t phases = log_arity(topo.n_leaves(), arity);
+  core::TaskSequence seq;
+  std::uint64_t active_size = 0;
+  std::uint64_t size = 1;
+  std::vector<core::TaskId> phase;
+  for (std::uint32_t i = 0; i < phases; ++i, size *= arity) {
+    const std::uint64_t count = (topo.n_leaves() - active_size) / size;
+    phase.clear();
+    for (std::uint64_t k = 0; k < count; ++k) {
+      phase.push_back(seq.arrive(size));
+      active_size += size;
+    }
+    for (std::uint64_t k = 0; k < phase.size(); ++k) {
+      if (k % arity != 0) {
+        seq.depart(phase[k]);
+        active_size -= size;
+      }
+    }
   }
   return seq;
 }

@@ -23,6 +23,14 @@ namespace partree::workload {
 [[nodiscard]] core::TaskSequence staircase(tree::Topology topo,
                                            std::uint64_t phases);
 
+/// The staircase of E12 on an arity-A machine (A = 2^k, N a power of A):
+/// for log_A N phases, phase i fills the residual capacity with size-A^i
+/// tasks, then departs all but rank 0 of every A of them, so L* stays 1.
+/// It is not staircase with an arity argument: staircase keeps the odd
+/// ranks, and E12's published table pins these survivors.
+[[nodiscard]] core::TaskSequence arity_staircase(tree::Topology topo,
+                                                 std::uint64_t arity);
+
 /// Alternating-size churn: repeatedly arrive a batch of mixed sizes and
 /// depart the first half, keeping the machine about half full while
 /// continuously changing shape.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/math.hpp"
 
 namespace partree::workload {
 
@@ -113,6 +114,40 @@ core::TaskSequence closed_loop(tree::Topology topo,
     }
   }
   while (!active.empty()) do_departure();
+  return seq;
+}
+
+core::TaskSequence arity_closed_loop(tree::Topology topo,
+                                     std::uint64_t arity,
+                                     std::uint64_t n_events,
+                                     double utilization, util::Rng& rng) {
+  PARTREE_ASSERT(utilization > 0.0 && utilization <= 1.0,
+                 "utilization must be in (0, 1]");
+  const std::uint32_t levels = log_arity(topo.n_leaves(), arity);
+  const auto target = static_cast<std::uint64_t>(
+      utilization * static_cast<double>(topo.n_leaves()));
+
+  core::TaskSequence seq;
+  std::vector<std::pair<core::TaskId, std::uint64_t>> active;  // id, size
+  std::uint64_t active_size = 0;
+  for (std::uint64_t e = 0; e < n_events; ++e) {
+    if (active.empty() || active_size < target) {
+      const std::uint64_t size = util::ipow(
+          arity, static_cast<std::uint32_t>(rng.below(levels + 1)));
+      active.emplace_back(seq.arrive(size), size);
+      active_size += size;
+    } else {
+      const std::uint64_t pick = rng.below(active.size());
+      const auto [id, size] = active[pick];
+      active[pick] = active.back();
+      active.pop_back();
+      active_size -= size;
+      seq.depart(id);
+    }
+  }
+  for (auto it = active.rbegin(); it != active.rend(); ++it) {
+    seq.depart(it->first);
+  }
   return seq;
 }
 

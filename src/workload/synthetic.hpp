@@ -49,6 +49,20 @@ struct ClosedLoopParams {
                                              const ClosedLoopParams& params,
                                              util::Rng& rng);
 
+/// The closed loop of E12 and examples/mesh_partitioning on an arity-A
+/// machine (A = 2^k, N a power of A): each size is A^j with j uniform on
+/// [0, log_A N]; it arrives while the active size is below
+/// `utilization * N` and otherwise departs a uniform active task. It is
+/// not closed_loop with an arity argument, because E12's published table
+/// pins its draws: it arrives strictly below the target with no floor of
+/// 1, and drains from the back of its active list, where closed_loop
+/// arrives at or below the target and drains in random order.
+[[nodiscard]] core::TaskSequence arity_closed_loop(tree::Topology topo,
+                                                   std::uint64_t arity,
+                                                   std::uint64_t n_events,
+                                                   double utilization,
+                                                   util::Rng& rng);
+
 /// Bursty on/off arrivals: alternating busy bursts (Poisson at burst_rate)
 /// and idle gaps during which only departures occur.
 struct BurstyParams {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/factory.hpp"
-#include "karytree/k_allocators.hpp"
 #include "sim/engine.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -134,61 +133,6 @@ TEST_P(FuzzSeeds, TheoremBoundsHold) {
     EXPECT_LE(r.max_load, util::det_upper_factor(128, d) * r.optimal_load)
         << "d=" << d;
   }
-}
-
-TEST_P(FuzzSeeds, KaryBinaryMatchesCoreGreedy) {
-  // Translate the same event list into the k-ary runner with arity 2; the
-  // generalized greedy must report identical max load and L*.
-  const std::uint64_t seed = stream_seed(GetParam(), 6);
-  SCOPED_TRACE("fuzz seed=" + std::to_string(seed));
-  const tree::Topology topo(64);
-  const auto seq = fuzz_sequence(topo, seed);
-
-  std::vector<karytree::KEvent> kevents;
-  for (const core::Event& e : seq.events()) {
-    if (e.kind == core::EventKind::kArrival) {
-      kevents.push_back(
-          {karytree::KEvent::Kind::kArrival, e.task.id, e.task.size});
-    } else {
-      kevents.push_back({karytree::KEvent::Kind::kDeparture, e.task.id, 0});
-    }
-  }
-  const karytree::KTopology ktopo(2, 6);
-  const auto kresult =
-      karytree::k_run(ktopo, kevents, karytree::KPolicy::kGreedy);
-
-  sim::Engine engine(topo);
-  auto greedy = core::make_allocator("greedy", topo);
-  const auto result = engine.run(seq, *greedy);
-
-  EXPECT_EQ(kresult.max_load, result.max_load);
-  EXPECT_EQ(kresult.optimal_load, result.optimal_load);
-}
-
-TEST_P(FuzzSeeds, KaryBinaryBasicMatchesCoreBasic) {
-  const std::uint64_t seed = stream_seed(GetParam(), 7);
-  SCOPED_TRACE("fuzz seed=" + std::to_string(seed));
-  const tree::Topology topo(64);
-  const auto seq = fuzz_sequence(topo, seed);
-
-  std::vector<karytree::KEvent> kevents;
-  for (const core::Event& e : seq.events()) {
-    if (e.kind == core::EventKind::kArrival) {
-      kevents.push_back(
-          {karytree::KEvent::Kind::kArrival, e.task.id, e.task.size});
-    } else {
-      kevents.push_back({karytree::KEvent::Kind::kDeparture, e.task.id, 0});
-    }
-  }
-  const karytree::KTopology ktopo(2, 6);
-  const auto kresult =
-      karytree::k_run(ktopo, kevents, karytree::KPolicy::kBasic);
-
-  sim::Engine engine(topo);
-  auto basic = core::make_allocator("basic", topo);
-  const auto result = engine.run(seq, *basic);
-
-  EXPECT_EQ(kresult.max_load, result.max_load);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,

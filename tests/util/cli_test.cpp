@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace partree::util {
@@ -90,6 +91,51 @@ TEST(CliTest, U64List) {
   const auto sizes = cli.get_u64_list("sizes");
   ASSERT_EQ(sizes.size(), 3u);
   EXPECT_EQ(sizes[2], 4u);
+}
+
+// A machine size is checked when parsed, so a bad value is a usage error
+// that names the option instead of an assertion inside the library.
+TEST(CliTest, Pow2KindRejectsBadValues) {
+  for (const std::string bad : {"100", "0", "abc"}) {
+    Cli cli;
+    cli.option("n", "machine size", "64", Cli::Kind::kPow2);
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse(cli, {"--n", bad.c_str()})) << bad;
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "option --n expects a power of two >= 1, got '" + bad +
+                  "'"),
+              std::string::npos)
+        << bad;
+  }
+  Cli cli;
+  cli.option("n", "machine size", "1", Cli::Kind::kPow2);
+  ASSERT_TRUE(parse(cli, {"--n", "64"}));
+  EXPECT_EQ(cli.get_u64("n"), 64u);
+}
+
+TEST(CliTest, Pow2ListKindRejectsAnyBadEntry) {
+  Cli cli;
+  cli.option("sizes", "machine sizes", "4,16", Cli::Kind::kPow2List);
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse(cli, {"--sizes", "4,100"}));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                "option --sizes expects a comma-separated list of powers "
+                "of two >= 1, got '4,100'"),
+            std::string::npos);
+
+  Cli good;
+  good.option("sizes", "machine sizes", "4,16", Cli::Kind::kPow2List);
+  ASSERT_TRUE(parse(good, {}));
+  EXPECT_EQ(good.get_u64_list("sizes"), (std::vector<std::uint64_t>{4, 16}));
+}
+
+TEST(CliTest, KindChecksTheDefaultToo) {
+  Cli cli;
+  cli.option("n", "machine size", "100", Cli::Kind::kPow2);
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(parse(cli, {}));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("option --n"),
+            std::string::npos);
 }
 
 // Redeclaring a name used to silently keep the stale help/default via
