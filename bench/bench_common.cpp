@@ -5,7 +5,7 @@
 namespace partree::bench {
 
 bool parse_standard(util::Cli& cli, int argc, char** argv) {
-  cli.option("seed", "base RNG seed", "1");
+  cli.option("seed", "base RNG seed", "1", util::Cli::Kind::kU64);
   cli.option("csv", "write the result table to this CSV path", "");
   return cli.parse(argc, argv);
 }

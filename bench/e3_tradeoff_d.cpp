@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("n", "machine size (power of two)", "1024",
              util::Cli::Kind::kPow2);
-  cli.option("d-max", "largest finite d in the sweep", "8");
+  cli.option("d-max", "largest finite d in the sweep", "8",
+             util::Cli::Kind::kU64);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   const std::uint64_t n = cli.get_u64("n");

@@ -19,9 +19,11 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("n", "machine size (power of two)", "1024",
              util::Cli::Kind::kPow2);
-  cli.option("d-max", "largest finite d in the sweep", "6");
+  cli.option("d-max", "largest finite d in the sweep", "6",
+             util::Cli::Kind::kU64);
   cli.option("campaign", "workload campaign", "steady-mix");
-  cli.option("bytes-per-pe", "checkpoint bytes per PE", "1");
+  cli.option("bytes-per-pe", "checkpoint bytes per PE", "1",
+             util::Cli::Kind::kU64);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   const std::uint64_t n = cli.get_u64("n");

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("n", "machine size (power of two)", "1024",
              util::Cli::Kind::kPow2);
-  cli.option("scale", "workload scale factor", "1.0");
+  cli.option("scale", "workload scale factor", "1.0", util::Cli::Kind::kDouble);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   const tree::Topology topo(cli.get_u64("n"));

@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("dim", "cube dimension (N = 2^dim)", "8");
-  cli.option("steps", "workload steps per run", "20000");
-  cli.option("runs", "seeded runs to average", "8");
+  cli.option("dim", "cube dimension (N = 2^dim)", "8", util::Cli::Kind::kU64);
+  cli.option("steps", "workload steps per run", "20000", util::Cli::Kind::kU64);
+  cli.option("runs", "seeded runs to average", "8", util::Cli::Kind::kU64);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   const auto dim = static_cast<std::uint32_t>(cli.get_u64("dim"));

@@ -23,8 +23,10 @@ int main(int argc, char** argv) {
   cli.option("n", "number of PEs (power of two)", "256",
              util::Cli::Kind::kPow2)
       .option("allocator", "allocator spec (see factory)", "greedy")
-      .option("phases", "adversary phases (0 = log2 N)", "0")
-      .option("seed", "seed for randomized allocators", "1")
+      .option("phases", "adversary phases (0 = log2 N)", "0",
+              util::Cli::Kind::kU64)
+      .option("seed", "seed for randomized allocators", "1",
+              util::Cli::Kind::kU64)
       .option("trace", "write the constructed sequence to this CSV", "");
   if (!cli.parse(argc, argv)) return 1;
 

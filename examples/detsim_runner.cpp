@@ -345,18 +345,20 @@ struct SweepStats {
 
 int main(int argc, char** argv) {
   partree::util::Cli cli;
-  cli.option("seed-sweep", "seeds to sweep with random fault plans", "0")
-      .option("seed", "base seed", "1")
+  cli.option("seed-sweep", "seeds to sweep with random fault plans", "0",
+             partree::util::Cli::Kind::kU64)
+      .option("seed", "base seed", "1", partree::util::Cli::Kind::kU64)
       .option("alloc", "allocator spec (sweep default: rotate)", "")
       .option("n-pes", "machine size (power of two)", "64",
               partree::util::Cli::Kind::kPow2)
-      .option("events", "workload length; 0 = seed-derived", "0")
+      .option("events", "workload length; 0 = seed-derived", "0",
+              partree::util::Cli::Kind::kU64)
       .option("faults", "explicit fault plan for --one", "")
       .option("replay", "repro file to re-run", "")
       .option("repro-dir", "where repro files / scratch land",
               "detsim_repros")
       .option("budget-seconds", "stop the sweep after this long; 0 = off",
-              "0")
+              "0", partree::util::Cli::Kind::kDouble)
       .option("crash-dump", "crash-dump path override (used by --one)", "")
       .flag("one", "run a single faulted replay exactly as specified")
       .flag("shrink", "minimise failing configurations before writing repros")

@@ -23,13 +23,24 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("side", "mesh side length (power of two)", "32",
+  cli.option("side", "mesh side length (power of two, at most 1024)", "32",
              util::Cli::Kind::kPow2)
-      .option("events", "workload events", "4000")
-      .option("seed", "workload seed", "1");
+      .option("events", "workload events", "4000", util::Cli::Kind::kU64)
+      .option("seed", "workload seed", "1", util::Cli::Kind::kU64);
   if (!cli.parse(argc, argv)) return 1;
 
+  // Side 1024 gives N = 2^20, the largest machine any test or benchmark
+  // runs. Side 2^14 already asks LoadTree for gigabytes, and side 2^32
+  // wraps side * side to 0.
+  constexpr std::uint64_t kMaxSide = 1024;
   const std::uint64_t side = cli.get_u64("side");
+  if (side > kMaxSide) {
+    std::fprintf(stderr, "option --side must be at most %llu, got %llu\n%s",
+                 static_cast<unsigned long long>(kMaxSide),
+                 static_cast<unsigned long long>(side),
+                 cli.usage(argv[0]).c_str());
+    return 1;
+  }
   // side x side PEs = 4^(log2 side) leaves of a quadtree.
   const tree::Topology topo(side * side);
   std::printf("mesh %llu x %llu = %llu PEs, quadtree height %u\n\n",

@@ -166,12 +166,15 @@ int main(int argc, char** argv) {
   cli.option("pes", "machine size (power-of-two leaves)", "256",
              util::Cli::Kind::kPow2)
       .option("alloc", "allocator spec (core/factory.hpp)", "dmix:d=2")
-      .option("clients", "client threads", "4")
-      .option("requests", "total requests across all clients", "100000")
-      .option("window", "max in-flight requests per client", "16")
-      .option("queue", "service queue capacity", "512")
-      .option("batch", "epoch batch size cap", "64")
-      .option("seed", "base RNG seed (client c uses seed + c)", "42")
+      .option("clients", "client threads", "4", util::Cli::Kind::kU64)
+      .option("requests", "total requests across all clients", "100000",
+              util::Cli::Kind::kU64)
+      .option("window", "max in-flight requests per client", "16",
+              util::Cli::Kind::kU64)
+      .option("queue", "service queue capacity", "512", util::Cli::Kind::kU64)
+      .option("batch", "epoch batch size cap", "64", util::Cli::Kind::kU64)
+      .option("seed", "base RNG seed (client c uses seed + c)", "42",
+              util::Cli::Kind::kU64)
       .option("metrics",
               "write a partree-metrics-v1 snapshot here (arms duration "
               "timers; validate with trace_stats --metrics)",

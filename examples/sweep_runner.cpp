@@ -87,18 +87,20 @@ int main(int argc, char** argv) {
       .option("resume",
               "checkpoint to resume from (and keep checkpointing to)", "")
       .option("n-threads", "worker threads per shard (0 = pool default)",
-              "0")
+              "0", partree::util::Cli::Kind::kU64)
       .option("faults",
               "fault plan over flat cell indices (alloc_fail/cancel), for "
               "testing the retry path",
               "")
       .option("verify-sample",
-              "completed shards to digest-verify on resume", "2")
-      .option("max-retries", "retries per failing shard", "3")
+              "completed shards to digest-verify on resume", "2",
+              partree::util::Cli::Kind::kU64)
+      .option("max-retries", "retries per failing shard", "3",
+              partree::util::Cli::Kind::kU64)
       .option("kill-after",
               "hard-abort (SIGKILL) after this many completed shards; "
               "kill-resume test hook",
-              "0")
+              "0", partree::util::Cli::Kind::kU64)
       .flag("cells", "print every cell, not just per-shard summaries");
   if (!cli.parse(argc, argv)) return 2;
 

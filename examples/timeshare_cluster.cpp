@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("n", "number of PEs (power of two)", "256",
              util::Cli::Kind::kPow2)
-      .option("scale", "workload scale factor", "1.0")
-      .option("seed", "workload RNG seed", "42")
+      .option("scale", "workload scale factor", "1.0", util::Cli::Kind::kDouble)
+      .option("seed", "workload RNG seed", "42", util::Cli::Kind::kU64)
       .option("csv", "write results to this CSV path", "");
   if (!cli.parse(argc, argv)) return 1;
 

@@ -33,8 +33,10 @@ int main(int argc, char** argv) {
       .option("n", "number of PEs (power of two)", "1024",
               util::Cli::Kind::kPow2)
       .option("allocator", "allocator spec (see factory)", "greedy")
-      .option("seed", "seed for campaigns and randomized allocators", "1")
-      .option("scale", "campaign length multiplier", "0.5")
+      .option("seed", "seed for campaigns and randomized allocators", "1",
+              util::Cli::Kind::kU64)
+      .option("scale", "campaign length multiplier", "0.5",
+              util::Cli::Kind::kDouble)
       .option("timeline", "write a Chrome trace of the replay here", "")
       .option("make-demo", "write a demo trace to this path and exit", "")
       .flag("slowdowns", "also report the per-task slowdown distribution");

@@ -338,7 +338,8 @@ int main(int argc, char** argv) {
               "")
       .option("min-utilization",
               "exit nonzero unless at least one thread's utilization "
-              "reaches this fraction (CI gate)", "");
+              "reaches this fraction (CI gate)",
+              std::nullopt, partree::util::Cli::Kind::kDouble);
   if (!cli.parse(argc, argv)) return 1;
 
   const std::string metrics_path = cli.get("metrics");
@@ -369,7 +370,7 @@ int main(int argc, char** argv) {
     std::printf("\nwrote %s\n", out.c_str());
   }
 
-  if (const std::string gate = cli.get("min-utilization"); !gate.empty()) {
+  if (cli.has("min-utilization")) {
     const double min_util = cli.get_double("min-utilization");
     double best = 0.0;
     for (const auto& [tid, t] : stats->threads) {

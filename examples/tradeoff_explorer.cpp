@@ -22,9 +22,10 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("n", "number of PEs (power of two)", "1024",
              util::Cli::Kind::kPow2)
-      .option("d-max", "largest reallocation parameter to sweep", "8")
+      .option("d-max", "largest reallocation parameter to sweep", "8",
+              util::Cli::Kind::kU64)
       .option("campaign", "workload campaign name", "staircase")
-      .option("seed", "workload RNG seed", "1")
+      .option("seed", "workload RNG seed", "1", util::Cli::Kind::kU64)
       .option("csv", "write the sweep to this CSV path", "");
   if (!cli.parse(argc, argv)) return 1;
 

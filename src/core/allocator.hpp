@@ -58,9 +58,6 @@ class Allocator {
   /// Human-readable identifier ("greedy", "dmix(d=2)", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// True for algorithms whose placements depend on random bits.
-  [[nodiscard]] virtual bool is_randomized() const { return false; }
-
   /// Restores the allocator to its initial (empty-machine) state.
   virtual void reset() = 0;
 

@@ -48,7 +48,6 @@ class DChoicesAllocator : public Allocator {
   [[nodiscard]] tree::NodeId place(const Task& task,
                                    const MachineState& state) override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] bool is_randomized() const override { return true; }
   void reset() override;
 
  private:

@@ -27,7 +27,6 @@ class RandomizedReallocAllocator : public Allocator {
   [[nodiscard]] std::optional<std::vector<Migration>> maybe_reallocate(
       const MachineState& state) override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] bool is_randomized() const override { return true; }
   void reset() override;
   /// CopySet::check() on the last round's copies.
   [[nodiscard]] std::string debug_check_state() const override;

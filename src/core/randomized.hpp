@@ -17,7 +17,6 @@ class RandomizedAllocator : public Allocator {
   [[nodiscard]] tree::NodeId place(const Task& task,
                                    const MachineState& state) override;
   [[nodiscard]] std::string name() const override { return "random"; }
-  [[nodiscard]] bool is_randomized() const override { return true; }
   void reset() override;
 
  private:

@@ -92,8 +92,8 @@ constexpr std::uint64_t kRetryBackoffCapMs = 2000;
   return *parsed;
 }
 
-/// Sweep-shaped analogues of the bench_harness e3/e7 suites: the E3
-/// trade-off d-axis and the Figure-1 deterministic campaigns.
+/// Sweep-shaped analogues of experiments E3 and E7: the E3 trade-off
+/// d-axis and the Figure-1 deterministic campaigns.
 [[nodiscard]] std::optional<SweepGrid> preset_grid(std::string_view name) {
   if (name == "e3") {
     SweepGrid grid;

@@ -66,7 +66,7 @@ struct SweepGrid {
   std::uint64_t shard_cells = 8;
 
   /// Parses either a named preset ("e3", "e7" -- the sweep-shaped
-  /// analogues of the bench_harness e3/e7 suites) or the grammar
+  /// analogues of experiments E3 and E7) or the grammar
   ///   campaigns=a,b;allocs=x,y;pes=64,256;seed-base=1;n-seeds=4;
   ///   scale=0.1;shard=8
   /// (any subset of keys; the rest keep their defaults). Throws

@@ -23,21 +23,52 @@ Cli& Cli::declare(std::string name, Spec spec) {
 
 namespace {
 
-bool is_pow2_value(std::string_view text) {
-  const auto parsed = parse_u64(text);
-  return parsed && is_pow2(*parsed);
+/// True iff `text` is one value of `kind`, or of one entry of a list kind.
+bool matches_one(Cli::Kind kind, std::string_view text) {
+  switch (kind) {
+    case Cli::Kind::kAny:
+      return true;
+    case Cli::Kind::kU64:
+    case Cli::Kind::kU64List:
+      return parse_u64(text).has_value();
+    case Cli::Kind::kDouble:
+      return parse_double(text).has_value();
+    case Cli::Kind::kPow2:
+    case Cli::Kind::kPow2List: {
+      const auto parsed = parse_u64(text);
+      return parsed && is_pow2(*parsed);
+    }
+  }
+  return false;
 }
 
-/// True iff `raw` is a value of `kind`, read as get_u64 and get_u64_list
-/// read it.
+/// True iff `raw` is a value of `kind`, read as the typed getters read it.
 bool matches(Cli::Kind kind, std::string_view raw) {
-  if (kind != Cli::Kind::kPow2List) {
-    return kind == Cli::Kind::kAny || is_pow2_value(raw);
+  if (kind != Cli::Kind::kU64List && kind != Cli::Kind::kPow2List) {
+    return matches_one(kind, raw);
   }
   const auto fields = split(raw, ',');
-  return std::all_of(fields.begin(), fields.end(), [](const std::string& f) {
-    return is_pow2_value(trim(f));
+  return std::all_of(fields.begin(), fields.end(), [&](const std::string& f) {
+    return matches_one(kind, trim(f));
   });
+}
+
+const char* expectation(Cli::Kind kind) {
+  switch (kind) {
+    case Cli::Kind::kAny:
+      break;
+    case Cli::Kind::kU64:
+      return "an unsigned integer";
+    case Cli::Kind::kDouble:
+      return "a number";
+    case Cli::Kind::kU64List:
+      return "a comma-separated list of unsigned integers";
+    case Cli::Kind::kPow2:
+      return "a power of two >= 1";
+    case Cli::Kind::kPow2List:
+      return "a comma-separated list of powers of two >= 1";
+  }
+  return "any value";
 }
 
 }  // namespace
@@ -102,11 +133,8 @@ bool Cli::parse(int argc, const char* const* argv) {
     if (spec.kind == Kind::kAny || !has(name)) continue;
     if (const std::string raw = get(name); !matches(spec.kind, raw)) {
       std::fprintf(stderr, "option --%s expects %s, got '%s'\n%s",
-                   name.c_str(),
-                   spec.kind == Kind::kPow2
-                       ? "a power of two >= 1"
-                       : "a comma-separated list of powers of two >= 1",
-                   raw.c_str(), usage(argv[0]).c_str());
+                   name.c_str(), expectation(spec.kind), raw.c_str(),
+                   usage(argv[0]).c_str());
       return false;
     }
   }

@@ -17,10 +17,14 @@ namespace partree::util {
 class Cli {
  public:
   /// The values an option accepts. parse() checks every given and default
-  /// value against its option's kind, so a bad machine size is a usage
-  /// error instead of an assertion deep in the library.
+  /// value against its option's kind, so a malformed number or a bad
+  /// machine size is a usage error instead of an exception or an
+  /// assertion deep in the library.
   enum class Kind : std::uint8_t {
     kAny,       ///< any string; the typed getters check it when read
+    kU64,       ///< an unsigned integer, as get_u64 reads it
+    kDouble,    ///< a number, as get_double reads it
+    kU64List,   ///< a comma-separated list of unsigned integers
     kPow2,      ///< a power of two >= 1, e.g. a machine size
     kPow2List,  ///< a comma-separated list of powers of two >= 1
   };

@@ -1,10 +1,11 @@
-// Minimal JSON for the bench harness (BENCH_*.json read/write).
+// Minimal JSON for the metrics snapshots, Chrome traces, crash dumps,
+// detsim repro files and sweep checkpoints.
 //
 // A small value type plus a strict recursive-descent parser and a stable
 // pretty-printer. Deliberately tiny: objects are std::map (keys serialize
-// sorted, so equal reports produce byte-identical files), numbers are
+// sorted, so equal documents produce byte-identical files), numbers are
 // double (counters fit exactly up to 2^53), and parse errors throw
-// std::runtime_error with an offset -- callers like bench_diff turn that
+// std::runtime_error with an offset -- callers like trace_stats turn that
 // into a clean nonzero exit instead of an abort.
 #pragma once
 

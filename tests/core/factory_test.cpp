@@ -34,13 +34,6 @@ TEST(FactoryTest, WhitespaceTolerated) {
   EXPECT_EQ(make_allocator("dmix: d = 2 ", topo)->name(), "dmix(d=2)");
 }
 
-TEST(FactoryTest, RandomizedFlagPropagates) {
-  const tree::Topology topo(8);
-  EXPECT_TRUE(make_allocator("random", topo)->is_randomized());
-  EXPECT_TRUE(make_allocator("dchoice:k=2", topo)->is_randomized());
-  EXPECT_FALSE(make_allocator("greedy", topo)->is_randomized());
-}
-
 TEST(FactoryTest, UnknownNameThrows) {
   const tree::Topology topo(8);
   EXPECT_THROW((void)make_allocator("nonsense", topo), std::invalid_argument);

@@ -16,7 +16,6 @@ TEST(RandReallocTest, NameAndFlags) {
   const tree::Topology topo(16);
   RandomizedReallocAllocator alloc(topo, 2, 7);
   EXPECT_EQ(alloc.name(), "randmix(d=2)");
-  EXPECT_TRUE(alloc.is_randomized());
 }
 
 TEST(RandReallocTest, FactorySpec) {

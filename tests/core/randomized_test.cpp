@@ -61,11 +61,6 @@ TEST(RandomizedTest, ResetReplaysStream) {
   }
 }
 
-TEST(RandomizedTest, IsRandomizedFlag) {
-  const tree::Topology topo(4);
-  EXPECT_TRUE(RandomizedAllocator(topo, 1).is_randomized());
-}
-
 TEST(RandomizedTest, Theorem51BoundOnSteadyWorkload) {
   // max_tau E[L] <= (3 log N / log log N + 1) * L*, estimated over trials.
   const tree::Topology topo(256);

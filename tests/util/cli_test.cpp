@@ -93,40 +93,76 @@ TEST(CliTest, U64List) {
   EXPECT_EQ(sizes[2], 4u);
 }
 
-// A machine size is checked when parsed, so a bad value is a usage error
-// that names the option instead of an assertion inside the library.
+// A value is checked against its option's kind when parsed, so a
+// malformed number or a bad machine size is a usage error that names the
+// option instead of an exception or an assertion inside the library.
 TEST(CliTest, Pow2KindRejectsBadValues) {
-  for (const std::string bad : {"100", "0", "abc"}) {
+  struct Case {
+    Cli::Kind kind;
+    std::string bad;
+    std::string expects;
+  };
+  const std::vector<Case> cases = {
+      {Cli::Kind::kPow2, "100", "a power of two >= 1"},
+      {Cli::Kind::kPow2, "0", "a power of two >= 1"},
+      {Cli::Kind::kPow2, "abc", "a power of two >= 1"},
+      {Cli::Kind::kU64, "abc", "an unsigned integer"},
+      {Cli::Kind::kU64, "-1", "an unsigned integer"},
+      {Cli::Kind::kU64, "1.5", "an unsigned integer"},
+      {Cli::Kind::kDouble, "abc", "a number"},
+      {Cli::Kind::kDouble, "", "a number"},
+  };
+  for (const Case& c : cases) {
     Cli cli;
-    cli.option("n", "machine size", "64", Cli::Kind::kPow2);
+    cli.option("n", "a value", "64", c.kind);
     testing::internal::CaptureStderr();
-    EXPECT_FALSE(parse(cli, {"--n", bad.c_str()})) << bad;
+    EXPECT_FALSE(parse(cli, {"--n", c.bad.c_str()})) << c.bad;
     EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "option --n expects a power of two >= 1, got '" + bad +
+                  "option --n expects " + c.expects + ", got '" + c.bad +
                   "'"),
               std::string::npos)
-        << bad;
+        << c.bad;
   }
   Cli cli;
   cli.option("n", "machine size", "1", Cli::Kind::kPow2);
-  ASSERT_TRUE(parse(cli, {"--n", "64"}));
+  cli.option("count", "a count", "1", Cli::Kind::kU64);
+  cli.option("rate", "a rate", "1", Cli::Kind::kDouble);
+  ASSERT_TRUE(parse(cli, {"--n", "64", "--count", "7", "--rate", "0.5"}));
   EXPECT_EQ(cli.get_u64("n"), 64u);
+  EXPECT_EQ(cli.get_u64("count"), 7u);
+  EXPECT_DOUBLE_EQ(cli.get_double("rate"), 0.5);
 }
 
 TEST(CliTest, Pow2ListKindRejectsAnyBadEntry) {
-  Cli cli;
-  cli.option("sizes", "machine sizes", "4,16", Cli::Kind::kPow2List);
-  testing::internal::CaptureStderr();
-  EXPECT_FALSE(parse(cli, {"--sizes", "4,100"}));
-  EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                "option --sizes expects a comma-separated list of powers "
-                "of two >= 1, got '4,100'"),
-            std::string::npos);
+  struct Case {
+    Cli::Kind kind;
+    std::string bad;
+    std::string expects;
+  };
+  const std::vector<Case> cases = {
+      {Cli::Kind::kPow2List, "4,100",
+       "a comma-separated list of powers of two >= 1"},
+      {Cli::Kind::kU64List, "4,x",
+       "a comma-separated list of unsigned integers"},
+  };
+  for (const Case& c : cases) {
+    Cli cli;
+    cli.option("sizes", "a list", "4,16", c.kind);
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse(cli, {"--sizes", c.bad.c_str()})) << c.bad;
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "option --sizes expects " + c.expects + ", got '" + c.bad +
+                  "'"),
+              std::string::npos)
+        << c.bad;
+  }
 
   Cli good;
   good.option("sizes", "machine sizes", "4,16", Cli::Kind::kPow2List);
-  ASSERT_TRUE(parse(good, {}));
+  good.option("counts", "counts", "1", Cli::Kind::kU64List);
+  ASSERT_TRUE(parse(good, {"--counts", "1,2"}));
   EXPECT_EQ(good.get_u64_list("sizes"), (std::vector<std::uint64_t>{4, 16}));
+  EXPECT_EQ(good.get_u64_list("counts"), (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(CliTest, KindChecksTheDefaultToo) {
