@@ -11,6 +11,8 @@
 // for load.
 #include "bench_common.hpp"
 
+#include <cstdio>
+
 #include "core/factory.hpp"
 #include "machines/subcube_alloc.hpp"
 #include "sim/engine.hpp"
@@ -20,11 +22,22 @@ int main(int argc, char** argv) {
   using namespace partree;
 
   util::Cli cli;
-  cli.option("dim", "cube dimension (N = 2^dim)", "8", util::Cli::Kind::kU64);
+  cli.option("dim", "cube dimension (N = 2^dim, dim at most 20)", "8",
+             util::Cli::Kind::kU64);
   cli.option("steps", "workload steps per run", "20000", util::Cli::Kind::kU64);
   cli.option("runs", "seeded runs to average", "8", util::Cli::Kind::kU64);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
+  // N = 2^20 is the largest machine any test or benchmark runs; from
+  // dim 64 on, 1 << dim is undefined.
+  constexpr std::uint64_t kMaxDim = 20;
+  if (cli.get_u64("dim") > kMaxDim) {
+    std::fprintf(stderr, "option --dim must be at most %llu, got %llu\n%s",
+                 static_cast<unsigned long long>(kMaxDim),
+                 static_cast<unsigned long long>(cli.get_u64("dim")),
+                 cli.usage(argv[0]).c_str());
+    return 1;
+  }
   const auto dim = static_cast<std::uint32_t>(cli.get_u64("dim"));
   const tree::Topology topo(std::uint64_t{1} << dim);
 

@@ -4,7 +4,8 @@
   python3 scripts/test_perf_ab.py
 
 The label tests feed canned per-pair values to the verdict rules; the last
-test runs the script end to end as an A/A, with this tree on both sides.
+test runs the script end to end as an A/A, with this tree on both sides,
+and checks its exit code and JSON report, not its verdict.
 """
 
 import json
@@ -146,22 +147,29 @@ class EndToEndTest(unittest.TestCase):
         self.assertEqual(self.run_script(perf_ab.ROOT, "--pairs", "0")
                          .returncode, 2)
 
-    def test_an_a_a_run_passes_and_ends_in_one_json_line(self):
-        # One pair of 0.3-s runs is too short for an A/A to pass reliably:
-        # serve_dmix's load_ratio and latency and every setup_s move by
-        # more than their bounds between two such runs of one binary.
-        # Medians of five 1-s runs per side stay well inside them.
-        proc = self.run_script(perf_ab.ROOT, "--pairs", "5",
-                               "--seconds", "1")
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+    def test_an_a_a_run_ends_in_one_json_line(self):
+        # Only the plumbing is pinned here: the labels of runs this short
+        # are noise (the verdict rules are pinned by LabelTest), so the
+        # verdict may read either way, but it must agree with the exit
+        # code and name every workload and metric. Two pairs run both
+        # orders, base first and change first.
+        proc = self.run_script(perf_ab.ROOT, "--pairs", "2",
+                               "--seconds", "0.3")
+        self.assertIn(proc.returncode, (0, 1), proc.stdout + proc.stderr)
         report = json.loads(proc.stdout.splitlines()[-1])
-        self.assertEqual(report["verdict"], "ok")
+        self.assertEqual(report["verdict"],
+                         "ok" if proc.returncode == 0 else "worse")
         spec = perf_ab.load_spec(perf_ab.ROOT)
         self.assertEqual(list(report["workloads"]),
                          [w["name"] for w in spec["workloads"]])
         for w in report["workloads"].values():
             self.assertEqual(list(w["metrics"]),
                              [m["name"] for m in spec["end_to_end"]])
+            for m in w["metrics"].values():
+                self.assertEqual(m["pairs"], 2)
+                self.assertIn(m["label"],
+                              ("worse", "unresolved", "better", "same"))
+            self.assertIn(w["failed"]["label"], ("worse", "same"))
 
 
 if __name__ == "__main__":
