@@ -58,9 +58,9 @@ int main(int argc, char** argv) {
   cli.option("n", "machine size (power of two)", "256",
              util::Cli::Kind::kPow2);
   cli.option("trials", "random task sets per configuration", "300",
-             util::Cli::Kind::kU64);
+             util::Cli::Kind::kPositive);
   cli.option("churn-steps", "repack rounds in the stability test", "400",
-             util::Cli::Kind::kU64);
+             util::Cli::Kind::kPositive);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   const tree::Topology topo(cli.get_u64("n"));

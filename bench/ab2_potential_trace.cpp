@@ -24,6 +24,11 @@ int main(int argc, char** argv) {
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   const tree::Topology topo(cli.get_u64("n"));
+  if (!util::check_option("allocator", [&] {
+        (void)core::make_allocator(cli.get("allocator"), topo);
+      })) {
+    return 1;
+  }
   const std::uint64_t n = topo.n_leaves();
 
   bench::banner("AB2 / Lemma 3 potential trace",

@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("n", "machine size (power of two)", "1024",
              util::Cli::Kind::kPow2);
-  cli.option("trials", "independent placements", "4000", util::Cli::Kind::kU64);
+  cli.option("trials", "independent placements", "4000",
+             util::Cli::Kind::kPositive);
   cli.option("m-max", "largest tail threshold", "8", util::Cli::Kind::kU64);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 

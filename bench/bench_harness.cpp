@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("reps", "interleaved pairs (at least 15 unless --smoke) and "
                      "armed runs per figure",
-             "7", util::Cli::Kind::kU64);
+             "7", util::Cli::Kind::kPositive);
   cli.option("seed", "workload RNG seed", "1", util::Cli::Kind::kU64);
   cli.flag("smoke", "tiny sizes and 1 rep: exercise, don't measure");
   cli.option("trace",
@@ -235,10 +235,6 @@ int main(int argc, char** argv) {
     config.smoke = true;
     config.scale = 0.05;
     config.reps = 1;
-  }
-  if (config.reps < 1) {
-    std::fprintf(stderr, "bench_harness: --reps must be at least 1\n");
-    return 1;
   }
 
   const std::string metrics_path = cli.get("metrics");

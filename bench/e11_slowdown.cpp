@@ -25,6 +25,11 @@ int main(int argc, char** argv) {
              util::Cli::Kind::kPow2);
   cli.option("campaign", "workload campaign", "steady-mix");
   if (!bench::parse_standard(cli, argc, argv)) return 1;
+  if (!util::check_option("campaign", [&] {
+        workload::check_campaign_name(cli.get("campaign"));
+      })) {
+    return 1;
+  }
 
   const tree::Topology topo(cli.get_u64("n"));
 

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("n", "machine size (power of two)", "1024",
              util::Cli::Kind::kPow2);
-  cli.option("events", "events per run", "4000", util::Cli::Kind::kU64);
+  cli.option("events", "events per run", "4000",
+             util::Cli::Kind::kPositive);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   const tree::Topology topo(cli.get_u64("n"));

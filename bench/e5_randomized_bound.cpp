@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("sizes", "machine sizes to sweep", "16,64,256,1024,4096",
              util::Cli::Kind::kPow2List);
-  cli.option("trials", "trials per configuration", "32", util::Cli::Kind::kU64);
+  cli.option("trials", "trials per configuration", "32",
+             util::Cli::Kind::kPositive);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   bench::banner(

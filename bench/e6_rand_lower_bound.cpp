@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   cli.option("sizes", "machine sizes to sweep", "256,1024,4096,65536",
              util::Cli::Kind::kPow2List);
   cli.option("draws", "independent sigma_r draws per N", "20",
-             util::Cli::Kind::kU64);
+             util::Cli::Kind::kPositive);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   bench::banner(

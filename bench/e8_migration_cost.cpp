@@ -23,8 +23,13 @@ int main(int argc, char** argv) {
              util::Cli::Kind::kU64);
   cli.option("campaign", "workload campaign", "steady-mix");
   cli.option("bytes-per-pe", "checkpoint bytes per PE", "1",
-             util::Cli::Kind::kU64);
+             util::Cli::Kind::kPositive);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
+  if (!util::check_option("campaign", [&] {
+        workload::check_campaign_name(cli.get("campaign"));
+      })) {
+    return 1;
+  }
 
   const std::uint64_t n = cli.get_u64("n");
   const tree::Topology topo(n);

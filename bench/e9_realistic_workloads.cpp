@@ -23,6 +23,10 @@ int main(int argc, char** argv) {
 
   const tree::Topology topo(cli.get_u64("n"));
   const double scale = cli.get_double("scale");
+  if (!util::check_option(
+          "scale", [&] { workload::check_campaign_scale(scale); })) {
+    return 1;
+  }
 
   bench::banner("E9 / multi-user time-sharing",
                 "Every algorithm on every campaign at N = " +

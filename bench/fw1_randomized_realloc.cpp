@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
   cli.option("n", "machine size (power of two)", "1024",
              util::Cli::Kind::kPow2);
   cli.option("d-max", "largest d in the sweep", "6", util::Cli::Kind::kU64);
-  cli.option("trials", "trials per configuration", "16", util::Cli::Kind::kU64);
+  cli.option("trials", "trials per configuration", "16",
+             util::Cli::Kind::kPositive);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   const tree::Topology topo(cli.get_u64("n"));

@@ -24,8 +24,10 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.option("dim", "cube dimension (N = 2^dim, dim at most 20)", "8",
              util::Cli::Kind::kU64);
-  cli.option("steps", "workload steps per run", "20000", util::Cli::Kind::kU64);
-  cli.option("runs", "seeded runs to average", "8", util::Cli::Kind::kU64);
+  cli.option("steps", "workload steps per run", "20000",
+             util::Cli::Kind::kPositive);
+  cli.option("runs", "seeded runs to average", "8",
+             util::Cli::Kind::kPositive);
   if (!bench::parse_standard(cli, argc, argv)) return 1;
 
   // N = 2^20 is the largest machine any test or benchmark runs; from

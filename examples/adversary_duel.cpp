@@ -31,6 +31,11 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   const tree::Topology topo(cli.get_u64("n"));
+  if (!util::check_option("allocator", [&] {
+        (void)core::make_allocator(cli.get("allocator"), topo);
+      })) {
+    return 1;
+  }
   std::uint64_t phases = cli.get_u64("phases");
   if (phases == 0 || phases > topo.height()) phases = topo.height();
 

@@ -174,7 +174,12 @@ struct SweepStats {
   const bool shrink = cli.get_flag("shrink");
   const bool no_corruption = cli.get_flag("no-corruption");
   const std::string repro_dir = cli.get("repro-dir");
-  std::filesystem::create_directories(repro_dir);
+  if (std::error_code ec;
+      !std::filesystem::create_directories(repro_dir, ec) && ec) {
+    std::fprintf(stderr, "detsim_runner: --repro-dir %s: %s\n",
+                 repro_dir.c_str(), ec.message().c_str());
+    return 2;
+  }
 
   const std::uint64_t start_ns = partree::obs::detail::monotonic_ns();
   const auto elapsed_s = [start_ns] {
@@ -304,8 +309,17 @@ struct SweepStats {
 
 [[nodiscard]] int run_replay(const std::string& argv0,
                              const partree::util::Cli& cli) {
-  const partree::sim::ReproSpec spec =
-      partree::sim::read_repro(read_or_exit(cli.get("replay")));
+  const std::string path = cli.get("replay");
+  partree::sim::ReproSpec spec;
+  try {
+    spec = partree::sim::read_repro(read_or_exit(path));
+    (void)partree::core::make_allocator(spec.allocator,
+                                        partree::tree::Topology(spec.n_pes));
+  } catch (const std::exception& e) {  // a malformed file or allocator spec
+    std::fprintf(stderr, "detsim_runner: --replay %s: %s\n", path.c_str(),
+                 e.what());
+    return 2;
+  }
   DetSimOptions options;
   options.n_pes = spec.n_pes;
   options.allocator = spec.allocator;
@@ -364,6 +378,19 @@ int main(int argc, char** argv) {
       .flag("shrink", "minimise failing configurations before writing repros")
       .flag("no-corruption", "exclude corrupt:* kinds from random plans");
   if (!cli.parse(argc, argv)) return 2;
+  const std::string alloc = cli.get("alloc");
+  const partree::tree::Topology topo(cli.get_u64("n-pes"));
+  if (!alloc.empty() && !partree::util::check_option("alloc", [&] {
+        (void)partree::core::make_allocator(alloc, topo);
+      })) {
+    return 2;
+  }
+  FaultPlan faults;
+  if (!partree::util::check_option("faults", [&] {
+        faults = FaultPlan::parse(cli.get("faults"));
+      })) {
+    return 2;
+  }
 
   if (!cli.get("crash-dump").empty()) {
     partree::obs::set_crash_dump_path(cli.get("crash-dump"));
@@ -372,11 +399,10 @@ int main(int argc, char** argv) {
   if (cli.get_flag("one")) {
     DetSimOptions options;
     options.n_pes = cli.get_u64("n-pes");
-    options.allocator =
-        cli.get("alloc").empty() ? "basic" : cli.get("alloc");
+    options.allocator = alloc.empty() ? "basic" : alloc;
     options.seed = cli.get_u64("seed");
     options.n_events = cli.get_u64("events");
-    options.faults = FaultPlan::parse(cli.get("faults"));
+    options.faults = faults;
     return run_one(options);
   }
   if (!cli.get("replay").empty()) return run_replay(argv[0], cli);

@@ -7,6 +7,7 @@
 // sequence, run it through two allocation algorithms, and inspect loads.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "core/factory.hpp"
 #include "core/sequence.hpp"
@@ -41,7 +42,7 @@ int main() {
               static_cast<unsigned long long>(sequence.optimal_load(16)));
 
   // Run the same sequence through several allocation algorithms.
-  sim::Engine engine(topo, sim::EngineOptions{.record_peak_histogram = true});
+  sim::Engine engine(topo);
   std::vector<sim::SimResult> results;
   for (const char* spec : {"greedy", "basic", "dmix:d=1", "optimal"}) {
     auto allocator = core::make_allocator(spec, topo);
@@ -51,16 +52,29 @@ int main() {
   sim::results_table(results).print(std::cout,
                                     "Load on a 16-PE tree machine");
 
-  std::printf("\nPer-PE thread counts at the greedy algorithm's peak:\n%s",
-              results[0].peak_pe_histogram.render().c_str());
-
-  // Replay part of the sequence by hand to draw the machine mid-flight.
+  // Replay greedy by hand, one step at a time, to look inside the
+  // machine: the per-PE loads at the first peak, and the machine
+  // mid-flight.
   core::MachineState state(topo);
   auto greedy = core::make_allocator("greedy", topo);
-  for (std::size_t i = 0; i < 5 && i < sequence.size(); ++i) {
+  std::uint64_t peak = 0;
+  util::Histogram peak_loads;
+  std::string after_five;
+  for (std::size_t i = 0; i < sequence.size(); ++i) {
     core::apply_event(state, *greedy, sequence[i]);
+    if (state.max_load() > peak) {
+      peak = state.max_load();
+      peak_loads.clear();
+      for (const std::uint64_t pe_load : state.pe_loads()) {
+        peak_loads.add(pe_load);
+      }
+    }
+    if (i + 1 == 5) after_five = sim::render_machine(state);
   }
+
+  std::printf("\nPer-PE thread counts at the greedy algorithm's peak:\n%s",
+              peak_loads.render().c_str());
   std::printf("\nMachine after the first 5 events (greedy placements):\n%s",
-              sim::render_machine(state).c_str());
+              after_five.c_str());
   return 0;
 }

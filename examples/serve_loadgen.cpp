@@ -18,7 +18,7 @@
 // serve.* definitions.
 // Exit status: 0 verified, 1 digest mismatch, lost requests, or a
 // --metrics snapshot that does not reconcile with the service's stats,
-// 2 I/O error writing --metrics.
+// 2 a bad option value or an I/O error writing --metrics.
 //
 // --metrics arms the duration timers (queue-wait and apply-latency
 // histograms) and writes a partree-metrics-v1 snapshot of the service's
@@ -166,13 +166,17 @@ int main(int argc, char** argv) {
   cli.option("pes", "machine size (power-of-two leaves)", "256",
              util::Cli::Kind::kPow2)
       .option("alloc", "allocator spec (core/factory.hpp)", "dmix:d=2")
-      .option("clients", "client threads", "4", util::Cli::Kind::kU64)
-      .option("requests", "total requests across all clients", "100000",
-              util::Cli::Kind::kU64)
+      .option("clients", "client threads (at most 256)", "4",
+              util::Cli::Kind::kPositive)
+      .option("requests",
+              "total requests across all clients (at least --clients)",
+              "100000", util::Cli::Kind::kU64)
       .option("window", "max in-flight requests per client", "16",
-              util::Cli::Kind::kU64)
-      .option("queue", "service queue capacity", "512", util::Cli::Kind::kU64)
-      .option("batch", "epoch batch size cap", "64", util::Cli::Kind::kU64)
+              util::Cli::Kind::kPositive)
+      .option("queue", "service queue capacity", "512",
+              util::Cli::Kind::kPositive)
+      .option("batch", "epoch batch size cap", "64",
+              util::Cli::Kind::kPositive)
       .option("seed", "base RNG seed (client c uses seed + c)", "42",
               util::Cli::Kind::kU64)
       .option("metrics",
@@ -180,24 +184,39 @@ int main(int argc, char** argv) {
               "timers; validate with trace_stats --metrics)",
               "");
   if (!cli.parse(argc, argv)) return 2;
-  // PartitionService asserts both; reject them here as usage errors.
-  for (const char* name : {"queue", "batch"}) {
-    if (cli.get_u64(name) == 0) {
-      std::fprintf(stderr, "option --%s must be >= 1\n%s", name,
-                   cli.usage(argv[0]).c_str());
-      return 2;
-    }
+  // One OS thread per client: the ceiling keeps a typo from asking for
+  // thousands of threads.
+  constexpr std::uint64_t kMaxClients = 256;
+  const std::uint64_t clients = cli.get_u64("clients");
+  if (clients > kMaxClients) {
+    std::fprintf(stderr, "option --clients must be at most %llu, got %llu\n%s",
+                 static_cast<unsigned long long>(kMaxClients),
+                 static_cast<unsigned long long>(clients),
+                 cli.usage(argv[0]).c_str());
+    return 2;
+  }
+  // Each client gets requests / clients; with none, nothing is verified.
+  const std::uint64_t requests = cli.get_u64("requests");
+  if (requests < clients) {
+    std::fprintf(stderr,
+                 "option --requests must be at least --clients (%llu), got "
+                 "%llu\n%s",
+                 static_cast<unsigned long long>(clients),
+                 static_cast<unsigned long long>(requests),
+                 cli.usage(argv[0]).c_str());
+    return 2;
   }
 
   const std::uint64_t pes = cli.get_u64("pes");
   const std::string alloc_spec = cli.get("alloc");
-  const std::uint64_t clients = std::max<std::uint64_t>(1, cli.get_u64("clients"));
-  const std::uint64_t requests = cli.get_u64("requests");
-  const std::size_t window =
-      static_cast<std::size_t>(std::max<std::uint64_t>(1, cli.get_u64("window")));
+  const auto window = static_cast<std::size_t>(cli.get_u64("window"));
   const std::string metrics_path = cli.get("metrics");
 
   const tree::Topology topo(pes);
+  if (!util::check_option(
+          "alloc", [&] { (void)core::make_allocator(alloc_spec, topo); })) {
+    return 2;
+  }
   serve::ServiceOptions options;
   options.queue_capacity = static_cast<std::size_t>(cli.get_u64("queue"));
   options.batch_size = static_cast<std::size_t>(cli.get_u64("batch"));

@@ -29,6 +29,10 @@ int main(int argc, char** argv) {
 
   const tree::Topology topo(cli.get_u64("n"));
   const double scale = cli.get_double("scale");
+  if (!util::check_option(
+          "scale", [&] { workload::check_campaign_scale(scale); })) {
+    return 1;
+  }
 
   const std::vector<std::string> algorithms = {
       "optimal", "greedy", "dmix:d=1", "dmix:d=2", "basic",

@@ -14,6 +14,7 @@
 // open it in chrome://tracing or ui.perfetto.dev.
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/factory.hpp"
 #include "obs/chrome_trace.hpp"
@@ -43,6 +44,21 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   const tree::Topology topo(cli.get_u64("n"));
+  const std::string path = cli.get("trace");
+  const std::string campaign = cli.get("campaign");
+  const std::string spec = cli.get("allocator");
+  const double scale = cli.get_double("scale");
+  if (!util::check_option("allocator",
+                          [&] { (void)core::make_allocator(spec, topo); }) ||
+      !util::check_option("scale",
+                          [&] { workload::check_campaign_scale(scale); })) {
+    return 1;
+  }
+  if (!campaign.empty() &&
+      !util::check_option("campaign",
+                          [&] { workload::check_campaign_name(campaign); })) {
+    return 1;
+  }
 
   if (const std::string demo = cli.get("make-demo"); !demo.empty()) {
     util::Rng rng(cli.get_u64("seed"));
@@ -53,8 +69,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string path = cli.get("trace");
-  const std::string campaign = cli.get("campaign");
   if (path.empty() == campaign.empty()) {
     std::fprintf(stderr,
                  "need exactly one of --trace <file> / --campaign <name> "
@@ -65,12 +79,17 @@ int main(int argc, char** argv) {
   core::TaskSequence seq;
   std::string source_label;
   if (!path.empty()) {
-    seq = workload::read_trace_file(path);
+    try {
+      seq = workload::read_trace_file(path);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "trace_runner: --trace %s: %s\n", path.c_str(),
+                   e.what());
+      return 1;
+    }
     source_label = path;
   } else {
     util::Rng rng(cli.get_u64("seed"));
-    seq = workload::make_campaign(campaign, topo, rng,
-                                  cli.get_double("scale"));
+    seq = workload::make_campaign(campaign, topo, rng, scale);
     source_label = "campaign " + campaign;
   }
   if (const std::string error = seq.validate(topo.n_leaves());
@@ -87,8 +106,7 @@ int main(int argc, char** argv) {
   options.record_slowdowns = cli.get_flag("slowdowns");
   if (!timeline.empty()) options.trace = &timeline_sink;
   sim::Engine engine(topo, options);
-  auto allocator =
-      core::make_allocator(cli.get("allocator"), topo, cli.get_u64("seed"));
+  auto allocator = core::make_allocator(spec, topo, cli.get_u64("seed"));
   const auto result = engine.run(seq, *allocator);
 
   std::vector<sim::SimResult> results{result};

@@ -28,6 +28,11 @@ int main(int argc, char** argv) {
       .option("seed", "workload RNG seed", "1", util::Cli::Kind::kU64)
       .option("csv", "write the sweep to this CSV path", "");
   if (!cli.parse(argc, argv)) return 1;
+  if (!util::check_option("campaign", [&] {
+        workload::check_campaign_name(cli.get("campaign"));
+      })) {
+    return 1;
+  }
 
   const tree::Topology topo(cli.get_u64("n"));
   util::Rng rng(cli.get_u64("seed"));

@@ -1,4 +1,4 @@
-// String-spec allocator factory for CLIs, benches and sweep configs.
+// String-spec allocator factory for CLIs, benches and experiment configs.
 //
 // Spec grammar: `name` or `name:key=value[,key=value...]`, e.g.
 //   "optimal"          A_C, the optimal 0-reallocation algorithm (A_M

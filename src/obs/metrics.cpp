@@ -151,7 +151,6 @@ constexpr std::string_view kDurationNames[kNumDurationMetrics] = {
     "pool_region_ns",
     "pool_worker_busy_ns",
     "pool_worker_idle_ns",
-    "sweep_shard_ns",
     "serve_queue_wait_ns",
     "serve_apply_ns",
 };
@@ -161,7 +160,6 @@ constexpr std::string_view kValueNames[kNumValueMetrics] = {
     "min_load_node_visits",
     "pool_region_items",
     "pool_chunk_items",
-    "sweep_shard_cells",
     "serve_batch_requests",
 };
 

@@ -45,9 +45,9 @@ namespace partree::obs {
 /// Duration histograms (nanoseconds). The timed scopes are populated by
 /// obs/timing.hpp's ScopedTimer, which also names its trace spans after
 /// them; the rest are direct record_duration calls that emit no span,
-/// made where the caller already holds a measurement (e.g. a sweep
-/// shard's wall time, measured anyway for the checkpoint) or times only
-/// part of a scope (an applied round inside `reallocate_ns`).
+/// made where the caller already holds a measurement (e.g. a request's
+/// queue wait, from the admission timestamp) or times only part of a
+/// scope (an applied round inside `reallocate_ns`).
 enum class DurationMetric : std::size_t {
   /// Engine (timed scope): one arrival fully handled (placement + any
   /// reallocation + slowdown bookkeeping).
@@ -85,8 +85,6 @@ enum class DurationMetric : std::size_t {
   kPoolWorkerBusyNs,
   /// Pool: one worker's parked gap between consecutive regions it ran.
   kPoolWorkerIdleNs,
-  /// Sweep: one shard, all its cells (sim/sweep.cpp run_shard).
-  kSweepShardNs,
   /// Serve: one request's wait in the partition-service queue, from
   /// admission to its epoch batch being dequeued.
   kServeQueueWaitNs,
@@ -111,8 +109,6 @@ enum class ValueMetric : std::size_t {
   kPoolRegionItems,
   /// Pool: items per chunk a worker claimed off the ticket counter.
   kPoolChunkItems,
-  /// Sweep: cells per executed shard.
-  kSweepShardCells,
   /// Serve: requests per applied epoch batch.
   kServeBatchRequests,
   kCount,
@@ -203,7 +199,7 @@ inline std::atomic<bool> g_duration_metrics_enabled{false};
 
 /// Duration-timer switch (default OFF): lets ScopedTimer read the clock
 /// and record. record_duration itself only needs the master switch --
-/// callers that already measured (sweep shards) record for free.
+/// callers that already measured (a queue wait) record for free.
 void set_duration_metrics_enabled(bool enabled) noexcept;
 [[nodiscard]] inline bool duration_metrics_enabled() noexcept {
   return detail::g_duration_metrics_enabled.load(std::memory_order_relaxed);

@@ -165,7 +165,6 @@ std::string_view instant_name(Instant i) noexcept {
     case Instant::kMigrationBatch: return "migration_batch";
     case Instant::kFaultInjected: return "fault_injected";
     case Instant::kStateDigest: return "state_digest";
-    case Instant::kSweepShard: return "sweep_shard";
     case Instant::kServeBatch: return "serve_batch";
     case Instant::kCount: break;
   }
@@ -283,8 +282,8 @@ std::string write_crash_dump(std::string_view reason) {
   if (path.empty()) {
     // Default: partree_crash_<unix_ts>_<pid>.json in PARTREE_CRASH_DIR
     // (created if missing), falling back to the working directory. The pid
-    // keeps same-second dumps of concurrent processes (ctest -j, sweep
-    // shards) from replacing each other.
+    // keeps same-second dumps of concurrent processes (ctest -j) from
+    // replacing each other.
     path = "partree_crash_" +
            std::to_string(static_cast<long long>(std::time(nullptr))) + "_" +
            std::to_string(static_cast<long long>(::getpid())) + ".json";

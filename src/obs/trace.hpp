@@ -54,9 +54,6 @@ enum class Instant : std::uint8_t {
   kFaultInjected,
   /// One per-reallocation-epoch MachineState digest; payload = the digest.
   kStateDigest,
-  /// One sweep shard completed (sim/sweep.cpp run_shard); payload = the
-  /// shard index.
-  kSweepShard,
   /// One partition-service epoch batch applied (serve/service.hpp);
   /// payload = requests in the batch.
   kServeBatch,

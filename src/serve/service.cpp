@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <iterator>
 #include <utility>
@@ -16,8 +15,6 @@ namespace partree::serve {
 
 std::string_view service_error_name(ServiceErrorCode code) noexcept {
   switch (code) {
-    case ServiceErrorCode::kQueueFull: return "queue_full";
-    case ServiceErrorCode::kTimeout: return "timeout";
     case ServiceErrorCode::kStopped: return "stopped";
     case ServiceErrorCode::kBadRequest: return "bad_request";
   }
@@ -74,30 +71,12 @@ PartitionService::Admitted PartitionService::admit(core::EventKind kind,
   Admitted admitted{kInvalidRequestId, req.promise.get_future()};
 
   std::unique_lock lock(mutex_);
-  const auto has_space = [this] {
+  cv_space_.wait(lock, [this] {
     return queue_.size() < options_.queue_capacity || !accepting_;
-  };
+  });
   if (!accepting_) {
+    ++stats_.rejected;
     throw ServiceError(ServiceErrorCode::kStopped, "service is stopped");
-  }
-  if (!has_space()) {
-    if (options_.backpressure == BackpressureMode::kReject) {
-      ++stats_.rejected;
-      throw ServiceError(ServiceErrorCode::kQueueFull,
-                         "request queue is full");
-    }
-    if (options_.block_timeout_ms == 0) {
-      cv_space_.wait(lock, has_space);
-    } else if (!cv_space_.wait_for(
-                   lock, std::chrono::milliseconds(options_.block_timeout_ms),
-                   has_space)) {
-      ++stats_.rejected;
-      throw ServiceError(ServiceErrorCode::kTimeout,
-                         "request queue stayed full past the deadline");
-    }
-    if (!accepting_) {
-      throw ServiceError(ServiceErrorCode::kStopped, "service is stopped");
-    }
   }
 
   req.task = kind == core::EventKind::kArrival ? core::Task{next_id_++, size}
@@ -287,12 +266,10 @@ void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
     placement.error = ServiceErrorCode::kBadRequest;
     return;
   }
-  if (options_.record_sequence) {
-    if (arrival) {
-      recorded_.arrive_as(req.task.id, req.task.size);
-    } else {
-      recorded_.depart(req.task.id);
-    }
+  if (arrival) {
+    recorded_.arrive_as(req.task.id, req.task.size);
+  } else {
+    recorded_.depart(req.task.id);
   }
   const core::StepRecord step = core::apply_event(
       state_, *allocator_, core::Event{req.kind, req.task});

@@ -25,10 +25,8 @@
 // flush()/drain() return (they wait on those counts) every future they
 // cover is ready.
 //
-// A full queue exerts backpressure, configurable per service: kBlock
-// parks the submitter until space frees (optionally bounded by a
-// deadline, after which a typed ServiceError::kTimeout is thrown) while
-// kReject fails the submission immediately with ServiceError::kQueueFull.
+// A full queue exerts backpressure: it parks the submitter until space
+// frees, or until stop() refuses it with ServiceError::kStopped.
 // stop() is graceful: every admitted request is still applied and its
 // future completed before the apply thread exits, and the final state
 // digest (the canonical MachineState digest) is published in the stats
@@ -61,17 +59,8 @@
 
 namespace partree::serve {
 
-/// What happens to a submitter when the request queue is full.
-enum class BackpressureMode : std::uint8_t {
-  /// Park the submitting thread until space frees (or the configured
-  /// deadline passes, which throws ServiceError::kTimeout).
-  kBlock = 0,
-  /// Fail the submission immediately with ServiceError::kQueueFull.
-  kReject,
-};
-
 /// Typed submission failures. Requests that were never admitted (the
-/// queue stayed full, the service stopped) throw from submit_*;
+/// service stopped) throw from submit_*;
 /// per-request application failures (e.g. departing an unknown task)
 /// surface in-band through the request's future -- a Placement with
 /// `ok == false` (Placement::throw_if_failed rethrows as a typed
@@ -82,10 +71,8 @@ enum class BackpressureMode : std::uint8_t {
 /// cross-thread handoff that cannot be shown race-free (libstdc++'s
 /// exception refcounting is uninstrumented under TSan).
 enum class ServiceErrorCode : std::uint8_t {
-  kQueueFull = 0,  ///< kReject backpressure: no space at submission
-  kTimeout,        ///< kBlock backpressure: deadline passed, still full
-  kStopped,        ///< submitted after stop() (or while blocked when it hit)
-  kBadRequest,     ///< invalid size / unknown or already-departed task
+  kStopped = 0,  ///< submitted after stop() (or while blocked when it hit)
+  kBadRequest,   ///< invalid size / unknown or already-departed task
 };
 
 [[nodiscard]] std::string_view service_error_name(
@@ -103,20 +90,13 @@ class ServiceError : public std::runtime_error {
 };
 
 struct ServiceOptions {
-  /// Bounded request-queue capacity (backpressure beyond this). The
+  /// Bounded request-queue capacity (a full queue parks submitters). The
   /// queue and the apply thread's batch each reserve this many requests
   /// up front.
   std::size_t queue_capacity = 1024;
   /// Epoch-batch cap: the apply thread drains at most this many requests
   /// per batch (it also closes a batch early when the queue runs empty).
   std::size_t batch_size = 64;
-  BackpressureMode backpressure = BackpressureMode::kBlock;
-  /// kBlock only: longest a submitter may park waiting for space, in
-  /// milliseconds; 0 waits forever.
-  std::uint64_t block_timeout_ms = 0;
-  /// Record the admitted (applied) sequence for differential replay
-  /// through Engine::run. O(1 event) memory per applied request.
-  bool record_sequence = true;
 };
 
 /// Completed-request payload carried by the future: where the task lives
@@ -160,7 +140,7 @@ struct ServiceStats {
   std::uint64_t admitted = 0;  ///< requests accepted into the queue
   std::uint64_t applied = 0;   ///< futures completed with a Placement
   std::uint64_t failed = 0;    ///< futures completed with a ServiceError
-  std::uint64_t rejected = 0;  ///< submissions refused (full/timeout)
+  std::uint64_t rejected = 0;  ///< submissions refused (kStopped)
   std::uint64_t batches = 0;   ///< epoch batches applied
   std::uint64_t max_batch = 0;
   std::uint64_t arrivals = 0;
@@ -191,8 +171,8 @@ class PartitionService {
   /// Admits an arrival of `size` PEs (power of two, 1..N; anything else
   /// throws kBadRequest without touching the queue). Returns the
   /// admission-order task id plus the future that completes when the
-  /// request is applied. Throws kQueueFull/kTimeout/kStopped per the
-  /// backpressure configuration.
+  /// request is applied. Parks while the queue is full; throws kStopped
+  /// once stop() has run.
   [[nodiscard]] ArrivalTicket submit_arrival(std::uint64_t size);
 
   /// Admits a departure of a previously admitted task. When the task is
@@ -223,9 +203,10 @@ class PartitionService {
   }
   [[nodiscard]] std::size_t queue_depth() const;
 
-  /// The admitted-and-applied sequence, in admission order (empty unless
-  /// ServiceOptions::record_sequence). Only call after stop(): the apply
-  /// thread owns the sequence while it runs.
+  /// The admitted-and-applied sequence, in admission order, for
+  /// differential replay through Engine::run (O(1 event) memory per
+  /// applied request). Only call after stop(): the apply thread owns the
+  /// sequence while it runs.
   [[nodiscard]] const core::TaskSequence& recorded() const;
 
   /// TEST-ONLY: parks the apply thread after its current batch so tests

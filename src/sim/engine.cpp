@@ -213,15 +213,7 @@ SimResult Engine::run_interactive(core::EventSource& source,
     const obs::ScopedTimer bookkeeping_timer(
         obs::DurationMetric::kBookkeepingNs);
     const std::uint64_t load = state.max_load();
-    if (load > result.max_load) {
-      result.max_load = load;
-      if (options_.record_peak_histogram) {
-        result.peak_pe_histogram.clear();
-        for (const std::uint64_t pe_load : state.pe_loads()) {
-          result.peak_pe_histogram.add(pe_load);
-        }
-      }
-    }
+    result.max_load = std::max(result.max_load, load);
     if (options_.record_series) result.load_series.push_back(load);
     if (options_.record_digests && step_record.reallocated) {
       const std::uint64_t digest = state.digest();

@@ -27,8 +27,6 @@ inline constexpr std::uint64_t kTraceSampleEvery = 64;
 struct EngineOptions {
   /// Record the post-event max-load series (needed for max_tau E[L]).
   bool record_series = false;
-  /// Capture a per-PE load histogram at the first peak-load moment.
-  bool record_peak_histogram = false;
   /// Track per-task slowdowns (max PE load inside each task's submachine
   /// over its lifetime). Adds O(overlapping tasks) work per event.
   bool record_slowdowns = false;

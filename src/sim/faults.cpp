@@ -6,6 +6,7 @@
 #include "util/assert.hpp"
 #include "util/digest.hpp"
 #include "util/json.hpp"
+#include "util/math.hpp"
 
 namespace partree::sim {
 namespace {
@@ -202,6 +203,10 @@ ReproSpec read_repro(std::string_view text) {
   }
   ReproSpec spec;
   spec.n_pes = root.at("n_pes").as_u64();
+  if (!util::is_pow2(spec.n_pes)) {
+    throw std::runtime_error("repro file n_pes " + std::to_string(spec.n_pes) +
+                             " is not a power of two");
+  }
   spec.allocator = root.at("allocator").as_string();
   spec.seed = util::parse_digest_hex(root.at("seed").as_string());
   try {

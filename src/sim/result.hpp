@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "util/histogram.hpp"
 
 namespace partree::sim {
 
@@ -50,9 +49,6 @@ struct SimResult {
   std::uint64_t worst_slowdown = 0;
   /// Mean slowdown over completed tasks; 0 unless requested.
   double mean_slowdown = 0.0;
-  /// Per-PE load histogram captured at the first moment of peak load;
-  /// filled only when requested.
-  util::Histogram peak_pe_histogram;
 
   /// Per-reallocation-epoch state digests plus the end-of-run digest;
   /// filled only when EngineOptions::record_digests is set.

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -31,8 +32,14 @@ bool matches_one(Cli::Kind kind, std::string_view text) {
     case Cli::Kind::kU64:
     case Cli::Kind::kU64List:
       return parse_u64(text).has_value();
-    case Cli::Kind::kDouble:
-      return parse_double(text).has_value();
+    case Cli::Kind::kPositive: {
+      const auto parsed = parse_u64(text);
+      return parsed && *parsed >= 1;
+    }
+    case Cli::Kind::kDouble: {
+      const auto parsed = parse_double(text);
+      return parsed && std::isfinite(*parsed);
+    }
     case Cli::Kind::kPow2:
     case Cli::Kind::kPow2List: {
       const auto parsed = parse_u64(text);
@@ -59,8 +66,10 @@ const char* expectation(Cli::Kind kind) {
       break;
     case Cli::Kind::kU64:
       return "an unsigned integer";
+    case Cli::Kind::kPositive:
+      return "an unsigned integer >= 1";
     case Cli::Kind::kDouble:
-      return "a number";
+      return "a finite number";
     case Cli::Kind::kU64List:
       return "a comma-separated list of unsigned integers";
     case Cli::Kind::kPow2:
@@ -172,9 +181,9 @@ std::uint64_t Cli::get_u64(std::string_view name) const {
 double Cli::get_double(std::string_view name) const {
   const std::string raw = get(name);
   const auto parsed = parse_double(raw);
-  if (!parsed) {
+  if (!parsed || !std::isfinite(*parsed)) {
     throw std::invalid_argument("option --" + std::string(name) +
-                                " expects a number, got '" + raw + "'");
+                                " expects a finite number, got '" + raw + "'");
   }
   return *parsed;
 }
@@ -195,6 +204,17 @@ std::vector<std::uint64_t> Cli::get_u64_list(std::string_view name) const {
     values.push_back(*parsed);
   }
   return values;
+}
+
+bool check_option(std::string_view name, const std::function<void()>& check) {
+  try {
+    check();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "option --%.*s: %s\n", static_cast<int>(name.size()),
+                 name.data(), e.what());
+    return false;
+  }
+  return true;
 }
 
 std::string Cli::usage(std::string_view program) const {

@@ -2,10 +2,11 @@
 //
 // Supports `--name value`, `--name=value`, and boolean `--flag` forms, with
 // typed accessors and an auto-generated usage string. Unknown options are a
-// hard error so typos in sweep scripts do not silently run defaults.
+// hard error so typos in scripts do not silently run defaults.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -23,7 +24,8 @@ class Cli {
   enum class Kind : std::uint8_t {
     kAny,       ///< any string; the typed getters check it when read
     kU64,       ///< an unsigned integer, as get_u64 reads it
-    kDouble,    ///< a number, as get_double reads it
+    kPositive,  ///< an unsigned integer >= 1, e.g. a trial count
+    kDouble,    ///< a finite number, as get_double reads it
     kU64List,   ///< a comma-separated list of unsigned integers
     kPow2,      ///< a power of two >= 1, e.g. a machine size
     kPow2List,  ///< a comma-separated list of powers of two >= 1
@@ -67,5 +69,12 @@ class Cli {
   std::map<std::string, std::string, std::less<>> values_;
   std::vector<std::string> flag_hits_;
 };
+
+/// Runs `check`, which hands option `name`'s value to the library that
+/// judges it (an allocator spec, a campaign name or scale, a fault plan).
+/// A std::invalid_argument from `check` is a usage error: it prints
+/// "option --<name>: <reason>" and returns false.
+[[nodiscard]] bool check_option(std::string_view name,
+                                const std::function<void()>& check);
 
 }  // namespace partree::util

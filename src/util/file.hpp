@@ -1,9 +1,9 @@
 // Durable file I/O helpers.
 //
-// Everything the harness persists across a crash (sweep checkpoints,
-// crash dumps, repro files) goes through write_file_atomic: the contents
-// land in a sibling ".tmp" file, are flushed to disk (fsync), and only
-// then renamed over the destination. POSIX rename is atomic within a
+// Everything the harness persists across a crash (crash dumps, detsim
+// repro files, metrics snapshots) goes through write_file_atomic: the
+// contents land in a sibling ".tmp" file, are flushed to disk (fsync), and
+// only then renamed over the destination. POSIX rename is atomic within a
 // filesystem, so a reader -- including this process after a restart --
 // sees either the previous complete file or the new complete file, never
 // a truncated mix.

@@ -1,15 +1,28 @@
 #include "workload/campaign.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <sstream>
 #include <stdexcept>
 
+#include "util/assert.hpp"
 #include "workload/stressors.hpp"
 #include "workload/synthetic.hpp"
 
 namespace partree::workload {
 
+namespace {
+
+/// The largest unscaled event budget of any campaign (steady-mix and
+/// small-tasks).
+constexpr double kMaxBaseBudget = 4000.0;
+
+}  // namespace
+
 core::TaskSequence make_campaign(std::string_view name, tree::Topology topo,
                                  util::Rng& rng, double scale) {
+  check_campaign_name(name);
+  check_campaign_scale(scale);
   const auto scaled = [scale](std::uint64_t base) {
     const double value = scale * static_cast<double>(base);
     return value < 1.0 ? std::uint64_t{1}
@@ -68,16 +81,32 @@ core::TaskSequence make_campaign(std::string_view name, tree::Topology topo,
   if (name == "staircase") {
     return staircase(topo, h);
   }
-  if (name == "churn") {
-    return churn(topo, scaled(64));
-  }
-  throw std::invalid_argument("unknown campaign: '" + std::string(name) +
-                              "'");
+  PARTREE_ASSERT(name == "churn", "campaign_names() lists an unbuilt name");
+  return churn(topo, scaled(64));
 }
 
 std::vector<std::string> campaign_names() {
   return {"steady-mix", "small-tasks", "heavy-tail", "bursty",
           "diurnal",    "fill-drain",  "staircase",  "churn"};
+}
+
+void check_campaign_name(std::string_view name) {
+  const std::vector<std::string> names = campaign_names();
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    throw std::invalid_argument("unknown campaign: '" + std::string(name) +
+                                "'");
+  }
+}
+
+void check_campaign_scale(double scale) {
+  // 2^64 is the first double a std::uint64_t cannot hold.
+  constexpr double kMaxScale = 0x1p64 / kMaxBaseBudget;
+  if (!std::isfinite(scale) || scale <= 0.0 || scale >= kMaxScale) {
+    std::ostringstream message;
+    message << "campaign scale must be positive and below " << kMaxScale
+            << " (the event budget must fit in 64 bits), got " << scale;
+    throw std::invalid_argument(message.str());
+  }
 }
 
 }  // namespace partree::workload

@@ -21,7 +21,8 @@ namespace partree::workload {
 ///   "staircase"    deterministic fragmentation nemesis
 ///   "churn"        deterministic mixed-size churn
 /// `scale` multiplies the event budget (1 = a few thousand events).
-/// Throws std::invalid_argument for unknown names.
+/// Throws std::invalid_argument for an unknown name or a scale
+/// check_campaign_scale rejects.
 [[nodiscard]] core::TaskSequence make_campaign(std::string_view name,
                                                tree::Topology topo,
                                                util::Rng& rng,
@@ -29,5 +30,12 @@ namespace partree::workload {
 
 /// All names make_campaign accepts.
 [[nodiscard]] std::vector<std::string> campaign_names();
+
+/// Throws std::invalid_argument unless `name` is in campaign_names().
+void check_campaign_name(std::string_view name);
+
+/// Throws std::invalid_argument unless `scale` is finite and positive and
+/// every campaign's scaled event budget fits in 64 bits.
+void check_campaign_scale(double scale);
 
 }  // namespace partree::workload

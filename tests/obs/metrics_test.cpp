@@ -85,7 +85,7 @@ TEST_F(MetricsTest, QuantileExtremesWithEmptyLeadingBuckets) {
 
 TEST_F(MetricsTest, EmptyHistogramQuantileIsZero) {
   const MetricsSnapshot snap = snapshot_metrics();
-  const MetricHistogram& h = snap.value(ValueMetric::kSweepShardCells);
+  const MetricHistogram& h = snap.value(ValueMetric::kPoolChunkItems);
   EXPECT_EQ(h.count, 0u);
   EXPECT_EQ(h.quantile(0.0), 0u);
   EXPECT_EQ(h.quantile(1.0), 0u);
@@ -94,11 +94,11 @@ TEST_F(MetricsTest, EmptyHistogramQuantileIsZero) {
 TEST_F(MetricsTest, MasterSwitchGatesEverything) {
   set_metrics_enabled(false);
   record_value(ValueMetric::kMigrationsApplied, 5);
-  record_duration(DurationMetric::kSweepShardNs, 100);
+  record_duration(DurationMetric::kServeQueueWaitNs, 100);
   gauge_max(GaugeMetric::kPoolQueueDepthHwm, 77);
   const MetricsSnapshot off = snapshot_metrics();
   EXPECT_EQ(off.value(ValueMetric::kMigrationsApplied).count, 0u);
-  EXPECT_EQ(off.duration(DurationMetric::kSweepShardNs).count, 0u);
+  EXPECT_EQ(off.duration(DurationMetric::kServeQueueWaitNs).count, 0u);
   EXPECT_EQ(off.gauge(GaugeMetric::kPoolQueueDepthHwm), 0u);
 
   set_metrics_enabled(true);
@@ -116,11 +116,12 @@ TEST_F(MetricsTest, DurationSwitchGatesTimersButNotDirectRecords) {
   EXPECT_EQ(snapshot_metrics().duration(DurationMetric::kReallocRoundNs).count,
             0u);
 
-  // Pre-measured durations only need the master switch (the sweep-shard
-  // path records its checkpoint wall time this way).
-  record_duration(DurationMetric::kSweepShardNs, 1234);
-  EXPECT_EQ(snapshot_metrics().duration(DurationMetric::kSweepShardNs).count,
-            1u);
+  // Pre-measured durations only need the master switch (the service
+  // records a request's queue wait this way).
+  record_duration(DurationMetric::kServeQueueWaitNs, 1234);
+  EXPECT_EQ(
+      snapshot_metrics().duration(DurationMetric::kServeQueueWaitNs).count,
+      1u);
 
   set_duration_metrics_enabled(true);
   {
@@ -165,22 +166,21 @@ TEST_F(MetricsTest, SnapshotWhileRecordingIsRaceFreeAndExactAfterJoin) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        record_value(ValueMetric::kSweepShardCells, i & 1023);
+        record_value(ValueMetric::kPoolChunkItems, i & 1023);
       }
     });
   }
   std::uint64_t last_seen = 0;
   for (int i = 0; i < 50; ++i) {
     const MetricsSnapshot snap = snapshot_metrics();
-    const std::uint64_t seen =
-        snap.value(ValueMetric::kSweepShardCells).count;
+    const std::uint64_t seen = snap.value(ValueMetric::kPoolChunkItems).count;
     EXPECT_GE(seen, last_seen);  // counts only grow
     EXPECT_LE(seen, kThreads * kPerThread);
     last_seen = seen;
   }
   for (std::thread& w : writers) w.join();
   // Writer threads exited, their shards retired into the accumulator.
-  EXPECT_EQ(snapshot_metrics().value(ValueMetric::kSweepShardCells).count,
+  EXPECT_EQ(snapshot_metrics().value(ValueMetric::kPoolChunkItems).count,
             kThreads * kPerThread);
 }
 
@@ -242,7 +242,6 @@ TEST_F(MetricsTest, GoldenJsonDocument) {
                            "reallocate_ns",
                            "serve_apply_ns",
                            "serve_queue_wait_ns",
-                           "sweep_shard_ns",
                        }));
 
   // The full document round-trips and validates.

@@ -206,7 +206,7 @@ TEST_F(TimingTest, EverySpanReconcilesWithItsHistogram) {
   for (const DurationMetric m :
        {DurationMetric::kReallocPlanNs, DurationMetric::kReallocRoundNs,
         DurationMetric::kPoolDispatchWaitNs, DurationMetric::kPoolWorkerIdleNs,
-        DurationMetric::kSweepShardNs, DurationMetric::kServeQueueWaitNs}) {
+        DurationMetric::kServeQueueWaitNs}) {
     EXPECT_EQ(sink.spans(m), 0u) << duration_metric_name(m);
   }
 }

@@ -43,20 +43,6 @@ TEST(EngineTest, SeriesRecording) {
   EXPECT_EQ(result.load_series.back(), 2u);  // greedy's final load
 }
 
-TEST(EngineTest, PeakHistogram) {
-  const tree::Topology topo(4);
-  Engine engine(topo, EngineOptions{.record_peak_histogram = true});
-  auto alloc = core::make_allocator("leftmost", topo);
-  core::TaskSequence seq;
-  (void)seq.arrive(1);
-  (void)seq.arrive(1);
-  const auto result = engine.run(seq, *alloc);
-  EXPECT_EQ(result.max_load, 2u);
-  EXPECT_EQ(result.peak_pe_histogram.total(), 4u);  // one entry per PE
-  EXPECT_EQ(result.peak_pe_histogram.count(2), 1u);
-  EXPECT_EQ(result.peak_pe_histogram.count(0), 3u);
-}
-
 TEST(EngineTest, ResetsAllocatorBetweenRuns) {
   const tree::Topology topo(4);
   Engine engine(topo);

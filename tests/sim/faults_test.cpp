@@ -114,6 +114,7 @@ TEST(ReproFileTest, WriteReadRoundTrip) {
 
 TEST(ReproFileTest, RejectsWrongSchemaAndBadFields) {
   ReproSpec spec;
+  spec.n_pes = 64;
   spec.allocator = "basic";
   spec.faults = FaultPlan::parse("cancel@1");
   spec.expect = "recovered";
@@ -130,6 +131,14 @@ TEST(ReproFileTest, RejectsWrongSchemaAndBadFields) {
   ASSERT_NE(fpos, std::string::npos);
   bad_faults.replace(fpos, 8, "cancel@x");
   EXPECT_THROW((void)read_repro(bad_faults), std::runtime_error);
+
+  // A machine size no replay can build.
+  std::string bad_n_pes = text;
+  const std::size_t at = bad_n_pes.find("\"n_pes\": 64");
+  ASSERT_NE(at, std::string::npos);
+  bad_n_pes.replace(at, 11, "\"n_pes\": 96");
+  EXPECT_THROW((void)read_repro(bad_n_pes), std::runtime_error);
+  EXPECT_NO_THROW((void)read_repro(text));
 }
 
 TEST(DigestHexTest, RoundTripsAndRejectsGarbage) {

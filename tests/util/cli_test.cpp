@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -109,8 +110,13 @@ TEST(CliTest, Pow2KindRejectsBadValues) {
       {Cli::Kind::kU64, "abc", "an unsigned integer"},
       {Cli::Kind::kU64, "-1", "an unsigned integer"},
       {Cli::Kind::kU64, "1.5", "an unsigned integer"},
-      {Cli::Kind::kDouble, "abc", "a number"},
-      {Cli::Kind::kDouble, "", "a number"},
+      {Cli::Kind::kPositive, "0", "an unsigned integer >= 1"},
+      {Cli::Kind::kPositive, "abc", "an unsigned integer >= 1"},
+      {Cli::Kind::kDouble, "abc", "a finite number"},
+      {Cli::Kind::kDouble, "", "a finite number"},
+      {Cli::Kind::kDouble, "nan", "a finite number"},
+      {Cli::Kind::kDouble, "inf", "a finite number"},
+      {Cli::Kind::kDouble, "-inf", "a finite number"},
   };
   for (const Case& c : cases) {
     Cli cli;
@@ -126,11 +132,27 @@ TEST(CliTest, Pow2KindRejectsBadValues) {
   Cli cli;
   cli.option("n", "machine size", "1", Cli::Kind::kPow2);
   cli.option("count", "a count", "1", Cli::Kind::kU64);
+  cli.option("trials", "a trial count", "1", Cli::Kind::kPositive);
   cli.option("rate", "a rate", "1", Cli::Kind::kDouble);
-  ASSERT_TRUE(parse(cli, {"--n", "64", "--count", "7", "--rate", "0.5"}));
+  ASSERT_TRUE(parse(cli, {"--n", "64", "--count", "7", "--trials", "3",
+                          "--rate", "0.5"}));
   EXPECT_EQ(cli.get_u64("n"), 64u);
   EXPECT_EQ(cli.get_u64("count"), 7u);
+  EXPECT_EQ(cli.get_u64("trials"), 3u);
   EXPECT_DOUBLE_EQ(cli.get_double("rate"), 0.5);
+}
+
+// Values only the library can judge (an allocator spec, a campaign name)
+// are checked by handing them to it; its std::invalid_argument becomes a
+// usage error that names the option.
+TEST(CliTest, CheckOptionNamesTheOptionOnInvalidArgument) {
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(check_option("allocator", [] {
+    throw std::invalid_argument("unknown allocator spec: 'bogus'");
+  }));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "option --allocator: unknown allocator spec: 'bogus'\n");
+  EXPECT_TRUE(check_option("allocator", [] {}));
 }
 
 TEST(CliTest, Pow2ListKindRejectsAnyBadEntry) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 namespace partree::workload {
@@ -22,6 +23,28 @@ TEST(CampaignTest, UnknownNameThrows) {
   util::Rng rng(1);
   EXPECT_THROW((void)make_campaign("no-such-campaign", topo, rng),
                std::invalid_argument);
+  EXPECT_THROW(check_campaign_name("no-such-campaign"), std::invalid_argument);
+  for (const std::string& name : campaign_names()) {
+    EXPECT_NO_THROW(check_campaign_name(name)) << name;
+  }
+}
+
+// A scale that is not finite and positive, or whose event budget would
+// not fit in 64 bits, is rejected before any event is generated; the
+// integer conversion of such a budget is undefined behaviour.
+TEST(CampaignTest, BadScaleThrows) {
+  const tree::Topology topo(16);
+  for (const double scale : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1.0,
+                             1e30}) {
+    util::Rng rng(1);
+    EXPECT_THROW((void)make_campaign("steady-mix", topo, rng, scale),
+                 std::invalid_argument)
+        << scale;
+    EXPECT_THROW(check_campaign_scale(scale), std::invalid_argument)
+        << scale;
+  }
+  EXPECT_NO_THROW(check_campaign_scale(1e-9));
+  EXPECT_NO_THROW(check_campaign_scale(1e12));
 }
 
 TEST(CampaignTest, ScaleGrowsEventCount) {
