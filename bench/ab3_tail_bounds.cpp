@@ -14,7 +14,6 @@
 #include "core/randomized.hpp"
 #include "core/sequence.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel.hpp"
 #include "util/math.hpp"
 
 int main(int argc, char** argv) {
@@ -40,7 +39,7 @@ int main(int argc, char** argv) {
   // machine max.
   std::vector<std::uint64_t> pe0_loads(trials);
   std::vector<std::uint64_t> max_loads(trials);
-  sim::parallel_for(trials, [&](std::size_t trial) {
+  for (std::size_t trial = 0; trial < trials; ++trial) {
     core::MachineState state(topo);
     core::RandomizedAllocator alloc(topo,
                                     cli.get_u64("seed") + trial);
@@ -50,7 +49,7 @@ int main(int argc, char** argv) {
     }
     pe0_loads[trial] = state.loads().pe_load(0);
     max_loads[trial] = state.max_load();
-  });
+  }
 
   util::Table table({"m", "P(pe0>=m)", "exact", "hoeffding", "pe0_ok",
                      "P(max>=m)", "union_bound", "max_ok"});

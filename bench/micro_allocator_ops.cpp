@@ -10,7 +10,6 @@
 #include "core/factory.hpp"
 #include "core/packing.hpp"
 #include "sim/engine.hpp"
-#include "sim/trials.hpp"
 #include "tree/copy_set.hpp"
 #include "tree/load_tree.hpp"
 #include "workload/synthetic.hpp"
@@ -172,30 +171,6 @@ void BM_PlanRepackScratch(benchmark::State& state) {
       static_cast<std::int64_t>(machine.active_count()));
 }
 
-// One run_trials batch through the persistent worker pool: 16 seeded
-// `random` trials at N = 64, so the pool's region setup and join (not
-// thread spawn, which the pool amortizes) is what this times; it is the
-// only timing of the pool's region dispatch. The two
-// workers are explicit because a single-core host would otherwise
-// resolve to the serial inline path and never touch the pool.
-void BM_TrialBatchPool(benchmark::State& state) {
-  const tree::Topology topo(64);
-  util::Rng rng(20);
-  workload::ClosedLoopParams params;
-  params.n_events = 1250;
-  params.utilization = 0.7;
-  params.size = workload::SizeSpec::uniform_log(0, topo.height());
-  const core::TaskSequence seq = workload::closed_loop(topo, params, rng);
-  sim::TrialOptions options;
-  options.trials = 16;
-  options.n_threads = 2;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::run_trials(topo, seq, "random", options));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(options.trials));
-}
-
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_AllocatorRun, greedy, "greedy")
@@ -230,4 +205,3 @@ BENCHMARK(BM_VacancyChurn)->RangeMultiplier(16)->Range(64, 65536);
 BENCHMARK(BM_CopySetChurn)->RangeMultiplier(16)->Range(64, 65536);
 BENCHMARK(BM_PackTasks)->RangeMultiplier(8)->Range(64, 4096);
 BENCHMARK(BM_PlanRepackScratch)->RangeMultiplier(16)->Range(256, 65536);
-BENCHMARK(BM_TrialBatchPool)->Unit(benchmark::kMillisecond);

@@ -1,5 +1,5 @@
-// detsim_runner: seed sweeps, repro shrinking, and differential replay for
-// the deterministic fault-injection harness (sim/detsim.hpp).
+// detsim_runner: seed sweeps, repro shrinking, and repro replay for the
+// deterministic fault-injection harness (sim/detsim.hpp).
 //
 // Modes:
 //   --seed-sweep K   Replay K seeded runs, each with a seed-derived random
@@ -7,11 +7,10 @@
 //                    oracle) or crashes with a dump naming the fault.
 //                    Corruption faults re-exec this binary (--one) in a
 //                    subprocess, since their only correct outcome is an
-//                    abort. Also runs the serial-vs-pool differential
-//                    digest sweep. Failures are shrunk (with --shrink) and
+//                    abort. Failures are shrunk (with --shrink) and
 //                    written as partree-detsim-repro-v1 files. --n-pes and
-//                    --events apply to both phases, and both summary lines
-//                    print n_pes=.
+//                    --events apply to every run, and the summary line
+//                    prints n_pes=.
 //   --replay FILE    Re-run one repro file and report whether the recorded
 //                    outcome reproduces (exit 0 iff it does).
 //   --one            Single faulted run, exactly as specified (the
@@ -28,7 +27,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/factory.hpp"
 #include "obs/timing.hpp"
@@ -89,13 +87,15 @@ void write_repro_or_exit(const std::string& dir,
 void print_report(const DetSimOptions& options, const DetSimReport& report) {
   std::printf(
       "seed=%llu alloc=%s faults=[%s] outcome=%s applied=%llu "
-      "baseline=%s run=%s\n",
+      "baseline=%s run=%s placement_baseline=%s placement_run=%s\n",
       static_cast<unsigned long long>(options.seed),
       options.allocator.c_str(), options.faults.to_string().c_str(),
       std::string(partree::sim::outcome_name(report.outcome)).c_str(),
       static_cast<unsigned long long>(report.faults_applied),
       partree::util::digest_hex(report.baseline_digest).c_str(),
-      partree::util::digest_hex(report.run_digest).c_str());
+      partree::util::digest_hex(report.run_digest).c_str(),
+      partree::util::digest_hex(report.baseline_placement_digest).c_str(),
+      partree::util::digest_hex(report.run_placement_digest).c_str());
   if (!report.detail.empty()) {
     std::printf("  detail: %s\n", report.detail.c_str());
   }
@@ -190,35 +190,7 @@ struct SweepStats {
   partree::util::Rng plan_rng(base_seed ^ 0x9e3779b97f4a7c15ULL);
   SweepStats stats;
 
-  // Phase 1: serial-vs-pool differential digests (the "zero fault-free
-  // divergences" acceptance gate), in chunks so the budget check bites.
-  const std::size_t chunk_overrides[] = {0, 1, 2, 5};
-  std::uint64_t diff_done = 0;
-  while (diff_done < n_seeds &&
-         (budget <= 0.0 || elapsed_s() < budget * 0.4)) {
-    const std::uint64_t batch = std::min<std::uint64_t>(32, n_seeds - diff_done);
-    DetSimOptions base;
-    base.n_pes = n_pes;
-    base.allocator = cli.get("alloc").empty() ? "basic" : cli.get("alloc");
-    base.seed = base_seed + diff_done;
-    base.n_events = n_events;
-    const std::vector<std::uint64_t> diverged =
-        partree::sim::digest_divergences(base, batch, chunk_overrides);
-    for (const std::uint64_t seed : diverged) {
-      std::printf("FAIL differential: seed=%llu serial vs pool digest\n",
-                  static_cast<unsigned long long>(seed));
-      ++stats.failures;
-    }
-    diff_done += batch;
-  }
-  std::printf("differential sweep: n_pes=%llu %llu/%llu seeds, "
-              "%llu divergences\n",
-              static_cast<unsigned long long>(n_pes),
-              static_cast<unsigned long long>(diff_done),
-              static_cast<unsigned long long>(n_seeds),
-              static_cast<unsigned long long>(stats.failures));
-
-  // Phase 2: per-seed fault injection.
+  // Per-seed fault injection.
   for (std::uint64_t i = 0; i < n_seeds; ++i) {
     if (budget > 0.0 && elapsed_s() >= budget) {
       std::printf("budget reached after %llu/%llu fault runs\n",

@@ -81,9 +81,9 @@ double percentile(const std::vector<double>& sorted, double q) {
 }
 
 // Union length of [ts, ts+dur] intervals, plus gap structure between the
-// merged segments. Spans nest (a pool region contains worker spans on
-// other threads; bookkeeping follows placement on the engine thread), so
-// summing durations would overcount -- the union is the honest busy time.
+// merged segments. Spans nest (an arrival_handle span contains the place
+// and reallocate spans on the engine thread), so summing durations would
+// overcount -- the union is the honest busy time.
 void analyze_thread(ThreadStats& t, double wall_us) {
   std::sort(t.spans.begin(), t.spans.end(),
             [](const Span& a, const Span& b) { return a.ts_us < b.ts_us; });

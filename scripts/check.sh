@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # Sanitized pre-merge gate: builds with ASan+UBSan, runs the tier1 test
 # label (fast unit/property/differential tests, including the
-# min_load_node differential and trial-determinism tests), then runs the
-# bench harness once at --smoke size with duration metrics armed and
-# validates the snapshot it writes.
+# min_load_node differential), then runs the bench harness once at
+# --smoke size with duration metrics armed and validates the snapshot it
+# writes.
 #
 #   scripts/check.sh [build-dir]     # default build-asan
 #   scripts/check.sh --tsan [build-dir]
 #
 # --tsan swaps the sanitizer to ThreadSanitizer (default dir build-tsan)
-# and runs only the tier1 tests: the persistent worker pool keeps threads
-# alive across parallel regions, so the whole suite doubles as a race
-# detector for the pool's dispatch/cancellation/shutdown protocol. TSan
-# cannot be combined with ASan, hence the separate build tree.
+# and runs only the tier1 tests. The partition service is the library's
+# one multithreaded component, so TSan checks its client and apply
+# threads, and the obs registries (metrics shards, trace rings) read while
+# another thread records. TSan cannot be combined with ASan, hence the
+# separate build tree.
 #
 # Both modes fail if the tier1 run leaves a crash dump in the test working
 # directory: the test main routes death-test dumps to the test temp dir.
@@ -79,8 +80,9 @@ if [[ "$MODE" == "tsan" ]]; then
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD" -R "$CONTRACT_SUITES" \
       --no-tests=error --output-on-failure -j "$(nproc)"
-  # A crash dump taken while a pool worker records, and the registry's
-  # snapshot-while-recording test: the registry's race-freedom claims.
+  # A crash dump taken while another thread runs the engine, and the
+  # registry's snapshot-while-recording test: the registry's race-freedom
+  # claims.
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD" -R 'FlightRecorder|Metrics' \
       --no-tests=error --output-on-failure -j "$(nproc)"

@@ -129,8 +129,9 @@ struct MetricsShard {
   }
 };
 
-// Leaked on purpose: pool workers may retire their shards after static
-// destruction begins.
+// Leaked on purpose: a thread that exits while static destruction runs
+// (one joined by a static object's destructor, such as a service's apply
+// thread) still retires its shard into the registry.
 detail::ShardRegistry<MetricsShard>& registry() {
   static auto* r = new detail::ShardRegistry<MetricsShard>();
   return *r;
@@ -147,10 +148,6 @@ constexpr std::string_view kDurationNames[kNumDurationMetrics] = {
     "bookkeeping_ns",
     "realloc_round_ns",
     "realloc_plan_ns",
-    "pool_dispatch_wait_ns",
-    "pool_region_ns",
-    "pool_worker_busy_ns",
-    "pool_worker_idle_ns",
     "serve_queue_wait_ns",
     "serve_apply_ns",
 };
@@ -158,14 +155,10 @@ constexpr std::string_view kDurationNames[kNumDurationMetrics] = {
 constexpr std::string_view kValueNames[kNumValueMetrics] = {
     "migrations_applied",
     "min_load_node_visits",
-    "pool_region_items",
-    "pool_chunk_items",
     "serve_batch_requests",
 };
 
 constexpr std::string_view kGaugeNames[kNumGaugeMetrics] = {
-    "pool_queue_depth_hwm",
-    "pool_workers_hwm",
     "serve_queue_depth_hwm",
 };
 

@@ -5,11 +5,12 @@
 // log2-bucketed histograms (durations and sizes), plus process-wide
 // high-watermark gauges, all sharded per thread on the shard_registry.hpp
 // pattern so the hot paths never synchronise. Every cell is a relaxed
-// atomic written by exactly one thread, so a snapshot taken WHILE pool
-// workers are recording is race-free (merely fuzzy) -- the crash-dump
-// path reads the registry from an aborting thread without waiting for
-// quiescence. Per-run totals that the code already keeps (events,
-// arrivals, rounds, moves) live on sim::SimResult, not here.
+// atomic written by exactly one thread, so a snapshot taken WHILE other
+// threads record (the partition service's client and apply threads) is
+// race-free (merely fuzzy) -- the crash-dump path reads the registry from
+// an aborting thread without waiting for quiescence. Per-run totals that
+// the code already keeps (events, arrivals, rounds, moves) live on
+// sim::SimResult, not here.
 //
 // Two switches:
 //
@@ -74,17 +75,6 @@ enum class DurationMetric : std::size_t {
   /// only when a plan was actually produced, so realloc_round_ns minus
   /// this is the application half.
   kReallocPlanNs,
-  /// Pool: a caller's wait for the pool to go idle before its region
-  /// dispatches (region-level queueing delay).
-  kPoolDispatchWaitNs,
-  /// Pool (timed scope): one whole region, timed on the calling thread
-  /// (includes the dispatch wait).
-  kPoolRegionNs,
-  /// Pool (timed scope): one worker's participation in one region, timed
-  /// on the worker (so a timeline gets one track per pool thread).
-  kPoolWorkerBusyNs,
-  /// Pool: one worker's parked gap between consecutive regions it ran.
-  kPoolWorkerIdleNs,
   /// Serve: one request's wait in the partition-service queue, from
   /// admission to its epoch batch being dequeued.
   kServeQueueWaitNs,
@@ -105,10 +95,6 @@ enum class ValueMetric : std::size_t {
   /// tree::LoadTree::min_load_node: nodes visited per query. The count is
   /// the number of queries; sum / count << N means the pruning works.
   kMinLoadNodeVisits,
-  /// Pool: items per dispatched region.
-  kPoolRegionItems,
-  /// Pool: items per chunk a worker claimed off the ticket counter.
-  kPoolChunkItems,
   /// Serve: requests per applied epoch batch.
   kServeBatchRequests,
   kCount,
@@ -116,12 +102,8 @@ enum class ValueMetric : std::size_t {
 
 /// High-watermark gauges: merged by max, reported as one value.
 enum class GaugeMetric : std::size_t {
-  /// Pool: most items queued at any region dispatch.
-  kPoolQueueDepthHwm = 0,
-  /// Pool: most workers participating in any region.
-  kPoolWorkersHwm,
   /// Serve: most requests queued in the partition service.
-  kServeQueueDepthHwm,
+  kServeQueueDepthHwm = 0,
   kCount,
 };
 

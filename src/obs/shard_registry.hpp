@@ -1,13 +1,14 @@
 // Per-thread shard registry backing the metrics registry (metrics.hpp).
 //
 // Hot paths (one engine event, one min_load_node call) touch only the
-// calling thread's shard -- no locks, no contended cache lines -- so
-// `sim::parallel_for` workers never contend. A shard registers itself on a
-// thread's first use and, when the thread exits, folds its totals into a
-// "retired" accumulator under the registry mutex: joining a worker pool
-// therefore merges its records automatically. Aggregation walks retired +
-// live shards; it is exact at quiescent points (harness boundaries, after
-// joins) and, for shards of atomic cells, race-free but fuzzy elsewhere.
+// calling thread's shard -- no locks, no contended cache lines -- so the
+// partition service's client and apply threads never contend. A shard
+// registers itself on a thread's first use and, when the thread exits,
+// folds its totals into a "retired" accumulator under the registry mutex:
+// joining a thread therefore merges its records automatically.
+// Aggregation walks retired + live shards; it is exact at quiescent
+// points (harness boundaries, after joins) and, for shards of atomic
+// cells, race-free but fuzzy elsewhere.
 #pragma once
 
 #include <mutex>

@@ -1,6 +1,6 @@
 // The monotonic clock and the one timed scope.
 //
-// Every timed stretch of engine, pool or service work is one
+// Every timed stretch of engine or service work is one
 // DurationMetric, and ScopedTimer is the only RAII timer. It reads the
 // clock only while tracing or duration metrics are armed, and then feeds
 // both from the same two reads: a span into the thread's trace ring while

@@ -70,7 +70,7 @@ void flush_locked(Registry& reg, Ring& ring) {
 }
 
 // Thread-local ring handle: registers on first event, flushes + retires on
-// thread exit (worker joins therefore lose nothing while a sink is armed).
+// thread exit (thread joins therefore lose nothing while a sink is armed).
 struct RingHandle {
   Ring ring;
 

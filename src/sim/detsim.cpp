@@ -5,8 +5,6 @@
 
 #include "core/factory.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel.hpp"
-#include "sim/pool.hpp"
 #include "util/assert.hpp"
 #include "util/digest.hpp"
 #include "util/rng.hpp"
@@ -14,26 +12,6 @@
 
 namespace partree::sim {
 namespace {
-
-/// Replicas per pool region: enough that cancellation leaves in-flight
-/// survivors to check, small enough that a 200-seed property sweep stays
-/// cheap.
-constexpr std::size_t kReplicas = 4;
-
-/// Restores the pool's chunk heuristic on scope exit.
-class ScopedChunkOverride {
- public:
-  explicit ScopedChunkOverride(std::size_t chunk)
-      : prev_(WorkerPool::instance().chunk_override()) {
-    WorkerPool::instance().set_chunk_override(chunk);
-  }
-  ~ScopedChunkOverride() { WorkerPool::instance().set_chunk_override(prev_); }
-  ScopedChunkOverride(const ScopedChunkOverride&) = delete;
-  ScopedChunkOverride& operator=(const ScopedChunkOverride&) = delete;
-
- private:
-  std::size_t prev_;
-};
 
 /// One replay: fresh allocator from (spec, seed) so fault-free and faulted
 /// runs make identical decisions, digests always on.
@@ -51,32 +29,40 @@ class ScopedChunkOverride {
   return engine.run(seq, *alloc);
 }
 
-[[nodiscard]] bool plan_has_kind(const FaultPlan& plan, FaultKind kind) {
-  return std::any_of(
-      plan.faults().begin(), plan.faults().end(),
-      [kind](const Fault& f) { return f.kind == kind; });
-}
-
-/// First epoch where the two digest streams disagree, as a detail string;
-/// "" when they agree.
-[[nodiscard]] std::string first_epoch_mismatch(
-    const std::vector<EpochDigest>& baseline,
-    const std::vector<EpochDigest>& run) {
-  const std::size_t n = std::min(baseline.size(), run.size());
+/// Why `run` is not a replay of `baseline`: the first epoch whose digests
+/// disagree, a different epoch count, or a different placement digest, as
+/// a detail string; "" when they agree.
+[[nodiscard]] std::string replay_mismatch(const SimResult& baseline,
+                                          const SimResult& run) {
+  const std::vector<EpochDigest>& base_epochs = baseline.epoch_digests;
+  const std::vector<EpochDigest>& run_epochs = run.epoch_digests;
+  const std::size_t n = std::min(base_epochs.size(), run_epochs.size());
   for (std::size_t i = 0; i < n; ++i) {
-    if (baseline[i] != run[i]) {
+    if (base_epochs[i] != run_epochs[i]) {
       return "epoch digest mismatch at event " +
-             std::to_string(run[i].event) + ": baseline " +
-             util::digest_hex(baseline[i].digest) + " vs " +
-             util::digest_hex(run[i].digest);
+             std::to_string(run_epochs[i].event) + ": baseline " +
+             util::digest_hex(base_epochs[i].digest) + " vs " +
+             util::digest_hex(run_epochs[i].digest);
     }
   }
-  if (baseline.size() != run.size()) {
+  if (base_epochs.size() != run_epochs.size()) {
     return "epoch count mismatch: baseline " +
-           std::to_string(baseline.size()) + " vs " +
-           std::to_string(run.size());
+           std::to_string(base_epochs.size()) + " vs " +
+           std::to_string(run_epochs.size());
+  }
+  if (baseline.placement_digest != run.placement_digest) {
+    return "placement digest mismatch: baseline " +
+           util::digest_hex(baseline.placement_digest) + " vs " +
+           util::digest_hex(run.placement_digest);
   }
   return {};
+}
+
+/// Copies the faulted/verification replay's digests into the report.
+void record_run(DetSimReport& report, const SimResult& run) {
+  report.run_digest = run.final_digest;
+  report.run_placement_digest = run.placement_digest;
+  report.run_epochs = run.epoch_digests;
 }
 
 }  // namespace
@@ -140,12 +126,12 @@ DetSimReport run_detsim(const DetSimOptions& options) {
 
   const SimResult baseline = replay_once(topo, seq, options, nullptr);
   report.baseline_digest = baseline.final_digest;
+  report.baseline_placement_digest = baseline.placement_digest;
   report.baseline_epochs = baseline.epoch_digests;
 
   if (options.faults.empty()) {
     report.outcome = DetSimOutcome::kFaultFree;
-    report.run_digest = baseline.final_digest;
-    report.run_epochs = baseline.epoch_digests;
+    record_run(report, baseline);
     return report;
   }
 
@@ -157,144 +143,49 @@ DetSimReport run_detsim(const DetSimOptions& options) {
     // Reaching the code below means every corruption was inapplicable
     // (kSkipped) or one escaped the invariant net (kDivergence -- a bug).
     const SimResult run = replay_once(topo, seq, options, &injector);
-    report.run_digest = run.final_digest;
-    report.run_epochs = run.epoch_digests;
+    record_run(report, run);
     report.faults_applied = injector.injected();
+    const std::string mismatch = replay_mismatch(baseline, run);
     if (injector.injected() > 0) {
       report.outcome = DetSimOutcome::kDivergence;
       report.detail = "corruption applied but the debug_checks net missed it";
-    } else if (run.final_digest != baseline.final_digest) {
+    } else if (!mismatch.empty()) {
       report.outcome = DetSimOutcome::kDivergence;
-      report.detail = "skipped faults still changed the final digest";
+      report.detail = "skipped faults still changed the replay: " + mismatch;
     } else {
       report.outcome = DetSimOutcome::kSkipped;
     }
     return report;
   }
 
-  // Recoverable plan: replay inside a pool region so a cancel fault rides
-  // the pool's structured-cancellation path and a perturb fault's chunk
-  // override actually changes worker interleaving. Replica 0 carries the
-  // injector; the others are fault-free controls.
-  std::optional<ScopedChunkOverride> chunk_override;
-  for (const Fault& fault : options.faults.faults()) {
-    if (fault.kind == FaultKind::kPerturbPool) {
-      // Chunk size derived from the step: 1 (maximal interleaving) .. 7.
-      chunk_override.emplace(1 + fault.step % 7);
-      break;
-    }
-  }
-
-  std::vector<std::uint64_t> digests(kReplicas, 0);
-  std::vector<char> done(kReplicas, 0);
+  // Recoverable plan. A cancel fault throws out of the replay at its step;
+  // recovery then means nothing process-global kept the abandoned run's
+  // state: a fresh replay must reproduce the baseline exactly. Otherwise
+  // the faulted replay itself must match the baseline at every
+  // reallocation epoch (the state re-converged at each, not just at the
+  // end) and in where every event left its task.
   bool cancelled = false;
+  SimResult run;
   try {
-    parallel_for(
-        kReplicas,
-        [&](std::size_t r) {
-          const SimResult res =
-              replay_once(topo, seq, options, r == 0 ? &injector : nullptr);
-          digests[r] = res.final_digest;
-          done[r] = 1;
-        },
-        options.n_threads);
+    run = replay_once(topo, seq, options, &injector);
   } catch (const FaultInjectedError&) {
-    cancelled = true;  // latched the pool's cancel flag, rethrown at join
+    cancelled = true;
+    run = replay_once(topo, seq, options, nullptr);
   }
+  record_run(report, run);
   report.faults_applied = injector.injected();
-
-  for (std::size_t r = 0; r < kReplicas; ++r) {
-    if (done[r] != 0 && digests[r] != baseline.final_digest) {
-      report.outcome = DetSimOutcome::kDivergence;
-      report.run_digest = digests[r];
-      report.detail = "replica " + std::to_string(r) +
-                      " digest diverged from baseline: " +
-                      util::digest_hex(digests[r]) + " vs " +
-                      util::digest_hex(baseline.final_digest);
-      return report;
-    }
-  }
-
-  if (cancelled) {
-    // The cancel aborted replica 0 mid-sequence. Recovery means the pool
-    // and the process-global obs state came back clean: a fresh replay
-    // must reproduce the baseline digest exactly.
-    const SimResult retry = replay_once(topo, seq, options, nullptr);
-    report.run_digest = retry.final_digest;
-    report.run_epochs = retry.epoch_digests;
-    if (retry.final_digest != baseline.final_digest) {
-      report.outcome = DetSimOutcome::kDivergence;
-      report.detail = "post-cancel retry diverged from baseline";
-    } else {
-      report.outcome = DetSimOutcome::kCancelled;
-    }
-    return report;
-  }
-
-  // Replica 0 ran to completion: epoch-by-epoch agreement is the strong
-  // form of recovery (the state re-converged at every reallocation epoch,
-  // not just at the end).
-  const SimResult faulted = replay_once(topo, seq, options, &injector);
-  report.run_digest = faulted.final_digest;
-  report.run_epochs = faulted.epoch_digests;
-  const std::string mismatch =
-      first_epoch_mismatch(baseline.epoch_digests, faulted.epoch_digests);
+  const std::string mismatch = replay_mismatch(baseline, run);
   if (!mismatch.empty()) {
     report.outcome = DetSimOutcome::kDivergence;
-    report.detail = mismatch;
-    return report;
+    report.detail = cancelled ? "post-cancel retry diverged: " + mismatch
+                              : mismatch;
+  } else if (cancelled) {
+    report.outcome = DetSimOutcome::kCancelled;
+  } else {
+    report.outcome = injector.injected() > 0 ? DetSimOutcome::kRecovered
+                                             : DetSimOutcome::kSkipped;
   }
-  const bool perturbed = plan_has_kind(options.faults, FaultKind::kPerturbPool);
-  report.outcome = injector.injected() > 0 || perturbed
-                       ? DetSimOutcome::kRecovered
-                       : DetSimOutcome::kSkipped;
   return report;
-}
-
-std::vector<std::uint64_t> digest_divergences(
-    const DetSimOptions& base, std::uint64_t n_seeds,
-    std::span<const std::size_t> chunk_overrides) {
-  PARTREE_ASSERT(base.faults.empty(),
-                 "the differential sweep replays fault-free");
-  const tree::Topology topo(base.n_pes);
-
-  std::vector<std::uint64_t> serial(n_seeds, 0);
-  for (std::uint64_t i = 0; i < n_seeds; ++i) {
-    DetSimOptions opts = base;
-    opts.seed = base.seed + i;
-    const core::TaskSequence seq =
-        detsim_sequence(topo, opts.seed, opts.n_events);
-    serial[i] = replay_once(topo, seq, opts, nullptr).final_digest;
-  }
-
-  static constexpr std::size_t kDefaultChunks[] = {0};
-  const std::span<const std::size_t> chunks =
-      chunk_overrides.empty() ? std::span<const std::size_t>(kDefaultChunks)
-                              : chunk_overrides;
-
-  std::vector<char> diverged(n_seeds, 0);
-  for (const std::size_t chunk : chunks) {
-    const ScopedChunkOverride chunk_scope(chunk);
-    parallel_for(
-        n_seeds,
-        [&](std::size_t i) {
-          DetSimOptions opts = base;
-          opts.seed = base.seed + i;
-          const core::TaskSequence seq =
-              detsim_sequence(topo, opts.seed, opts.n_events);
-          if (replay_once(topo, seq, opts, nullptr).final_digest !=
-              serial[i]) {
-            diverged[i] = 1;
-          }
-        },
-        base.n_threads);
-  }
-
-  std::vector<std::uint64_t> out;
-  for (std::uint64_t i = 0; i < n_seeds; ++i) {
-    if (diverged[i] != 0) out.push_back(base.seed + i);
-  }
-  return out;
 }
 
 DetSimOptions shrink_failing(

@@ -10,6 +10,7 @@
 #include "sim/faults.hpp"
 #include "sim/slowdown.hpp"
 #include "util/assert.hpp"
+#include "util/digest.hpp"
 
 namespace partree::sim {
 namespace {
@@ -120,6 +121,7 @@ SimResult Engine::run_interactive(core::EventSource& source,
 
   std::optional<SlowdownTracker> slowdowns;
   if (options_.record_slowdowns) slowdowns.emplace(topo_);
+  util::Fnv placement;  // SimResult::placement_digest, under record_digests
 
   while (auto event = source.next(state)) {
     const std::uint64_t step = result.events;
@@ -148,9 +150,8 @@ SimResult Engine::run_interactive(core::EventSource& source,
           case FaultKind::kCorruptCopySet:
             applied = allocator.debug_corrupt_state();
             break;
-          case FaultKind::kPerturbPool:
           case FaultKind::kCount:
-            break;  // replay-level fault; nothing for the engine to do
+            break;
         }
         injector->record_applied(*fault, applied);
         if (applied) {
@@ -215,10 +216,24 @@ SimResult Engine::run_interactive(core::EventSource& source,
     const std::uint64_t load = state.max_load();
     result.max_load = std::max(result.max_load, load);
     if (options_.record_series) result.load_series.push_back(load);
-    if (options_.record_digests && step_record.reallocated) {
-      const std::uint64_t digest = state.digest();
-      result.epoch_digests.push_back({result.events, digest});
-      obs::emit_instant(obs::Instant::kStateDigest, digest);
+    if (options_.record_digests) {
+      if (event->kind == core::EventKind::kArrival) {
+        for (const core::Migration& m : step_record.migrations) {
+          placement.mix(m.id).mix(m.to);
+        }
+        // Where the state holds the task now: after any alloc_fail
+        // roll-back, so a re-place onto the wrong node shows up even for
+        // allocators that never read the state.
+        placement.mix(step).mix(event->task.id).mix(
+            state.active_task(event->task.id).node);
+      } else {
+        placement.mix(step_record.node);
+      }
+      if (step_record.reallocated) {
+        const std::uint64_t digest = state.digest();
+        result.epoch_digests.push_back({result.events, digest});
+        obs::emit_instant(obs::Instant::kStateDigest, digest);
+      }
     }
     if (obs::tracing_enabled() && result.events % kTraceSampleEvery == 0) {
       obs::emit_counters(load, state.optimal_load(), state.active_size(),
@@ -230,6 +245,7 @@ SimResult Engine::run_interactive(core::EventSource& source,
   }
 
   if (options_.record_digests) {
+    result.placement_digest = placement.value();
     result.final_digest = state.digest();
     result.epoch_digests.push_back({result.events, result.final_digest});
     obs::emit_instant(obs::Instant::kStateDigest, result.final_digest);

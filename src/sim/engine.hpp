@@ -45,10 +45,12 @@ struct EngineOptions {
   obs::TraceSink* trace = nullptr;
   /// Record a MachineState digest at every reallocation epoch boundary
   /// (after each applied reallocation and at run end) into
-  /// SimResult::epoch_digests / final_digest, and emit each one as a
-  /// kStateDigest trace instant. The digests are detsim's cheap
+  /// SimResult::epoch_digests / final_digest, emit each one as a
+  /// kStateDigest trace instant, and fold every event's placement into
+  /// SimResult::placement_digest. The digests are detsim's cheap
   /// equivalence oracle for differential replay. O(active tasks) per
-  /// epoch; off by default so fault-free hot paths pay nothing.
+  /// epoch plus O(moves) per event; off by default so fault-free hot
+  /// paths pay nothing.
   bool record_digests = false;
   /// When non-null, the run consults the injector once per event and
   /// applies any scheduled fault (sim/faults.hpp documents the per-kind

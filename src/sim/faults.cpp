@@ -11,11 +11,14 @@
 namespace partree::sim {
 namespace {
 
+// The recoverable kinds first: random_fault_plan draws from the leading
+// kNumRecoverableKinds entries when corruption is excluded.
 constexpr FaultKind kInjectableKinds[] = {
-    FaultKind::kAllocFail,        FaultKind::kCancel,
-    FaultKind::kCorruptLoadTree,  FaultKind::kCorruptActiveMap,
-    FaultKind::kCorruptCopySet,   FaultKind::kPerturbPool,
+    FaultKind::kAllocFail,       FaultKind::kCancel,
+    FaultKind::kCorruptLoadTree, FaultKind::kCorruptActiveMap,
+    FaultKind::kCorruptCopySet,
 };
+constexpr std::size_t kNumRecoverableKinds = 2;
 
 [[nodiscard]] std::optional<FaultKind> kind_from_name(std::string_view name) {
   for (const FaultKind kind : kInjectableKinds) {
@@ -56,7 +59,6 @@ std::string_view fault_kind_name(FaultKind kind) noexcept {
     case FaultKind::kCorruptLoadTree: return "corrupt:load_tree";
     case FaultKind::kCorruptActiveMap: return "corrupt:active_map";
     case FaultKind::kCorruptCopySet: return "corrupt:copy_set";
-    case FaultKind::kPerturbPool: return "perturb:pool";
     case FaultKind::kCount: break;
   }
   return "unknown";
@@ -138,20 +140,10 @@ FaultPlan random_fault_plan(util::Rng& rng, std::uint64_t n_events,
   // Step 0 is excluded: a fault before any state exists exercises nothing
   // (corruptions would all be inapplicable on the empty machine).
   const std::uint64_t step = 1 + draw.below(n_events - 1);
-  const std::size_t n_kinds =
-      include_corruption ? std::size(kInjectableKinds) : 3;
-  // Without corruption the first three entries (alloc_fail, cancel) plus
-  // perturb:pool are eligible; remap index 2 onto perturb:pool.
-  std::size_t pick = draw.below(n_kinds);
-  FaultKind kind;
-  if (include_corruption) {
-    kind = kInjectableKinds[pick];
-  } else {
-    kind = pick == 0   ? FaultKind::kAllocFail
-           : pick == 1 ? FaultKind::kCancel
-                       : FaultKind::kPerturbPool;
-  }
-  return FaultPlan({Fault{step, kind}});
+  const std::size_t n_kinds = include_corruption
+                                  ? std::size(kInjectableKinds)
+                                  : kNumRecoverableKinds;
+  return FaultPlan({Fault{step, kInjectableKinds[draw.below(n_kinds)]}});
 }
 
 void FaultInjector::begin_run() {

@@ -8,10 +8,8 @@
 //   fault      := kind "@" step
 //   kind       := "alloc_fail" | "cancel" | "corrupt:load_tree"
 //               | "corrupt:active_map" | "corrupt:copy_set"
-//               | "perturb:pool"
 //
-// Semantics (applied by sim::Engine via EngineOptions::faults, except
-// perturb:pool which the detsim replay layer applies to the worker pool):
+// Semantics (applied by sim::Engine via EngineOptions::faults):
 //
 //   alloc_fail          the arrival's placement fails transiently: after
 //                       core::apply_event has applied the arrival (and
@@ -20,9 +18,11 @@
 //                       node. A correct engine recovers
 //                       digest-identically; a buggy rollback diverges and
 //                       the digest oracle flags it.
-//   cancel              FaultInjectedError is thrown at the step, riding
-//                       the PR-4 pool's structured-cancellation path when
-//                       the run executes inside a parallel region.
+//   cancel              FaultInjectedError is thrown at the step,
+//                       abandoning the run mid-sequence; a fresh replay
+//                       afterwards must reproduce the fault-free digest
+//                       (nothing process-global may keep the aborted
+//                       run's state).
 //   corrupt:load_tree   LoadTree::debug_corrupt_add behind the engine's
 //                       back; debug_checks must die with a crash dump
 //                       naming this fault.
@@ -33,9 +33,6 @@
 //                       allocators corrupt their used-PE aggregate);
 //                       debug_checks must die likewise. Skipped (recorded
 //                       as unapplied) for allocators with no such state.
-//   perturb:pool        WorkerPool chunk-size override derived from the
-//                       step value, forcing a different worker
-//                       interleaving; digests must be invariant.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +52,6 @@ enum class FaultKind : std::uint8_t {
   kCorruptLoadTree,
   kCorruptActiveMap,
   kCorruptCopySet,
-  kPerturbPool,
   kCount,
 };
 
@@ -120,9 +116,8 @@ class FaultPlan {
                                           std::uint64_t n_events,
                                           bool include_corruption);
 
-/// Thrown by the engine when a kCancel fault fires. Inside a parallel
-/// region this latches the worker pool's cancel flag and is rethrown at
-/// the join point, exactly like any body error.
+/// Thrown by the engine when a kCancel fault fires; the run is abandoned
+/// at that step.
 class FaultInjectedError : public std::runtime_error {
  public:
   explicit FaultInjectedError(const Fault& fault)

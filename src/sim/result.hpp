@@ -55,6 +55,13 @@ struct SimResult {
   std::vector<EpochDigest> epoch_digests;
   /// MachineState digest at run end (0 unless record_digests).
   std::uint64_t final_digest = 0;
+  /// Ordered digest of where every event left its task: per arrival, the
+  /// event index, the task id and the node the state holds it on at the
+  /// end of the step; per departure, the node the task left; per applied
+  /// round, each move's id and destination. A closed-loop run ends
+  /// drained, so its final_digest depends only on N and the peak active
+  /// size; this one tells placements apart (0 unless record_digests).
+  std::uint64_t placement_digest = 0;
   /// Faults actually applied by the injector during this run (0 when no
   /// injector was armed or every scheduled fault was inapplicable).
   std::uint64_t faults_injected = 0;

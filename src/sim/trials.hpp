@@ -10,10 +10,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/sequence.hpp"
-#include "sim/result.hpp"
 #include "tree/topology.hpp"
 
 namespace partree::sim {
@@ -21,8 +19,6 @@ namespace partree::sim {
 struct TrialOptions {
   std::size_t trials = 32;
   std::uint64_t seed = 1;
-  /// Worker threads for the trial batch (0 = all cores, 1 = serial).
-  std::size_t n_threads = 0;
 };
 
 struct TrialAggregate {
@@ -54,21 +50,14 @@ struct TrialAggregate {
   }
 };
 
-/// Runs `options.trials` independent simulations of `spec` (seeded
-/// seed, seed+1, ...) over the same sequence and aggregates, streaming:
-/// per-event series fold into O(horizon)-per-worker pointwise partial
-/// sums (exact integer arithmetic, so every aggregate is identical for
-/// any n_threads) rather than materializing trials x horizon memory.
+/// Runs `options.trials` independent simulations of `spec` over the same
+/// sequence, one after another (trial i seeds its allocator with
+/// options.seed + i), and aggregates, streaming: per-event series fold
+/// into one O(horizon) pointwise integer sum rather than materializing
+/// trials x horizon memory.
 [[nodiscard]] TrialAggregate run_trials(tree::Topology topo,
                                         const core::TaskSequence& sequence,
                                         std::string_view spec,
                                         const TrialOptions& options = {});
-
-/// The raw per-trial results backing run_trials, in trial order (trial i
-/// uses seed options.seed + i). Trial scheduling is seed-deterministic, so
-/// the returned vector is identical for any n_threads.
-[[nodiscard]] std::vector<SimResult> run_trial_results(
-    tree::Topology topo, const core::TaskSequence& sequence,
-    std::string_view spec, const TrialOptions& options = {});
 
 }  // namespace partree::sim

@@ -7,12 +7,11 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "core/factory.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel.hpp"
-#include "sim/pool.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "workload/synthetic.hpp"
@@ -155,45 +154,40 @@ TEST(ChromeTraceTest, WriteFileRoundTrips) {
   EXPECT_FALSE(doc.at("traceEvents").as_array().empty());
 }
 
-// Persistent pool workers keep one stable trace ring (and so one timeline
-// track) each across back-to-back parallel regions: three regions on a
-// 2-worker pool must yield exactly two worker tracks plus the caller's
-// region track, not a fresh pair of tracks per region.
-TEST(ChromeTraceTest, BackToBackParallelRegionsKeepOneTrackPerPoolThread) {
-  sim::WorkerPool& pool = sim::WorkerPool::instance();
-  pool.shutdown();  // fresh worker set so track counting is exact
-
+// Each thread records into its own trace ring, and a ring's id is its
+// Chrome track: two threads replaying under one armed sink must yield
+// exactly two tracks of engine spans, one per thread.
+TEST(ChromeTraceTest, SpansFromTwoThreadsLandOnTwoTracks) {
+  const tree::Topology topo(4);
+  const core::TaskSequence seq = core::figure1_sequence();
   ChromeTraceSink sink;
   set_trace_sink(&sink);
-  constexpr int kRegions = 3;
-  for (int round = 0; round < kRegions; ++round) {
-    sim::parallel_for(64, [](std::size_t) {}, 2);
-  }
-  set_trace_sink(nullptr);  // flushes the live per-thread rings
+  const auto replay = [&] {
+    auto greedy = core::make_allocator("greedy", topo);
+    (void)sim::Engine(topo).run(seq, *greedy);
+  };
+  std::thread first(replay);
+  std::thread second(replay);
+  first.join();
+  second.join();
+  set_trace_sink(nullptr);
 
   EXPECT_EQ(sink.dropped_events(), 0u);
-  EXPECT_EQ(sink.span_count(DurationMetric::kPoolRegionNs),
-            static_cast<std::uint64_t>(kRegions));
-  // One worker span per worker per region.
-  EXPECT_EQ(sink.span_count(DurationMetric::kPoolWorkerBusyNs),
-            static_cast<std::uint64_t>(2 * kRegions));
+  std::uint64_t arrivals = 0;
+  for (const core::Event& e : seq.events()) {
+    if (e.kind == core::EventKind::kArrival) ++arrivals;
+  }
+  EXPECT_EQ(sink.span_count(DurationMetric::kPlaceNs), 2 * arrivals);
 
   const util::json::Value doc = util::json::parse(sink.document());
-  std::set<std::uint64_t> worker_tids;
-  std::set<std::uint64_t> region_tids;
+  std::set<std::uint64_t> place_tids;
   for (const util::json::Value& ev : doc.at("traceEvents").as_array()) {
-    if (ev.at("ph").as_string() != "X") continue;
-    const std::string name = ev.at("name").as_string();
-    if (name == "pool_worker_busy_ns") {
-      worker_tids.insert(ev.at("tid").as_u64());
-    } else if (name == "pool_region_ns") {
-      region_tids.insert(ev.at("tid").as_u64());
+    if (ev.at("ph").as_string() == "X" &&
+        ev.at("name").as_string() == "place_ns") {
+      place_tids.insert(ev.at("tid").as_u64());
     }
   }
-  EXPECT_EQ(worker_tids.size(), 2u);
-  EXPECT_EQ(region_tids.size(), 1u);
-
-  pool.shutdown();
+  EXPECT_EQ(place_tids.size(), 2u);
 }
 
 TEST(ChromeTraceTest, TracedRunsAreRepeatable) {

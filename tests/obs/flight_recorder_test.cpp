@@ -20,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel.hpp"
 #include "tree/load_tree.hpp"
 #include "util/json.hpp"
 
@@ -232,26 +231,13 @@ class UntilStoppedSource final : public core::EventSource {
   std::uint64_t emitted_ = 0;
 };
 
-// A crash dump taken while another pool worker is mid-run must read the
-// live instrumentation without racing it (the TSan build runs this), and
-// still produce a complete partree-crash-v1 document. The warm-up region
-// gives both workers their instrumentation shards first, so the second
-// region's dump reads a shard that the engine worker is writing.
+// A crash dump taken while another thread is mid-run must read the live
+// instrumentation without racing it (the TSan build runs this), and still
+// produce a complete partree-crash-v1 document. The dumper waits until the
+// engine thread has applied an event, so the dump reads a shard and a
+// trace ring that the engine thread is writing.
 TEST(FlightRecorderTest, DumpWhileAnotherWorkerRunsTheEngine) {
   const tree::Topology topo(16);
-  std::atomic<int> warm_arrived{0};
-  std::vector<std::thread::id> warm_threads(2);
-  sim::parallel_for(
-      2,
-      [&](std::size_t i) {
-        rendezvous(warm_arrived, 2);
-        warm_threads[i] = std::this_thread::get_id();
-        auto greedy = core::make_allocator("greedy", topo);
-        (void)sim::Engine(topo).run(core::figure1_sequence(), *greedy);
-      },
-      2);
-  EXPECT_NE(warm_threads[0], warm_threads[1]);
-
   const std::string dump_path =
       ::testing::TempDir() + "flight_recorder_test.race.json";
   std::remove(dump_path.c_str());
@@ -261,23 +247,22 @@ TEST(FlightRecorderTest, DumpWhileAnotherWorkerRunsTheEngine) {
   std::atomic<bool> stop{false};
   std::string written;
   std::uint64_t engine_events = 0;
-  sim::parallel_for(
-      2,
-      [&](std::size_t i) {
-        rendezvous(arrived, 2);
-        if (i == 0) {
-          while (!started.load()) std::this_thread::yield();
-          written = write_crash_dump("dump while another worker records");
-          stop.store(true);
-        } else {
-          UntilStoppedSource source(started, stop);
-          auto greedy = core::make_allocator("greedy", topo);
-          const sim::SimResult r =
-              sim::Engine(topo).run_interactive(source, *greedy);
-          engine_events = r.events;
-        }
-      },
-      2);
+  std::thread dumper([&] {
+    rendezvous(arrived, 2);
+    while (!started.load()) std::this_thread::yield();
+    written = write_crash_dump("dump while another worker records");
+    stop.store(true);
+  });
+  std::thread engine([&] {
+    rendezvous(arrived, 2);
+    UntilStoppedSource source(started, stop);
+    auto greedy = core::make_allocator("greedy", topo);
+    const sim::SimResult r =
+        sim::Engine(topo).run_interactive(source, *greedy);
+    engine_events = r.events;
+  });
+  dumper.join();
+  engine.join();
   set_crash_dump_path("");
 
   ASSERT_EQ(written, dump_path);

@@ -1,8 +1,8 @@
 // Tests for the run-metrics registry (obs/metrics.hpp): bucket layout,
 // quantile behavior at the extremes, the two switches, cross-shard
-// aggregation through real pool workers, snapshot-while-recording (the
-// TSan target), the pinned JSON export, schema validation,
-// engine integration, and the crash-dump embedding.
+// aggregation across threads, snapshot-while-recording (the TSan
+// target), the pinned JSON export, schema validation, engine
+// integration, and the crash-dump embedding.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "obs/timing.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel.hpp"
 #include "util/json.hpp"
 
 namespace partree::obs {
@@ -69,11 +68,11 @@ TEST_F(MetricsTest, RecordPlacesValuesInLog2Buckets) {
 // bucket's upper bound (the util::Histogram analogue of this bug is
 // covered in histogram_test.cpp).
 TEST_F(MetricsTest, QuantileExtremesWithEmptyLeadingBuckets) {
-  record_value(ValueMetric::kPoolChunkItems, 9);
-  record_value(ValueMetric::kPoolChunkItems, 12);
-  record_value(ValueMetric::kPoolChunkItems, 20);
+  record_value(ValueMetric::kServeBatchRequests, 9);
+  record_value(ValueMetric::kServeBatchRequests, 12);
+  record_value(ValueMetric::kServeBatchRequests, 20);
   const MetricsSnapshot snap = snapshot_metrics();
-  const MetricHistogram& h = snap.value(ValueMetric::kPoolChunkItems);
+  const MetricHistogram& h = snap.value(ValueMetric::kServeBatchRequests);
   EXPECT_EQ(h.buckets[0], 0u);
   EXPECT_EQ(h.quantile(0.0), 9u);
   EXPECT_EQ(h.quantile(1.0), 20u);
@@ -85,7 +84,7 @@ TEST_F(MetricsTest, QuantileExtremesWithEmptyLeadingBuckets) {
 
 TEST_F(MetricsTest, EmptyHistogramQuantileIsZero) {
   const MetricsSnapshot snap = snapshot_metrics();
-  const MetricHistogram& h = snap.value(ValueMetric::kPoolChunkItems);
+  const MetricHistogram& h = snap.value(ValueMetric::kServeBatchRequests);
   EXPECT_EQ(h.count, 0u);
   EXPECT_EQ(h.quantile(0.0), 0u);
   EXPECT_EQ(h.quantile(1.0), 0u);
@@ -95,18 +94,18 @@ TEST_F(MetricsTest, MasterSwitchGatesEverything) {
   set_metrics_enabled(false);
   record_value(ValueMetric::kMigrationsApplied, 5);
   record_duration(DurationMetric::kServeQueueWaitNs, 100);
-  gauge_max(GaugeMetric::kPoolQueueDepthHwm, 77);
+  gauge_max(GaugeMetric::kServeQueueDepthHwm, 77);
   const MetricsSnapshot off = snapshot_metrics();
   EXPECT_EQ(off.value(ValueMetric::kMigrationsApplied).count, 0u);
   EXPECT_EQ(off.duration(DurationMetric::kServeQueueWaitNs).count, 0u);
-  EXPECT_EQ(off.gauge(GaugeMetric::kPoolQueueDepthHwm), 0u);
+  EXPECT_EQ(off.gauge(GaugeMetric::kServeQueueDepthHwm), 0u);
 
   set_metrics_enabled(true);
   record_value(ValueMetric::kMigrationsApplied, 5);
-  gauge_max(GaugeMetric::kPoolQueueDepthHwm, 77);
+  gauge_max(GaugeMetric::kServeQueueDepthHwm, 77);
   const MetricsSnapshot on = snapshot_metrics();
   EXPECT_EQ(on.value(ValueMetric::kMigrationsApplied).count, 1u);
-  EXPECT_EQ(on.gauge(GaugeMetric::kPoolQueueDepthHwm), 77u);
+  EXPECT_EQ(on.gauge(GaugeMetric::kServeQueueDepthHwm), 77u);
 }
 
 TEST_F(MetricsTest, DurationSwitchGatesTimersButNotDirectRecords) {
@@ -133,26 +132,13 @@ TEST_F(MetricsTest, DurationSwitchGatesTimersButNotDirectRecords) {
 }
 
 TEST_F(MetricsTest, GaugeMergesByMaxAcrossThreads) {
-  gauge_max(GaugeMetric::kPoolQueueDepthHwm, 10);
-  gauge_max(GaugeMetric::kPoolQueueDepthHwm, 4);  // lower: no effect
-  std::thread other([] { gauge_max(GaugeMetric::kPoolQueueDepthHwm, 25); });
+  gauge_max(GaugeMetric::kServeQueueDepthHwm, 10);
+  gauge_max(GaugeMetric::kServeQueueDepthHwm, 4);  // lower: no effect
+  std::thread other(
+      [] { gauge_max(GaugeMetric::kServeQueueDepthHwm, 25); });
   other.join();
-  EXPECT_EQ(snapshot_metrics().gauge(GaugeMetric::kPoolQueueDepthHwm), 25u);
-}
-
-TEST_F(MetricsTest, PoolWorkersAggregateAcrossShards) {
-  constexpr std::size_t kItems = 256;
-  sim::parallel_for(kItems, [](std::size_t) {}, /*n_threads=*/2);
-  const MetricsSnapshot snap = snapshot_metrics();
-
-  // The pool instrumented itself: one region of kItems, every item
-  // claimed in exactly one chunk by some worker (live shards), watermark
-  // gauges raised on the dispatching thread.
-  EXPECT_GE(snap.value(ValueMetric::kPoolRegionItems).count, 1u);
-  EXPECT_GE(snap.value(ValueMetric::kPoolRegionItems).max, kItems);
-  EXPECT_EQ(snap.value(ValueMetric::kPoolChunkItems).sum, kItems);
-  EXPECT_GE(snap.gauge(GaugeMetric::kPoolQueueDepthHwm), kItems);
-  EXPECT_GE(snap.gauge(GaugeMetric::kPoolWorkersHwm), 2u);
+  EXPECT_EQ(snapshot_metrics().gauge(GaugeMetric::kServeQueueDepthHwm),
+            25u);
 }
 
 // The TSan target: writers hammer one histogram while the main thread
@@ -166,21 +152,22 @@ TEST_F(MetricsTest, SnapshotWhileRecordingIsRaceFreeAndExactAfterJoin) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        record_value(ValueMetric::kPoolChunkItems, i & 1023);
+        record_value(ValueMetric::kServeBatchRequests, i & 1023);
       }
     });
   }
   std::uint64_t last_seen = 0;
   for (int i = 0; i < 50; ++i) {
     const MetricsSnapshot snap = snapshot_metrics();
-    const std::uint64_t seen = snap.value(ValueMetric::kPoolChunkItems).count;
+    const std::uint64_t seen =
+        snap.value(ValueMetric::kServeBatchRequests).count;
     EXPECT_GE(seen, last_seen);  // counts only grow
     EXPECT_LE(seen, kThreads * kPerThread);
     last_seen = seen;
   }
   for (std::thread& w : writers) w.join();
   // Writer threads exited, their shards retired into the accumulator.
-  EXPECT_EQ(snapshot_metrics().value(ValueMetric::kPoolChunkItems).count,
+  EXPECT_EQ(snapshot_metrics().value(ValueMetric::kServeBatchRequests).count,
             kThreads * kPerThread);
 }
 
@@ -233,10 +220,6 @@ TEST_F(MetricsTest, GoldenJsonDocument) {
                            "departure_handle_ns",
                            "departure_ns",
                            "place_ns",
-                           "pool_dispatch_wait_ns",
-                           "pool_region_ns",
-                           "pool_worker_busy_ns",
-                           "pool_worker_idle_ns",
                            "realloc_plan_ns",
                            "realloc_round_ns",
                            "reallocate_ns",
@@ -285,13 +268,13 @@ TEST_F(MetricsTest, GoldenJsonZeroMoveRoundIsASample) {
 }
 
 TEST_F(MetricsTest, ValidateCatchesTampering) {
-  record_value(ValueMetric::kPoolRegionItems, 42);
+  record_value(ValueMetric::kServeBatchRequests, 42);
   util::json::Value doc = metrics_to_json(snapshot_metrics());
   EXPECT_EQ(validate_metrics_json(doc), "");
 
   util::json::Value broken = doc;
   broken.as_object().at("values")
-      .as_object().at("pool_region_items")
+      .as_object().at("serve_batch_requests")
       .as_object().at("count") = util::json::Value(std::uint64_t{99});
   EXPECT_NE(validate_metrics_json(broken).find("do not sum"),
             std::string::npos);

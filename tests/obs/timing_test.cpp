@@ -14,7 +14,6 @@
 #include "obs/trace.hpp"
 #include "serve/service.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel.hpp"
 #include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -78,13 +77,13 @@ TEST_F(TimingTest, ScopedTimerRecordsOnlyWhenEnabled) {
   }
   set_trace_sink(nullptr);  // disarming drains the calling thread's ring
   {
-    const ScopedTimer t(DurationMetric::kPoolRegionNs);
+    const ScopedTimer t(DurationMetric::kServeApplyNs);
   }
 
   EXPECT_EQ(sink.span_count(DurationMetric::kPlaceNs), 1u);
   EXPECT_EQ(sink.span_count(DurationMetric::kReallocateNs), 1u);
   EXPECT_EQ(sink.span_count(DurationMetric::kDepartureNs), 0u);
-  EXPECT_EQ(sink.span_count(DurationMetric::kPoolRegionNs), 0u);
+  EXPECT_EQ(sink.span_count(DurationMetric::kServeApplyNs), 0u);
   EXPECT_EQ(thread_flight_record().back().id,
             static_cast<std::uint8_t>(DurationMetric::kReallocateNs));
   // Tracing alone records no histogram.
@@ -124,13 +123,13 @@ TEST_F(TimingTest, ArmedSinkSeesEverySpan) {
 // Chrome exports and crash dumps alike.
 TEST_F(TimingTest, SpanNamesAreMetricNames) {
   EXPECT_EQ(duration_metric_name(DurationMetric::kPlaceNs), "place_ns");
-  EXPECT_EQ(duration_metric_name(DurationMetric::kPoolRegionNs),
-            "pool_region_ns");
+  EXPECT_EQ(duration_metric_name(DurationMetric::kServeApplyNs),
+            "serve_apply_ns");
 
   ChromeTraceSink sink;
   set_trace_sink(&sink);
   {
-    const ScopedTimer t(DurationMetric::kPoolRegionNs);
+    const ScopedTimer t(DurationMetric::kServeApplyNs);
   }
   set_trace_sink(nullptr);
   const util::json::Value doc = util::json::parse(sink.document());
@@ -140,7 +139,7 @@ TEST_F(TimingTest, SpanNamesAreMetricNames) {
       names.push_back(ev.at("name").as_string());
     }
   }
-  EXPECT_EQ(names, std::vector<std::string>{"pool_region_ns"});
+  EXPECT_EQ(names, std::vector<std::string>{"serve_apply_ns"});
 
   const std::string dump_path =
       ::testing::TempDir() + "timing_test.crash.json";
@@ -153,14 +152,13 @@ TEST_F(TimingTest, SpanNamesAreMetricNames) {
   const util::json::Value dump = util::json::parse(*text);
   const util::json::Value& last = dump.at("flight_record").as_array().back();
   EXPECT_EQ(last.at("kind").as_string(), "span");
-  EXPECT_EQ(last.at("name").as_string(), "pool_region_ns");
+  EXPECT_EQ(last.at("name").as_string(), "serve_apply_ns");
   std::remove(dump_path.c_str());
 }
 
 // With tracing and duration metrics both armed, every timed scope's span
-// count equals its histogram count across the engine, the pool and the
-// service, and the direct records -- which time no scope of their own --
-// emit no span.
+// count equals its histogram count across the engine and the service, and
+// the direct records -- which time no scope of their own -- emit no span.
 TEST_F(TimingTest, EverySpanReconcilesWithItsHistogram) {
   const tree::Topology topo(64);
   util::Rng rng(12345);
@@ -175,7 +173,6 @@ TEST_F(TimingTest, EverySpanReconcilesWithItsHistogram) {
   sim::Engine engine(topo);
   const sim::SimResult run =
       engine.run(seq, *core::make_allocator("dmix:d=1", topo));
-  sim::parallel_for(64, [](std::size_t) {}, 2);
   {
     serve::PartitionService service(topo,
                                     core::make_allocator("dmix:d=1", topo));
@@ -188,7 +185,7 @@ TEST_F(TimingTest, EverySpanReconcilesWithItsHistogram) {
     service.stop();  // joins the apply thread, which flushes its ring
   }
   set_duration_metrics_enabled(false);
-  set_trace_sink(nullptr);  // flushes the engine's and the workers' rings
+  set_trace_sink(nullptr);  // flushes this thread's ring (the engine's)
   ASSERT_GT(run.reallocation_count, 0u);
   EXPECT_EQ(sink.dropped(), 0u);
 
@@ -197,7 +194,6 @@ TEST_F(TimingTest, EverySpanReconcilesWithItsHistogram) {
        {DurationMetric::kArrivalHandleNs, DurationMetric::kDepartureHandleNs,
         DurationMetric::kPlaceNs, DurationMetric::kReallocateNs,
         DurationMetric::kDepartureNs, DurationMetric::kBookkeepingNs,
-        DurationMetric::kPoolRegionNs, DurationMetric::kPoolWorkerBusyNs,
         DurationMetric::kServeApplyNs}) {
     EXPECT_GT(sink.spans(m), 0u) << duration_metric_name(m);
     EXPECT_EQ(sink.spans(m), snap.duration(m).count)
@@ -205,7 +201,6 @@ TEST_F(TimingTest, EverySpanReconcilesWithItsHistogram) {
   }
   for (const DurationMetric m :
        {DurationMetric::kReallocPlanNs, DurationMetric::kReallocRoundNs,
-        DurationMetric::kPoolDispatchWaitNs, DurationMetric::kPoolWorkerIdleNs,
         DurationMetric::kServeQueueWaitNs}) {
     EXPECT_EQ(sink.spans(m), 0u) << duration_metric_name(m);
   }

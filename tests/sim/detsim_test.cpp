@@ -7,8 +7,10 @@
 #include <string>
 
 #include "core/event.hpp"
+#include "core/factory.hpp"
 #include "core/machine_state.hpp"
 #include "sim/detsim.hpp"
+#include "sim/engine.hpp"
 
 namespace partree::sim {
 namespace {
@@ -109,6 +111,8 @@ TEST(DetSimTest, AllocFailOnArrivalRecoversDigestExactly) {
   EXPECT_EQ(report.faults_applied, 1u);
   EXPECT_EQ(report.run_digest, report.baseline_digest);
   EXPECT_EQ(report.run_epochs, report.baseline_epochs);
+  EXPECT_NE(report.baseline_placement_digest, 0u);
+  EXPECT_EQ(report.run_placement_digest, report.baseline_placement_digest);
 }
 
 TEST(DetSimTest, AllocFailOnDepartureIsSkippedNotApplied) {
@@ -125,31 +129,48 @@ TEST(DetSimTest, AllocFailOnDepartureIsSkippedNotApplied) {
   EXPECT_EQ(report.run_digest, report.baseline_digest);
 }
 
-TEST(DetSimTest, CancelRidesThePoolAndRetriesClean) {
+TEST(DetSimTest, CancelAbandonsTheRunAndRetriesClean) {
   DetSimOptions options;
   options.seed = 13;
   options.faults = FaultPlan({{20, FaultKind::kCancel}});
+
+  // The fault throws out of the engine at its step.
+  const tree::Topology topo(options.n_pes);
+  FaultInjector injector(options.faults);
+  Engine engine(topo, {.faults = &injector});
+  const core::AllocatorPtr alloc =
+      core::make_allocator(options.allocator, topo, options.seed);
+  try {
+    (void)engine.run(detsim_sequence(topo, options.seed), *alloc);
+    ADD_FAILURE() << "cancel@20 did not throw";
+  } catch (const FaultInjectedError& e) {
+    EXPECT_EQ(e.fault().step, 20u);
+  }
+
+  // run_detsim catches it, and a fresh replay reproduces the baseline.
   const DetSimReport report = run_detsim(options);
   EXPECT_EQ(report.outcome, DetSimOutcome::kCancelled) << report.detail;
   EXPECT_EQ(report.faults_applied, 1u);
   EXPECT_EQ(report.run_digest, report.baseline_digest);
+  EXPECT_EQ(report.run_epochs, report.baseline_epochs);
+  EXPECT_EQ(report.run_placement_digest, report.baseline_placement_digest);
 }
 
-TEST(DetSimTest, PoolPerturbationLeavesDigestsInvariant) {
-  DetSimOptions options;
-  options.seed = 17;
-  options.allocator = "dmix:d=1";
-  options.faults = FaultPlan({{9, FaultKind::kPerturbPool}});
-  const DetSimReport report = run_detsim(options);
-  EXPECT_EQ(report.outcome, DetSimOutcome::kRecovered) << report.detail;
-  EXPECT_EQ(report.run_digest, report.baseline_digest);
-}
-
-TEST(DetSimTest, DifferentialSweepFindsNoDivergences) {
-  DetSimOptions base;
-  base.seed = 100;
-  const std::size_t chunks[] = {0, 1, 3};
-  EXPECT_TRUE(digest_divergences(base, 8, chunks).empty());
+// A detsim run ends drained, so its final state digest depends only on N
+// and the peak active size: greedy and leftmost (which stacks every task
+// on the leftmost node of its size) end in the same state. Only the
+// placement digest tells them apart.
+TEST(DetSimTest, PlacementDigestSeparatesWhatTheFinalDigestCannot) {
+  DetSimOptions greedy;
+  greedy.seed = 1;
+  greedy.allocator = "greedy";
+  DetSimOptions leftmost = greedy;
+  leftmost.allocator = "leftmost";
+  const SimResult a = run_baseline(greedy);
+  const SimResult b = run_baseline(leftmost);
+  EXPECT_EQ(a.final_digest, b.final_digest);
+  EXPECT_NE(a.placement_digest, b.placement_digest);
+  EXPECT_EQ(a.placement_digest, run_baseline(greedy).placement_digest);
 }
 
 // --- shrinking --------------------------------------------------------------
@@ -157,7 +178,7 @@ TEST(DetSimTest, DifferentialSweepFindsNoDivergences) {
 TEST(DetSimTest, ShrinkDropsFaultsAndLowersSteps) {
   DetSimOptions failing;
   failing.faults =
-      FaultPlan::parse("cancel@3,alloc_fail@40,perturb:pool@90");
+      FaultPlan::parse("cancel@3,alloc_fail@40,cancel@90");
   // Synthetic oracle: "fails" iff some alloc_fail fault has step >= 10.
   const auto still_fails = [](const DetSimOptions& candidate) {
     for (const Fault& f : candidate.faults.faults()) {

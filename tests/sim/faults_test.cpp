@@ -15,7 +15,6 @@ TEST(FaultPlanTest, ParsesEveryKindAndRoundTrips) {
       "corrupt:load_tree@3",
       "corrupt:active_map@4",
       "corrupt:copy_set@5",
-      "perturb:pool@6",
       "alloc_fail@2,cancel@9,corrupt:copy_set@40",
   };
   for (const char* text : plans) {
@@ -31,6 +30,8 @@ TEST(FaultPlanTest, RejectsMalformedInput) {
   EXPECT_THROW((void)FaultPlan::parse("alloc_fail@"), std::invalid_argument);
   EXPECT_THROW((void)FaultPlan::parse("alloc_fail@x"), std::invalid_argument);
   EXPECT_THROW((void)FaultPlan::parse("warp_core@3"), std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("perturb:pool@6"),
+               std::invalid_argument);
   EXPECT_THROW((void)FaultPlan::parse("cancel@3,"), std::invalid_argument);
   // Steps must be strictly increasing across the plan.
   EXPECT_THROW((void)FaultPlan::parse("cancel@5,alloc_fail@5"),
@@ -46,7 +47,7 @@ TEST(FaultPlanTest, LookupAndCorruptionPredicate) {
   EXPECT_EQ(plan.at(3), nullptr);
   ASSERT_NE(plan.at(8), nullptr);
   EXPECT_TRUE(plan.has_corruption());
-  EXPECT_FALSE(FaultPlan::parse("cancel@1,perturb:pool@2").has_corruption());
+  EXPECT_FALSE(FaultPlan::parse("cancel@1,alloc_fail@2").has_corruption());
 }
 
 TEST(FaultPlanTest, RandomPlansAreSeedDeterministicAndInRange) {
@@ -59,11 +60,20 @@ TEST(FaultPlanTest, RandomPlansAreSeedDeterministicAndInRange) {
     EXPECT_GE(pa.faults()[0].step, 1u);
     EXPECT_LT(pa.faults()[0].step, 100u);
   }
+  // Without corruption, every draw is one of the two recoverable kinds,
+  // and both occur.
   util::Rng c(7);
+  bool drew_alloc_fail = false;
+  bool drew_cancel = false;
   for (int i = 0; i < 50; ++i) {
-    const FaultPlan plan = random_fault_plan(c, 100, false);
-    EXPECT_FALSE(plan.has_corruption()) << plan.to_string();
+    const FaultKind kind = random_fault_plan(c, 100, false).faults()[0].kind;
+    EXPECT_TRUE(kind == FaultKind::kAllocFail || kind == FaultKind::kCancel)
+        << fault_kind_name(kind);
+    drew_alloc_fail |= kind == FaultKind::kAllocFail;
+    drew_cancel |= kind == FaultKind::kCancel;
   }
+  EXPECT_TRUE(drew_alloc_fail);
+  EXPECT_TRUE(drew_cancel);
 }
 
 TEST(FaultInjectorTest, WalksThePlanOnceAndTracksApplication) {
