@@ -1,15 +1,14 @@
-// What the observability switches cost while off, plus the trace and
+// What the metrics registry costs on its default path, plus the trace and
 // metrics smoke runs.
 //
 // Re-times the E2 greedy campaign sweep (exact A_G over every named
-// campaign at N = 1024) in interleaved pairs: once with the flight
-// recorder off and on, once with the metrics master switch off and on.
-// Each overhead is the median of the per-pair ratios, printed beside the
-// cost of arming the switch's full machinery. The figures are reported,
-// not gated; the repo's timing benchmark is perfbench, compared against a
-// base tree by scripts/perf_ab.py.
+// campaign at N = 1024) in interleaved pairs with the metrics master
+// switch off and on. The overhead is the median of the per-pair ratios,
+// printed beside the cost of arming the duration timers. The figure is
+// reported, not gated; the repo's timing benchmark is perfbench, compared
+// against a base tree by scripts/perf_ab.py.
 //
-//   bench_harness                      # both overhead figures
+//   bench_harness                      # the overhead figure
 //   bench_harness --smoke              # tiny sizes, 1 rep; exercises the
 //                                      # machinery (CI), not comparable
 //   bench_harness --trace out.json     # ONE traced greedy sweep ->
@@ -20,7 +19,6 @@
 //                                      # (composes with --trace)
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -46,8 +44,8 @@ struct HarnessConfig {
   double scale = 1.0;
 };
 
-/// The E2 greedy campaign sweep at N = 1024: the body every overhead
-/// figure re-times, and with a sink the traced run behind --trace.
+/// The E2 greedy campaign sweep at N = 1024: the body the overhead figure
+/// re-times, and with a sink the traced run behind --trace.
 void greedy_sweep_body(const HarnessConfig& config,
                        obs::TraceSink* sink = nullptr) {
   const std::uint64_t n = config.smoke ? 128 : 1024;
@@ -66,22 +64,30 @@ void greedy_sweep_body(const HarnessConfig& config,
   }
 }
 
-/// How a switch is set for one timed sweep.
-enum class Mode { kBare, kDefault, kArmed };
+/// Wall milliseconds of one untraced greedy sweep.
+double timed_sweep(const HarnessConfig& config) {
+  const std::uint64_t start_ns = obs::detail::monotonic_ns();
+  greedy_sweep_body(config);
+  return static_cast<double>(obs::detail::monotonic_ns() - start_ns) / 1e6;
+}
 
-struct Overhead {
-  double default_median_ms = 0.0;
-  /// Median of per-pair default/bare ratios, as a percentage over bare.
-  double pct = 0.0;
-  /// Armed median over the default median, as a percentage.
-  double armed_pct = 0.0;
-};
-
-/// Times `timed_one(kBare)` against `timed_one(kDefault)` in interleaved
-/// pairs, alternating which runs first, so drift slower than one pair
-/// cancels, then `reps` armed runs.
-Overhead measure_overhead(const HarnessConfig& config,
-                          const std::function<double(Mode)>& timed_one) {
+// What the metrics registry costs on its DEFAULT path: master switch on,
+// duration timers off, so every record (one per min_load_node query on
+// greedy's path) is a branch plus a few thread-local relaxed stores and
+// the clock is never read. Bare runs switch the master off and default
+// runs leave it on, in interleaved pairs that alternate which runs first,
+// so drift slower than one pair cancels; then `reps` armed runs add the
+// duration timers (two clock reads per timed scope).
+void metrics_overhead(const HarnessConfig& config) {
+  const bool durations_were = obs::duration_metrics_enabled();
+  const auto timed = [&](bool enabled, bool durations) {
+    obs::set_metrics_enabled(enabled);
+    obs::set_duration_metrics_enabled(durations);
+    const double ms = timed_sweep(config);
+    obs::set_metrics_enabled(true);
+    obs::set_duration_metrics_enabled(durations_were);
+    return ms;
+  };
   for (int i = 0; i < 2; ++i) greedy_sweep_body(config);
   const std::uint64_t pairs =
       config.smoke ? config.reps : std::max<std::uint64_t>(config.reps, 15);
@@ -91,78 +97,36 @@ Overhead measure_overhead(const HarnessConfig& config,
     double bare_ms = 0.0;
     double ms = 0.0;
     if (rep % 2 == 0) {
-      bare_ms = timed_one(Mode::kBare);
-      ms = timed_one(Mode::kDefault);
+      bare_ms = timed(false, false);
+      ms = timed(true, false);
     } else {
-      ms = timed_one(Mode::kDefault);
-      bare_ms = timed_one(Mode::kBare);
+      ms = timed(true, false);
+      bare_ms = timed(false, false);
     }
     default_ms.push_back(ms);
     if (bare_ms > 0.0) pair_ratio.push_back(ms / bare_ms);
   }
   std::vector<double> armed_ms;
   for (std::uint64_t rep = 0; rep < config.reps; ++rep) {
-    armed_ms.push_back(timed_one(Mode::kArmed));
+    armed_ms.push_back(timed(true, true));
   }
 
-  Overhead out;
-  out.default_median_ms = util::summarize(default_ms).median;
-  if (!pair_ratio.empty()) {
-    out.pct = (util::summarize(pair_ratio).median - 1.0) * 100.0;
-  }
-  if (out.default_median_ms > 0.0) {
-    out.armed_pct =
-        (util::summarize(armed_ms).median - out.default_median_ms) /
-        out.default_median_ms * 100.0;
-  }
-  return out;
-}
-
-/// Wall milliseconds of one greedy sweep.
-double timed_sweep(const HarnessConfig& config, obs::TraceSink* sink) {
-  const std::uint64_t start_ns = obs::detail::monotonic_ns();
-  greedy_sweep_body(config, sink);
-  return static_cast<double>(obs::detail::monotonic_ns() - start_ns) / 1e6;
-}
-
-// What tracing costs while DISABLED: the default path every user run
-// takes carries one flight-recorder store per engine instant. Bare runs
-// switch the recorder off. Arming tracing (span clock reads + ring drains
-// into a counting sink) is expected to cost real time.
-void trace_overhead(const HarnessConfig& config) {
-  obs::CountingTraceSink sink;
-  const Overhead o = measure_overhead(config, [&](Mode mode) {
-    obs::set_flight_recorder_enabled(mode != Mode::kBare);
-    const double ms =
-        timed_sweep(config, mode == Mode::kArmed ? &sink : nullptr);
-    obs::set_flight_recorder_enabled(true);
-    return ms;
-  });
-  std::printf(
-      "  trace_overhead_pct    %+6.2f   (default median %.3f ms; armed "
-      "%+6.2f%%)\n",
-      o.pct, o.default_median_ms, o.armed_pct);
-}
-
-// What the metrics registry costs on its DEFAULT path: master switch on,
-// duration timers off, so every record (one per min_load_node query on
-// greedy's path) is a branch plus a few thread-local relaxed stores and
-// the clock is never read. Bare runs switch the master off; armed runs
-// add the duration timers (two clock reads per timed scope).
-void metrics_overhead(const HarnessConfig& config) {
-  const bool durations_were = obs::duration_metrics_enabled();
-  const Overhead o = measure_overhead(config, [&](Mode mode) {
-    obs::set_metrics_enabled(mode != Mode::kBare);
-    obs::set_duration_metrics_enabled(mode == Mode::kArmed);
-    const double ms = timed_sweep(config, nullptr);
-    obs::set_metrics_enabled(true);
-    obs::set_duration_metrics_enabled(durations_were);
-    return ms;
-  });
+  // The median of per-pair default/bare ratios, as a percentage over
+  // bare, and the armed median over the default median.
+  const double default_median_ms = util::summarize(default_ms).median;
+  const double pct =
+      pair_ratio.empty()
+          ? 0.0
+          : (util::summarize(pair_ratio).median - 1.0) * 100.0;
+  const double armed_pct =
+      default_median_ms > 0.0
+          ? (util::summarize(armed_ms).median - default_median_ms) /
+                default_median_ms * 100.0
+          : 0.0;
   std::printf(
       "  metrics_overhead_pct  %+6.2f   (default median %.3f ms; durations "
       "armed %+6.2f%%)\n",
-      o.pct, o.default_median_ms, o.armed_pct);
+      pct, default_median_ms, armed_pct);
 }
 
 // --trace: one traced greedy sweep -> Chrome trace JSON.
@@ -250,10 +214,9 @@ int main(int argc, char** argv) {
   }
 
   bench::banner("BENCH harness",
-                "Disabled-path cost of tracing and metrics on the E2 greedy "
-                "sweep: median of interleaved per-pair ratios, reported, "
-                "not gated.");
-  bench::trace_overhead(config);
+                "Default-path cost of metrics on the E2 greedy sweep: "
+                "median of interleaved per-pair ratios, reported, not "
+                "gated.");
   bench::metrics_overhead(config);
 
   if (!metrics_path.empty()) return bench::write_metrics_snapshot(metrics_path);

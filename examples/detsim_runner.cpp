@@ -4,22 +4,22 @@
 // Modes:
 //   --seed-sweep K   Replay K seeded runs, each with a seed-derived random
 //                    fault plan, and verify every one recovers (digest
-//                    oracle) or crashes with a dump naming the fault.
-//                    Corruption faults re-exec this binary (--one) in a
-//                    subprocess, since their only correct outcome is an
-//                    abort. Failures are shrunk (with --shrink) and
-//                    written as partree-detsim-repro-v1 files. --n-pes and
-//                    --events apply to every run, and the summary line
-//                    prints n_pes=.
+//                    oracle), or, for an applied corruption, is caught by
+//                    the engine's invariant net. Divergences are shrunk
+//                    (with --shrink) and written as
+//                    partree-detsim-repro-v1 files. --n-pes and --events
+//                    apply to every run, and the summary line prints
+//                    n_pes=.
 //   --replay FILE    Re-run one repro file and report whether the recorded
 //                    outcome reproduces (exit 0 iff it does).
-//   --one            Single faulted run, exactly as specified (the
-//                    subprocess side of corruption sweeps).
+//   --one            Single faulted run, exactly as specified (exit 0
+//                    unless it diverges).
 //
 // Examples:
 //   detsim_runner --seed-sweep 500 --shrink
 //   detsim_runner --seed-sweep 200 --budget-seconds 60 --repro-dir out
 //   detsim_runner --seed-sweep 12 --n-pes 65536
+//   detsim_runner --one --seed 21 --faults corrupt:load_tree@40
 //   detsim_runner --replay out/repro_seed42.json
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +30,6 @@
 
 #include "core/factory.hpp"
 #include "obs/timing.hpp"
-#include "obs/trace.hpp"
 #include "sim/detsim.hpp"
 #include "util/cli.hpp"
 #include "util/digest.hpp"
@@ -72,18 +71,6 @@ void write_repro_or_exit(const std::string& dir,
   }
 }
 
-[[nodiscard]] std::string shell_quote(const std::string& s) {
-  std::string out = "'";
-  for (const char c : s) {
-    if (c == '\'') {
-      out += "'\\''";
-    } else {
-      out += c;
-    }
-  }
-  return out + "'";
-}
-
 void print_report(const DetSimOptions& options, const DetSimReport& report) {
   std::printf(
       "seed=%llu alloc=%s faults=[%s] outcome=%s applied=%llu "
@@ -101,58 +88,12 @@ void print_report(const DetSimOptions& options, const DetSimReport& report) {
   }
 }
 
-/// --one: run exactly the specified faulted replay in this process. For an
-/// applying corruption fault this aborts with a crash dump (by design);
-/// otherwise prints the report. Exit 0 on recovery/skip, 1 on divergence.
+/// --one: run exactly the specified faulted replay and print the report.
+/// Exit 0 unless it diverged.
 [[nodiscard]] int run_one(const DetSimOptions& options) {
   const DetSimReport report = partree::sim::run_detsim(options);
   print_report(options, report);
   return report.outcome == DetSimOutcome::kDivergence ? 1 : 0;
-}
-
-/// Outcome of verifying one corruption plan in a subprocess.
-struct CrashProbe {
-  bool crashed = false;       ///< child died (nonzero exit)
-  bool dump_found = false;    ///< stderr carried a partree-crash-v1 dump
-  bool fault_named = false;   ///< ... whose reason names the exact fault
-  bool skipped = false;       ///< child exited 0 (fault inapplicable)
-};
-
-/// Re-execs this binary with --one for a corruption plan; the contract is
-/// "abort with a dump naming the injected component and step", which can
-/// only be observed from outside the dying process.
-[[nodiscard]] CrashProbe probe_crash(const std::string& argv0,
-                                     const DetSimOptions& options,
-                                     const std::string& scratch_dir) {
-  const std::string err_path = scratch_dir + "/one_stderr.txt";
-  const std::string dump_path = scratch_dir + "/one_crash.json";
-  std::string cmd = shell_quote(argv0) + " --one";
-  cmd += " --n-pes " + std::to_string(options.n_pes);
-  cmd += " --alloc " + shell_quote(options.allocator);
-  cmd += " --seed " + std::to_string(options.seed);
-  cmd += " --events " + std::to_string(options.n_events);
-  cmd += " --faults " + shell_quote(options.faults.to_string());
-  cmd += " --crash-dump " + shell_quote(dump_path);
-  cmd += " >/dev/null 2>" + shell_quote(err_path);
-
-  CrashProbe probe;
-  const int rc = std::system(cmd.c_str());
-  probe.crashed = rc != 0;
-  probe.skipped = rc == 0;
-  std::error_code ec;
-  if (std::filesystem::exists(err_path, ec)) {
-    const std::string err = read_or_exit(err_path);
-    probe.dump_found = err.find("partree-crash-v1") != std::string::npos;
-    std::string named;
-    for (const partree::sim::Fault& fault : options.faults.faults()) {
-      if (err.find(fault.to_string()) != std::string::npos) {
-        probe.fault_named = true;
-      }
-    }
-    std::filesystem::remove(err_path, ec);
-  }
-  std::filesystem::remove(dump_path, ec);
-  return probe;
 }
 
 struct SweepStats {
@@ -160,12 +101,11 @@ struct SweepStats {
   std::uint64_t recovered = 0;
   std::uint64_t cancelled = 0;
   std::uint64_t skipped = 0;
-  std::uint64_t crashes_verified = 0;
+  std::uint64_t caught = 0;
   std::uint64_t failures = 0;
 };
 
-[[nodiscard]] int run_seed_sweep(const std::string& argv0,
-                                 const partree::util::Cli& cli) {
+[[nodiscard]] int run_seed_sweep(const partree::util::Cli& cli) {
   const std::uint64_t n_seeds = cli.get_u64("seed-sweep");
   const std::uint64_t base_seed = cli.get_u64("seed");
   const std::uint64_t n_pes = cli.get_u64("n-pes");
@@ -209,42 +149,13 @@ struct SweepStats {
         plan_rng, partree::sim::detsim_event_count(options), !no_corruption);
     ++stats.runs;
 
-    if (options.faults.has_corruption()) {
-      const CrashProbe probe = probe_crash(argv0, options, repro_dir);
-      if (probe.skipped) {
-        ++stats.skipped;
-        continue;
-      }
-      if (probe.crashed && probe.dump_found && probe.fault_named) {
-        ++stats.crashes_verified;
-        continue;
-      }
-      ++stats.failures;
-      std::printf(
-          "FAIL crash contract: seed=%llu alloc=%s faults=[%s] "
-          "crashed=%d dump=%d named=%d\n",
-          static_cast<unsigned long long>(options.seed),
-          options.allocator.c_str(), options.faults.to_string().c_str(),
-          probe.crashed ? 1 : 0, probe.dump_found ? 1 : 0,
-          probe.fault_named ? 1 : 0);
-      const DetSimReport baseline_only =
-          partree::sim::run_detsim({.n_pes = options.n_pes,
-                                    .allocator = options.allocator,
-                                    .seed = options.seed,
-                                    .n_events = options.n_events});
-      partree::sim::ReproSpec spec =
-          partree::sim::to_repro(options, baseline_only);
-      spec.expect = "crash";
-      write_repro_or_exit(repro_dir, spec);
-      continue;
-    }
-
     DetSimReport report = partree::sim::run_detsim(options);
     switch (report.outcome) {
       case DetSimOutcome::kFaultFree:
       case DetSimOutcome::kRecovered: ++stats.recovered; break;
       case DetSimOutcome::kCancelled: ++stats.cancelled; break;
       case DetSimOutcome::kSkipped: ++stats.skipped; break;
+      case DetSimOutcome::kCaught: ++stats.caught; break;
       case DetSimOutcome::kDivergence: {
         ++stats.failures;
         std::printf("FAIL divergence:\n");
@@ -268,19 +179,18 @@ struct SweepStats {
 
   std::printf(
       "sweep done in %.1fs: n_pes=%llu runs=%llu recovered=%llu "
-      "cancelled=%llu skipped=%llu crashes_verified=%llu failures=%llu\n",
+      "cancelled=%llu skipped=%llu caught=%llu failures=%llu\n",
       elapsed_s(), static_cast<unsigned long long>(n_pes),
       static_cast<unsigned long long>(stats.runs),
       static_cast<unsigned long long>(stats.recovered),
       static_cast<unsigned long long>(stats.cancelled),
       static_cast<unsigned long long>(stats.skipped),
-      static_cast<unsigned long long>(stats.crashes_verified),
+      static_cast<unsigned long long>(stats.caught),
       static_cast<unsigned long long>(stats.failures));
   return stats.failures == 0 ? 0 : 1;
 }
 
-[[nodiscard]] int run_replay(const std::string& argv0,
-                             const partree::util::Cli& cli) {
+[[nodiscard]] int run_replay(const partree::util::Cli& cli) {
   const std::string path = cli.get("replay");
   partree::sim::ReproSpec spec;
   try {
@@ -299,17 +209,6 @@ struct SweepStats {
   options.n_events = cli.get_u64("events");
   options.faults = spec.faults;
 
-  if (spec.expect == "crash") {
-    const CrashProbe probe = probe_crash(argv0, options, ".");
-    const bool reproduced =
-        probe.crashed && probe.dump_found && probe.fault_named;
-    std::printf("replay crash: crashed=%d dump=%d named=%d -> %s\n",
-                probe.crashed ? 1 : 0, probe.dump_found ? 1 : 0,
-                probe.fault_named ? 1 : 0,
-                reproduced ? "reproduced" : "NOT reproduced");
-    return reproduced ? 0 : 1;
-  }
-
   const DetSimReport report = partree::sim::run_detsim(options);
   print_report(options, report);
   if (spec.baseline_digest != 0 &&
@@ -319,9 +218,7 @@ struct SweepStats {
                 partree::util::digest_hex(spec.baseline_digest).c_str());
   }
   const bool reproduced =
-      spec.expect == "divergence"
-          ? report.outcome == DetSimOutcome::kDivergence
-          : report.outcome != DetSimOutcome::kDivergence;
+      partree::sim::to_repro(options, report).expect == spec.expect;
   std::printf("replay: expected %s -> %s\n", spec.expect.c_str(),
               reproduced ? "reproduced" : "NOT reproduced");
   return reproduced ? 0 : 1;
@@ -341,11 +238,9 @@ int main(int argc, char** argv) {
               partree::util::Cli::Kind::kU64)
       .option("faults", "explicit fault plan for --one", "")
       .option("replay", "repro file to re-run", "")
-      .option("repro-dir", "where repro files / scratch land",
-              "detsim_repros")
+      .option("repro-dir", "where repro files land", "detsim_repros")
       .option("budget-seconds", "stop the sweep after this long; 0 = off",
               "0", partree::util::Cli::Kind::kDouble)
-      .option("crash-dump", "crash-dump path override (used by --one)", "")
       .flag("one", "run a single faulted replay exactly as specified")
       .flag("shrink", "minimise failing configurations before writing repros")
       .flag("no-corruption", "exclude corrupt:* kinds from random plans");
@@ -364,10 +259,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!cli.get("crash-dump").empty()) {
-    partree::obs::set_crash_dump_path(cli.get("crash-dump"));
-  }
-
   if (cli.get_flag("one")) {
     DetSimOptions options;
     options.n_pes = cli.get_u64("n-pes");
@@ -377,8 +268,8 @@ int main(int argc, char** argv) {
     options.faults = faults;
     return run_one(options);
   }
-  if (!cli.get("replay").empty()) return run_replay(argv[0], cli);
-  if (cli.get_u64("seed-sweep") > 0) return run_seed_sweep(argv[0], cli);
+  if (!cli.get("replay").empty()) return run_replay(cli);
+  if (cli.get_u64("seed-sweep") > 0) return run_seed_sweep(cli);
 
   std::fputs(cli.usage(argv[0]).c_str(), stderr);
   std::fputs("\none of --seed-sweep, --replay, or --one is required\n",

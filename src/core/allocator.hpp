@@ -72,7 +72,7 @@ class Allocator {
   /// ground truth. Returns "" when consistent (the default: nothing to
   /// check), else a description of the first inconsistency. The engine's
   /// debug_checks net calls this after every event, so a corrupted
-  /// allocator dies with a flight-recorder dump instead of silently
+  /// allocator throws sim::InvariantViolation instead of silently
   /// producing plausible-looking placements.
   [[nodiscard]] virtual std::string debug_check_state() const { return {}; }
 };

@@ -120,8 +120,8 @@ class MachineState {
 
   /// TEST-ONLY fault injection: forwards to LoadTree::debug_corrupt_add on
   /// the owned load structure, leaving aggregates stale on purpose so the
-  /// engine's debug_checks net (and its crash dump) can be exercised
-  /// end to end. Never call outside tests/fault injection.
+  /// engine's debug_checks net (and the InvariantViolation it throws) can
+  /// be exercised end to end. Never call outside tests/fault injection.
   void debug_corrupt_loads(tree::NodeId v, std::uint64_t count) {
     loads_.debug_corrupt_add(v, count);
   }

@@ -7,12 +7,12 @@
 // pattern so the hot paths never synchronise. Every cell is a relaxed
 // atomic written by exactly one thread, so a snapshot taken WHILE other
 // threads record (the partition service's client and apply threads) is
-// race-free (merely fuzzy) -- the crash-dump path reads the registry from
-// an aborting thread without waiting for quiescence. Per-run totals that
-// the code already keeps (events, arrivals, rounds, moves) live on
-// sim::SimResult, not here.
+// race-free (merely fuzzy), with no need to wait for quiescence. Per-run
+// totals that the code already keeps (events, arrivals, rounds, moves)
+// live on sim::SimResult, not here.
 //
-// Two switches:
+// Two switches, the process's only obs switches (tracing is armed by
+// installing a sink, obs/trace.hpp):
 //
 //   * `set_metrics_enabled` (default ON) gates everything: value
 //     histograms, gauges, and pre-measured duration records. The enabled
@@ -27,10 +27,9 @@
 //     (`bench_harness --metrics`).
 //
 // Snapshots aggregate retired + live shards into plain structs, exported
-// as a canonical "partree-metrics-v1" JSON document. The crash-dump path
-// (obs/trace.hpp write_crash_dump) embeds that document so
-// invariant-failure forensics include the distributions leading up to the
-// crash.
+// as a canonical "partree-metrics-v1" JSON document; docs/OBSERVABILITY.md
+// keeps one table row per metric, checked against the registry by
+// MetricsTest.DocMetricTableMatchesTheRegistry.
 #pragma once
 
 #include <array>

@@ -1,35 +1,27 @@
-// Structured tracing: per-thread event rings, sinks, and a flight recorder.
+// Structured tracing: per-thread event rings and sinks.
 //
 // Instrumented code records fixed-size TraceEvents into a per-thread ring
 // buffer -- no locks, no allocation past first use -- via three typed emit
-// paths:
+// paths, each a no-op unless a sink is armed:
 //
 //   * timed spans      (obs/timing.hpp's ScopedTimer, one per timed scope,
-//                       named by its DurationMetric; only while a sink is
-//                       armed)
+//                       named by its DurationMetric)
 //   * engine instants  (arrival / departure / realloc round / migration
-//                       batch; ALWAYS recorded -- they double as the flight
-//                       recorder -- with a timestamp only while tracing)
+//                       batch / fault / digest / serve batch)
 //   * counter samples  (periodic max load / L* / active size / active tasks
-//                       snapshots from the engine, while tracing)
+//                       snapshots from the engine)
 //
-// Tracing proper is armed by installing a TraceSink (set_trace_sink).
-// While a sink is armed, rings flush into it whenever they fill and at
-// explicit drain points (drain_trace; the engine drains after every traced
-// run, and a thread's ring flushes itself on thread exit). With no sink the
-// ring simply wraps, at a cost of one struct store per event, and its tail
-// is the FLIGHT RECORDER: `thread_flight_record` returns the calling
-// thread's last <= kFlightRecorderEvents events, and `write_crash_dump`
-// serializes them together with a metrics snapshot (obs/metrics.hpp) as
-// canonical JSON to stderr and a crash file -- the engine calls it when
-// `EngineOptions::debug_checks` catches an invariant violation, so the
-// events leading up to the corruption survive the abort.
+// Tracing is armed by installing a TraceSink (set_trace_sink). While a
+// sink is armed, rings flush into it whenever they fill and at explicit
+// drain points (drain_trace; the engine drains after every traced run,
+// and a thread's ring flushes itself on thread exit). With no sink armed
+// an emit costs one relaxed load, and a thread that never emits while
+// traced never allocates a ring.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -63,7 +55,7 @@ enum class Instant : std::uint8_t {
 inline constexpr std::size_t kNumInstants =
     static_cast<std::size_t>(Instant::kCount);
 
-/// Stable snake_case name used in trace exports and crash dumps.
+/// Stable snake_case name used in trace exports.
 [[nodiscard]] std::string_view instant_name(Instant i) noexcept;
 
 enum class TraceEventKind : std::uint8_t {
@@ -80,8 +72,7 @@ enum class TraceEventKind : std::uint8_t {
 /// Fixed-size structured event; the ring stores these by value.
 struct TraceEvent {
   std::uint64_t seq = 0;    ///< per-thread sequence number (ring position)
-  std::uint64_t ts_ns = 0;  ///< monotonic ns; 0 when recorded while tracing
-                            ///< was off (flight-recorder-only events)
+  std::uint64_t ts_ns = 0;  ///< monotonic ns
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   std::uint64_t c = 0;
@@ -90,12 +81,9 @@ struct TraceEvent {
   std::uint8_t id = 0;  ///< DurationMetric for spans, Instant for instants
 };
 
-/// Ring capacity per thread (power of two). A sinkless ring wraps; an
-/// armed ring flushes before wrapping, so nothing is dropped in practice.
+/// Ring capacity per thread (power of two). An armed ring flushes before
+/// wrapping, so nothing is dropped in practice.
 inline constexpr std::size_t kTraceRingCapacity = std::size_t{1} << 12;
-
-/// Flight-recorder depth: how many trailing events a crash dump preserves.
-inline constexpr std::size_t kFlightRecorderEvents = 128;
 
 /// One thread's drained events, in sequence order.
 struct ThreadTrace {
@@ -162,41 +150,13 @@ inline std::atomic<bool> g_tracing{false};
 /// No-op without a sink.
 void drain_trace();
 
-/// Benchmark kill switch for the always-on flight-recorder store: while
-/// false, emit paths record nothing at all (armed sinks included).
-/// Defaults to true; flip it only at quiescent points. Exists so
-/// bench_harness can price the default store against a truly bare run --
-/// leave it on everywhere else.
-void set_flight_recorder_enabled(bool enabled) noexcept;
-[[nodiscard]] bool flight_recorder_enabled() noexcept;
-
-/// Records an engine instant. Always stores into the calling thread's ring
-/// (the flight recorder); reads the clock only while tracing is enabled.
+/// Records an engine instant. No-op unless tracing is enabled.
 void emit_instant(Instant i, std::uint64_t payload = 0) noexcept;
 
 /// Records a counter sample. No-op unless tracing is enabled.
 void emit_counters(std::uint64_t max_load, std::uint64_t l_star,
                    std::uint64_t active_size,
                    std::uint64_t active_tasks) noexcept;
-
-/// The calling thread's last <= kFlightRecorderEvents events, oldest
-/// first (sequence order).
-[[nodiscard]] std::vector<TraceEvent> thread_flight_record();
-
-/// Overrides the crash-dump file path (tests). Empty restores the default
-/// `partree_crash_<unix_ts>_<pid>.json`, placed in $PARTREE_CRASH_DIR
-/// (created if missing) when that is set, else in the working directory.
-void set_crash_dump_path(std::string path);
-
-/// Serializes the calling thread's flight record plus a metrics snapshot
-/// ("partree-crash-v1" JSON embedding a partree-metrics-v1 document) to
-/// stderr and the crash-dump file. Safe while other threads record: the
-/// metrics cells are single-writer relaxed atomics and only the calling
-/// thread's ring is read. The file write is atomic (tmp + rename), so a
-/// crash mid-dump never leaves truncated JSON. Returns the file path, or
-/// "" if the file could not be written (the stderr copy is emitted
-/// regardless). Called on the way to abort(); does not itself abort.
-std::string write_crash_dump(std::string_view reason);
 
 namespace detail {
 /// Span feed from obs/timing.hpp's ScopedTimer.

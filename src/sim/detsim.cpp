@@ -73,6 +73,7 @@ std::string_view outcome_name(DetSimOutcome outcome) noexcept {
     case DetSimOutcome::kRecovered: return "recovered";
     case DetSimOutcome::kCancelled: return "cancelled";
     case DetSimOutcome::kSkipped: return "skipped";
+    case DetSimOutcome::kCaught: return "caught";
     case DetSimOutcome::kDivergence: return "divergence";
   }
   return "unknown";
@@ -135,39 +136,24 @@ DetSimReport run_detsim(const DetSimOptions& options) {
     return report;
   }
 
-  FaultInjector injector(options.faults);
-
-  if (options.faults.has_corruption()) {
-    // The only correct outcome is an abort with a crash dump naming the
-    // fault, so when the corruption applies this replay never returns.
-    // Reaching the code below means every corruption was inapplicable
-    // (kSkipped) or one escaped the invariant net (kDivergence -- a bug).
-    const SimResult run = replay_once(topo, seq, options, &injector);
-    record_run(report, run);
-    report.faults_applied = injector.injected();
-    const std::string mismatch = replay_mismatch(baseline, run);
-    if (injector.injected() > 0) {
-      report.outcome = DetSimOutcome::kDivergence;
-      report.detail = "corruption applied but the debug_checks net missed it";
-    } else if (!mismatch.empty()) {
-      report.outcome = DetSimOutcome::kDivergence;
-      report.detail = "skipped faults still changed the replay: " + mismatch;
-    } else {
-      report.outcome = DetSimOutcome::kSkipped;
-    }
-    return report;
-  }
-
-  // Recoverable plan. A cancel fault throws out of the replay at its step;
-  // recovery then means nothing process-global kept the abandoned run's
-  // state: a fresh replay must reproduce the baseline exactly. Otherwise
-  // the faulted replay itself must match the baseline at every
+  // One faulted replay. A violation ends it: the net doing its job after
+  // an applied corruption, a bug without one. A cancel throws out of it at
+  // its step; recovery then means nothing process-global kept the
+  // abandoned run's state: a fresh replay must reproduce the baseline.
+  // Otherwise the faulted replay itself must match the baseline at every
   // reallocation epoch (the state re-converged at each, not just at the
   // end) and in where every event left its task.
+  FaultInjector injector(options.faults);
   bool cancelled = false;
   SimResult run;
   try {
     run = replay_once(topo, seq, options, &injector);
+  } catch (const InvariantViolation& e) {
+    report.faults_applied = injector.injected();
+    report.outcome = injector.corruption_applied() ? DetSimOutcome::kCaught
+                                                   : DetSimOutcome::kDivergence;
+    report.detail = e.what();
+    return report;
   } catch (const FaultInjectedError&) {
     cancelled = true;
     run = replay_once(topo, seq, options, nullptr);
@@ -175,7 +161,10 @@ DetSimReport run_detsim(const DetSimOptions& options) {
   record_run(report, run);
   report.faults_applied = injector.injected();
   const std::string mismatch = replay_mismatch(baseline, run);
-  if (!mismatch.empty()) {
+  if (injector.corruption_applied()) {
+    report.outcome = DetSimOutcome::kDivergence;
+    report.detail = "corruption applied but the debug_checks net missed it";
+  } else if (!mismatch.empty()) {
     report.outcome = DetSimOutcome::kDivergence;
     report.detail = cancelled ? "post-cancel retry diverged: " + mismatch
                               : mismatch;
@@ -254,11 +243,11 @@ ReproSpec to_repro(const DetSimOptions& options, const DetSimReport& report) {
   spec.allocator = options.allocator;
   spec.seed = options.seed;
   spec.faults = options.faults;
-  spec.expect = options.faults.has_corruption()
-                    ? "crash"
-                    : report.outcome == DetSimOutcome::kDivergence
-                          ? "divergence"
-                          : "recovered";
+  switch (report.outcome) {
+    case DetSimOutcome::kDivergence: spec.expect = "divergence"; break;
+    case DetSimOutcome::kCaught: spec.expect = "caught"; break;
+    default: spec.expect = "recovered"; break;
+  }
   spec.baseline_digest = report.baseline_digest;
   return spec;
 }

@@ -3,20 +3,19 @@
 //
 // detsim answers one question about the engine/allocator stack: "told to
 // fail at step k in component c, does the system either recover to a
-// digest-identical state or die with a replayable crash dump?" Everything
-// is derived from a single seed -- the workload, the fault plan, the
-// allocator's randomness -- so any failing run reduces to a (seed, step,
-// fault) triple that replays byte-for-byte.
+// digest-identical state or catch the fault with its invariant net?"
+// Everything is derived from a single seed -- the workload, the fault
+// plan, the allocator's randomness -- so any failing run reduces to a
+// (seed, fault plan) pair that replays byte-for-byte.
 //
 // Layers:
 //   * detsim_sequence  -- the seeded closed-loop workload (pure function
 //     of (topology, seed, n_events)).
 //   * run_detsim       -- fault-free baseline + faulted replay +
-//     digest verification. Recoverable faults (alloc_fail, cancel) must
-//     converge back to the baseline's state and placement digests;
-//     corruption faults must abort with a partree-crash-v1 dump naming
-//     the fault (run those under a death test or subprocess -- run_detsim
-//     does not return when a corruption applies).
+//     verification. Recoverable faults (alloc_fail, cancel) must converge
+//     back to the baseline's state and placement digests; an applied
+//     corruption must make the engine's debug_checks net throw
+//     sim::InvariantViolation at the fault step, naming the fault.
 //   * shrink_failing   -- greedy repro minimisation (fewer faults, then
 //     smaller steps) against a caller-supplied "still fails" oracle.
 #pragma once
@@ -55,7 +54,10 @@ enum class DetSimOutcome : std::uint8_t {
                 ///< fresh replay reproduced the baseline's digests
   kSkipped,     ///< every scheduled fault was inapplicable (e.g.
                 ///< alloc_fail on a departure); digests still matched
-  kDivergence,  ///< state or placements diverged from the baseline, or a
+  kCaught,      ///< a corruption applied and the debug_checks net threw
+                ///< InvariantViolation; detail holds its message
+  kDivergence,  ///< state or placements diverged from the baseline, an
+                ///< invariant failed with no corruption applied, or a
                 ///< corruption escaped the debug_checks net -- a BUG;
                 ///< write a repro
 };
@@ -78,7 +80,8 @@ struct DetSimReport {
   /// Faults the engine actually applied (cancel counts via the injector).
   std::uint64_t faults_applied = 0;
   /// Human-readable explanation for kDivergence (first mismatching epoch,
-  /// differing placements, ...); empty otherwise.
+  /// differing placements, the violation message, ...) and the violation
+  /// message for kCaught; empty otherwise.
   std::string detail;
   /// Per-reallocation-epoch digests of baseline and faulted replay.
   std::vector<EpochDigest> baseline_epochs;
@@ -101,14 +104,17 @@ struct DetSimReport {
 [[nodiscard]] SimResult run_baseline(const DetSimOptions& options);
 
 /// Baseline + faulted replay + verification, one replay after the other.
-/// The faulted replay must match the baseline epoch by epoch and in its
-/// placement digest. A cancel fault throws out of the faulted replay at
-/// its step; a fresh replay must then match the baseline (kCancelled).
-/// Corruption plans DO NOT RETURN when the corruption applies: the
-/// engine's debug_checks net aborts with a crash dump naming the fault
-/// (call under a death test or subprocess). If a corruption is
-/// inapplicable the call returns kSkipped; if one applies and the net
-/// misses it, kDivergence.
+/// The verdict of the faulted replay, in this order:
+///   * it throws InvariantViolation: kCaught after an applied corruption,
+///     kDivergence with none;
+///   * a corruption applied and the replay got past it: kDivergence (the
+///     net missed it);
+///   * a cancel throws out of it at its step: a fresh replay must match
+///     the baseline (kCancelled);
+///   * otherwise it must match the baseline epoch by epoch and in its
+///     placement digest: kRecovered, or kSkipped when no fault applied.
+/// A violation in a fault-free replay (the baseline, or the fresh replay
+/// after a cancel) propagates as InvariantViolation.
 [[nodiscard]] DetSimReport run_detsim(const DetSimOptions& options);
 
 /// Greedy repro minimisation. `still_fails` must return true for
@@ -120,7 +126,8 @@ struct DetSimReport {
     DetSimOptions failing,
     const std::function<bool(const DetSimOptions&)>& still_fails);
 
-/// Repro file contents for a verified-failing configuration.
+/// Repro file contents for a run: `expect` is "divergence", "caught" or,
+/// for every other outcome, "recovered".
 [[nodiscard]] ReproSpec to_repro(const DetSimOptions& options,
                                  const DetSimReport& report);
 

@@ -15,20 +15,14 @@
 namespace partree::sim {
 namespace {
 
-// debug_checks violation: preserve the evidence (flight record, metrics
-// snapshot) before aborting -- the last K engine events usually point
-// straight at the mutation that corrupted the state. When a fault injector
-// is armed, the most recently applied fault rides along in the reason, so
-// the partree-crash-v1 dump names the injected component and step.
+// debug_checks violation. When a fault injector is armed, the most
+// recently applied fault rides along in the message, so it names the
+// injected component and step.
 [[noreturn]] void invariant_failure(std::string msg,
                                     const FaultInjector* injector) {
-  if (injector != nullptr && !injector->context().empty()) {
-    msg += " [injected fault ";
-    msg += injector->context();
-    msg += "]";
-  }
-  obs::write_crash_dump(msg);
-  util::assert_fail("debug_checks", __FILE__, __LINE__, msg.c_str());
+  const std::string fault = injector != nullptr ? injector->context() : "";
+  if (!fault.empty()) msg += " [injected fault " + fault + "]";
+  throw InvariantViolation(msg);
 }
 
 // EngineOptions::debug_checks: recompute the aggregates the O(log N)
@@ -158,10 +152,10 @@ SimResult Engine::run_interactive(core::EventSource& source,
           ++result.faults_injected;
           obs::emit_instant(obs::Instant::kFaultInjected, step);
         }
-        // A corruption must die at the fault step, before the (possibly
-        // now-invalid) event is processed against the broken state -- a
-        // departure of a dropped task would otherwise abort on a model
-        // assertion with no crash dump.
+        // A corruption must be caught at the fault step, before the
+        // (possibly now-invalid) event is processed against the broken
+        // state -- a departure of a dropped task would otherwise abort on
+        // a model assertion.
         if (applied && fault_is_corruption(fault->kind)) {
           check_state_invariants(state, allocator, injector);
         }

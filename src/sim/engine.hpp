@@ -1,12 +1,15 @@
 // The event-replay engine: drives an allocator over an event source, one
 // core::apply_event step per event, and observes around each step (fault
 // injection, slowdowns, load series, digests, invariant checks) to
-// collect metrics.
+// collect metrics. A failed invariant check throws InvariantViolation; an
+// injected cancel throws FaultInjectedError (sim/faults.hpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "core/allocator.hpp"
 #include "core/event_source.hpp"
@@ -21,6 +24,17 @@ namespace partree::sim {
 
 class FaultInjector;
 
+/// Thrown by a run with EngineOptions::debug_checks when an invariant
+/// fails. The message names the failed check and, under a fault
+/// injector, the last applied fault ("... [injected fault
+/// corrupt:load_tree@30]"). The run is abandoned; the allocator is reset
+/// by its next run.
+class InvariantViolation : public std::logic_error {
+ public:
+  explicit InvariantViolation(const std::string& what)
+      : std::logic_error(what) {}
+};
+
 /// Events between counter samples while a run is traced.
 inline constexpr std::uint64_t kTraceSampleEvery = 64;
 
@@ -33,9 +47,8 @@ struct EngineOptions {
   /// Validate the load-accounting invariants after every event:
   /// LoadTree::max_load() must equal max over pe_loads(), the total active
   /// size must equal the sum of active task sizes, and the active-task
-  /// counts must agree. O(N) per event; on violation, writes the flight
-  /// record + metrics snapshot as a crash dump (obs::write_crash_dump) and
-  /// aborts. For tests.
+  /// counts must agree. O(N) per event; on violation, throws
+  /// InvariantViolation. For tests.
   bool debug_checks = false;
   /// When non-null, the run is traced: the global trace layer is armed
   /// with this sink for the duration, so timed spans, engine instants,
@@ -54,8 +67,8 @@ struct EngineOptions {
   bool record_digests = false;
   /// When non-null, the run consults the injector once per event and
   /// applies any scheduled fault (sim/faults.hpp documents the per-kind
-  /// semantics). Corruption faults require debug_checks, which then dies
-  /// with a crash dump whose reason names the fault; the injector is
+  /// semantics). Corruption faults require debug_checks, which then
+  /// throws InvariantViolation naming the fault; the injector is
   /// begin_run()-reset at the start of every run.
   FaultInjector* faults = nullptr;
   /// Invoked once per reallocation round with its migration list, after

@@ -148,9 +148,8 @@ FaultPlan random_fault_plan(util::Rng& rng, std::uint64_t n_events,
 
 void FaultInjector::begin_run() {
   cursor_ = 0;
-  injected_ = 0;
+  applied_.clear();
   skipped_ = 0;
-  context_.clear();
 }
 
 const Fault* FaultInjector::on_step(std::uint64_t step) {
@@ -166,11 +165,20 @@ const Fault* FaultInjector::on_step(std::uint64_t step) {
 
 void FaultInjector::record_applied(const Fault& fault, bool applied) {
   if (applied) {
-    ++injected_;
-    context_ = fault.to_string();
+    applied_.push_back(fault);
   } else {
     ++skipped_;
   }
+}
+
+bool FaultInjector::corruption_applied() const noexcept {
+  return std::any_of(applied_.begin(), applied_.end(), [](const Fault& f) {
+    return fault_is_corruption(f.kind);
+  });
+}
+
+std::string FaultInjector::context() const {
+  return applied_.empty() ? std::string() : applied_.back().to_string();
 }
 
 std::string write_repro(const ReproSpec& spec) {
@@ -208,6 +216,11 @@ ReproSpec read_repro(std::string_view text) {
                              e.what());
   }
   spec.expect = root.at("expect").as_string();
+  if (spec.expect != "divergence" && spec.expect != "caught" &&
+      spec.expect != "recovered") {
+    throw std::runtime_error("repro file expect field \"" + spec.expect +
+                             "\": expected divergence, caught or recovered");
+  }
   spec.baseline_digest =
       util::parse_digest_hex(root.at("baseline_digest").as_string());
   return spec;

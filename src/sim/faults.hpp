@@ -21,18 +21,20 @@
 //   cancel              FaultInjectedError is thrown at the step,
 //                       abandoning the run mid-sequence; a fresh replay
 //                       afterwards must reproduce the fault-free digest
-//                       (nothing process-global may keep the aborted
+//                       (nothing process-global may keep the abandoned
 //                       run's state).
 //   corrupt:load_tree   LoadTree::debug_corrupt_add behind the engine's
-//                       back; debug_checks must die with a crash dump
-//                       naming this fault.
+//                       back; debug_checks must throw
+//                       sim::InvariantViolation at the fault step, with a
+//                       message naming this fault.
 //   corrupt:active_map  one active task dropped from MachineState without
-//                       releasing its load; debug_checks must die
+//                       releasing its load; debug_checks must throw
 //                       likewise.
 //   corrupt:copy_set    Allocator::debug_corrupt_state (CopySet-backed
 //                       allocators corrupt their used-PE aggregate);
-//                       debug_checks must die likewise. Skipped (recorded
-//                       as unapplied) for allocators with no such state.
+//                       debug_checks must throw likewise. Skipped
+//                       (recorded as unapplied) for allocators with no
+//                       such state.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +63,9 @@ inline constexpr std::size_t kNumFaultKinds =
 /// Stable grammar token for a kind ("alloc_fail", "corrupt:load_tree", ...).
 [[nodiscard]] std::string_view fault_kind_name(FaultKind kind) noexcept;
 
-/// True for the corrupt:* kinds, whose only correct outcome is a crash
-/// dump (they require EngineOptions::debug_checks and abort the process).
+/// True for the corrupt:* kinds, whose only correct outcome once applied
+/// is a caught invariant violation (they require
+/// EngineOptions::debug_checks).
 [[nodiscard]] bool fault_is_corruption(FaultKind kind) noexcept;
 
 /// One scheduled fault.
@@ -96,7 +99,7 @@ class FaultPlan {
   [[nodiscard]] std::size_t size() const noexcept { return faults_.size(); }
 
   /// True when any scheduled fault is a corrupt:* kind (the plan then
-  /// requires debug_checks and can only end in a crash dump).
+  /// requires debug_checks).
   [[nodiscard]] bool has_corruption() const noexcept;
 
   /// The fault scheduled exactly at `step`, or nullptr.
@@ -131,13 +134,14 @@ class FaultInjectedError : public std::runtime_error {
 };
 
 /// Per-run injector the engine consults once per event. Stateful (cursor
-/// over the sorted plan plus applied-fault bookkeeping); the engine calls
+/// over the sorted plan plus the faults applied so far); the engine calls
 /// begin_run() at replay start, so one injector drives repeated runs.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
-  /// Resets the cursor and the applied/skipped counts for a fresh replay.
+  /// Resets the cursor, the applied faults and the skipped count for a
+  /// fresh replay.
   void begin_run();
 
   /// The fault scheduled for this step, or nullptr. Steps must be
@@ -149,23 +153,25 @@ class FaultInjector {
   void record_applied(const Fault& fault, bool applied);
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] std::uint64_t injected() const noexcept { return injected_; }
-  [[nodiscard]] std::uint64_t skipped() const noexcept { return skipped_; }
-
-  /// Context line for crash dumps: the most recently APPLIED fault in
-  /// grammar form ("corrupt:load_tree@30"), or "" before any fault fired.
-  /// The engine appends it to the debug_checks failure reason, so the
-  /// partree-crash-v1 dump names the injected component and step.
-  [[nodiscard]] const std::string& context() const noexcept {
-    return context_;
+  /// Faults applied in this run.
+  [[nodiscard]] std::uint64_t injected() const noexcept {
+    return applied_.size();
   }
+  [[nodiscard]] std::uint64_t skipped() const noexcept { return skipped_; }
+  /// True when an applied fault was a corrupt:* kind.
+  [[nodiscard]] bool corruption_applied() const noexcept;
+
+  /// The most recently APPLIED fault in grammar form
+  /// ("corrupt:load_tree@30"), or "" before any fault fired. The engine
+  /// appends it to an InvariantViolation's message, so the message names
+  /// the injected component and step.
+  [[nodiscard]] std::string context() const;
 
  private:
   FaultPlan plan_;
   std::size_t cursor_ = 0;
-  std::uint64_t injected_ = 0;
+  std::vector<Fault> applied_;  // in step order
   std::uint64_t skipped_ = 0;
-  std::string context_;
 };
 
 /// Repro file ("partree-detsim-repro-v1" JSON): everything needed to
@@ -175,8 +181,9 @@ struct ReproSpec {
   std::string allocator;
   std::uint64_t seed = 0;
   FaultPlan faults;
-  /// What the original run did: "divergence", "crash", or "recovered"
-  /// (the latter lands in repro files only from --replay round-trips).
+  /// What the original run did: "divergence", "caught" or "recovered"
+  /// (sim::to_repro maps a run's outcome to one of them; read_repro
+  /// rejects any other value).
   std::string expect;
   /// Fault-free baseline final digest (0 when not applicable).
   std::uint64_t baseline_digest = 0;

@@ -105,8 +105,8 @@ class CopySet {
 
   /// TEST-ONLY fault injection: overwrites the cumulative used-PE count
   /// without touching any copy, leaving the set internally inconsistent on
-  /// purpose so check() and the crash-dump path can be exercised. Never
-  /// call outside tests/fault injection.
+  /// purpose so check() and the engine's debug_checks net can be
+  /// exercised. Never call outside tests/fault injection.
   void debug_corrupt_used(std::uint64_t used);
 
  private:

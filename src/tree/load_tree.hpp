@@ -82,8 +82,8 @@ class LoadTree {
 
   /// TEST-ONLY fault injection: overwrites the task count rooted at v
   /// without touching any aggregate, leaving the tree internally
-  /// inconsistent on purpose so the invariant nets (EngineOptions::
-  /// debug_checks, the flight-recorder crash dump) can be exercised
+  /// inconsistent on purpose so the invariant net (EngineOptions::
+  /// debug_checks, which throws sim::InvariantViolation) can be exercised
   /// against a genuinely corrupted tree. Never call outside tests.
   void debug_corrupt_add(NodeId v, std::uint64_t count);
 

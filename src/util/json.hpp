@@ -1,5 +1,5 @@
-// Minimal JSON for the metrics snapshots, Chrome traces, crash dumps and
-// detsim repro files.
+// Minimal JSON for the metrics snapshots, Chrome traces and detsim repro
+// files.
 //
 // A small value type plus a strict recursive-descent parser and a stable
 // pretty-printer. Deliberately tiny: objects are std::map (keys serialize

@@ -1,11 +1,11 @@
 // Detsim at property scale: 200 seeded fault-injection runs per
-// allocator.
+// allocator and case.
 //
 // Every recoverable fault (alloc_fail, cancel) must leave the machine's
-// state and placement digests identical to the fault-free baseline's;
-// corruption faults are excluded here because their only correct outcome
-// is an abort (tier-1's DetSimDeathTest covers every corruption site, and
-// detsim_runner's subprocess sweep covers them at scale).
+// state and placement digests identical to the fault-free baseline's.
+// Two-fault plans that may hold corruptions must never diverge: an
+// applied corruption is caught by the invariant net, and every other run
+// recovers, is cancelled or is skipped with the baseline's digests.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -49,6 +49,52 @@ TEST_P(DetSimPropertyTest, EveryRecoverableFaultRecoversOrIsSkipped) {
         << "seed=" << seed << " faults=[" << options.faults.to_string()
         << "]";
   }
+}
+
+TEST_P(DetSimPropertyTest, MixedTwoFaultPlansAreCaughtOrRecover) {
+  util::Rng plan_rng(0xde751e'0002ULL);
+  std::uint64_t caught = 0;
+  for (std::uint64_t seed = 1; seed <= kSeedsPerAllocator; ++seed) {
+    DetSimOptions options;
+    options.seed = seed;
+    options.allocator = GetParam();
+    const std::uint64_t n_events = detsim_event_count(options);
+    const Fault first = random_fault_plan(plan_rng, n_events,
+                                          /*include_corruption=*/true)
+                            .faults()[0];
+    Fault second = first;
+    while (second.step == first.step) {
+      second = random_fault_plan(plan_rng, n_events,
+                                 /*include_corruption=*/true)
+                   .faults()[0];
+    }
+    options.faults = FaultPlan({first, second});
+    const std::string repro = "seed=" + std::to_string(seed) + " alloc=" +
+                              options.allocator + " faults=[" +
+                              options.faults.to_string() + "]";
+    const DetSimReport report = run_detsim(options);
+    ASSERT_NE(report.outcome, DetSimOutcome::kDivergence)
+        << repro << " " << report.detail;
+    if (report.outcome == DetSimOutcome::kCaught) {
+      // The violation names the last applied fault, which must be one of
+      // the plan's corruptions.
+      bool named = false;
+      for (const Fault& f : options.faults.faults()) {
+        named |= fault_is_corruption(f.kind) &&
+                 report.detail.ends_with("[injected fault " + f.to_string() +
+                                         "]");
+      }
+      EXPECT_TRUE(named) << repro << " " << report.detail;
+      ++caught;
+      continue;
+    }
+    EXPECT_EQ(report.run_digest, report.baseline_digest) << repro;
+    EXPECT_EQ(report.run_placement_digest, report.baseline_placement_digest)
+        << repro;
+  }
+  // Both verdict paths ran.
+  EXPECT_GT(caught, 0u);
+  EXPECT_LT(caught, kSeedsPerAllocator);
 }
 
 INSTANTIATE_TEST_SUITE_P(Allocators, DetSimPropertyTest,

@@ -2,13 +2,13 @@
 // quantile behavior at the extremes, the two switches, cross-shard
 // aggregation across threads, snapshot-while-recording (the TSan
 // target), the pinned JSON export, schema validation, engine
-// integration, and the crash-dump embedding.
+// integration, and docs/OBSERVABILITY.md's metric table.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,8 +17,8 @@
 #include "core/factory.hpp"
 #include "core/sequence.hpp"
 #include "obs/timing.hpp"
-#include "obs/trace.hpp"
 #include "sim/engine.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 
 namespace partree::obs {
@@ -305,27 +305,46 @@ TEST_F(MetricsTest, EngineRecordsHandlingDurations) {
   EXPECT_EQ(snap.value(ValueMetric::kMigrationsApplied).count, 0u);
 }
 
-TEST_F(MetricsTest, CrashDumpEmbedsMetricsSnapshot) {
-  record_value(ValueMetric::kMigrationsApplied, 7);
-  const std::string dump_path =
-      ::testing::TempDir() + "metrics_test.crash.json";
-  std::remove(dump_path.c_str());
-  set_crash_dump_path(dump_path);
-  ASSERT_EQ(write_crash_dump("metrics embed test"), dump_path);
-  set_crash_dump_path("");
+// docs/OBSERVABILITY.md's metric table against the code: every name the
+// partree-metrics-v1 document carries has a row, and every row names a
+// live metric.
+TEST_F(MetricsTest, DocMetricTableMatchesTheRegistry) {
+  const std::optional<std::string> doc =
+      util::read_file(PARTREE_DOCS_DIR "/OBSERVABILITY.md");
+  ASSERT_TRUE(doc.has_value());
+  const std::size_t table = doc->find("| metric | kind | recorded by |");
+  ASSERT_NE(table, std::string::npos);
 
-  std::ifstream in(dump_path);
-  ASSERT_TRUE(in);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const util::json::Value dump = util::json::parse(buf.str());
-  const util::json::Value* metrics = dump.find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  EXPECT_EQ(validate_metrics_json(*metrics), "");
-  EXPECT_GE(metrics->at("values").at("migrations_applied")
-                .at("count").as_u64(),
-            1u);
-  std::remove(dump_path.c_str());
+  // Every `name` in the first cell of each row, up to the table's end.
+  std::set<std::string> documented;
+  std::istringstream lines(doc->substr(table));
+  std::string line;
+  std::getline(lines, line);  // the header
+  std::getline(lines, line);  // the separator
+  while (std::getline(lines, line) && line.starts_with("|")) {
+    const std::string cell = line.substr(1, line.find('|', 1) - 1);
+    std::size_t open = cell.find('`');
+    while (open != std::string::npos) {
+      const std::size_t close = cell.find('`', open + 1);
+      ASSERT_NE(close, std::string::npos) << line;
+      documented.insert(cell.substr(open + 1, close - open - 1));
+      open = cell.find('`', close + 1);
+    }
+  }
+
+  std::set<std::string> emitted;
+  const util::json::Value json = metrics_to_json(snapshot_metrics());
+  for (const char* section : {"durations", "values", "gauges"}) {
+    for (const auto& entry : json.at(section).as_object()) {
+      emitted.insert(entry.first);
+    }
+  }
+  for (const std::string& name : emitted) {
+    EXPECT_EQ(documented.count(name), 1u) << name << " has no row";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_EQ(emitted.count(name), 1u) << name << " is not a metric";
+  }
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,7 +12,6 @@
 #include "obs/trace.hpp"
 #include "serve/service.hpp"
 #include "sim/engine.hpp"
-#include "util/file.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "workload/synthetic.hpp"
@@ -25,6 +22,18 @@ namespace {
 std::uint64_t histogram_count(DurationMetric m) {
   return snapshot_metrics().duration(m).count;
 }
+
+// Keeps every drained event, in ring order.
+class CapturingSink final : public TraceSink {
+ public:
+  void consume(const ThreadTrace& chunk) override {
+    events.insert(events.end(), chunk.events.begin(), chunk.events.end());
+    dropped += chunk.dropped;
+  }
+
+  std::vector<TraceEvent> events;
+  std::uint64_t dropped = 0;
+};
 
 // Each test starts from an empty registry with duration metrics off and
 // restores that state, so recordings elsewhere in the process never leak
@@ -43,56 +52,51 @@ class TimingTest : public ::testing::Test {
 
 // A scope reads the clock only while something is armed, and feeds each
 // armed consumer: the ring while a sink is armed, the histogram while
-// duration metrics are on. Disarmed or with durations only, the ring's
-// tail stays what it was.
+// duration metrics are on. Disarmed or with durations only, it leaves the
+// ring alone, so the traced spans on either side of it are consecutive.
 TEST_F(TimingTest, ScopedTimerRecordsOnlyWhenEnabled) {
-  emit_instant(Instant::kFaultInjected, 7);  // marks the ring's tail
-  const auto tail_is_marker = [] {
-    const std::vector<TraceEvent> tail = thread_flight_record();
-    return !tail.empty() && tail.back().kind == TraceEventKind::kInstant &&
-           tail.back().a == 7u;
-  };
-
-  {
-    const ScopedTimer t(DurationMetric::kPlaceNs);
-  }
-  EXPECT_TRUE(tail_is_marker());
-  EXPECT_EQ(histogram_count(DurationMetric::kPlaceNs), 0u);
-
-  set_duration_metrics_enabled(true);
-  {
-    const ScopedTimer t(DurationMetric::kPlaceNs);
-  }
-  set_duration_metrics_enabled(false);
-  EXPECT_TRUE(tail_is_marker());
-  EXPECT_EQ(histogram_count(DurationMetric::kPlaceNs), 1u);
-
-  ChromeTraceSink sink;
+  CapturingSink sink;
   set_trace_sink(&sink);
   {
     const ScopedTimer t(DurationMetric::kPlaceNs);
   }
+  set_trace_sink(nullptr);  // disarming drains the calling thread's ring
+
+  {
+    const ScopedTimer t(DurationMetric::kDepartureNs);
+  }
+  EXPECT_EQ(histogram_count(DurationMetric::kDepartureNs), 0u);
+
+  set_duration_metrics_enabled(true);
+  {
+    const ScopedTimer t(DurationMetric::kDepartureNs);
+  }
+  set_duration_metrics_enabled(false);
+  EXPECT_EQ(histogram_count(DurationMetric::kDepartureNs), 1u);
+
+  set_trace_sink(&sink);
   {
     const ScopedTimer t(DurationMetric::kReallocateNs);
   }
-  set_trace_sink(nullptr);  // disarming drains the calling thread's ring
+  set_trace_sink(nullptr);
   {
     const ScopedTimer t(DurationMetric::kServeApplyNs);
   }
 
-  EXPECT_EQ(sink.span_count(DurationMetric::kPlaceNs), 1u);
-  EXPECT_EQ(sink.span_count(DurationMetric::kReallocateNs), 1u);
-  EXPECT_EQ(sink.span_count(DurationMetric::kDepartureNs), 0u);
-  EXPECT_EQ(sink.span_count(DurationMetric::kServeApplyNs), 0u);
-  EXPECT_EQ(thread_flight_record().back().id,
+  ASSERT_EQ(sink.events.size(), 2u);
+  EXPECT_EQ(sink.events[0].kind, TraceEventKind::kSpan);
+  EXPECT_EQ(sink.events[0].id,
+            static_cast<std::uint8_t>(DurationMetric::kPlaceNs));
+  EXPECT_EQ(sink.events[1].id,
             static_cast<std::uint8_t>(DurationMetric::kReallocateNs));
+  EXPECT_EQ(sink.events[1].seq, sink.events[0].seq + 1);
   // Tracing alone records no histogram.
-  EXPECT_EQ(histogram_count(DurationMetric::kPlaceNs), 1u);
+  EXPECT_EQ(histogram_count(DurationMetric::kPlaceNs), 0u);
   EXPECT_EQ(histogram_count(DurationMetric::kReallocateNs), 0u);
 }
 
 TEST_F(TimingTest, ArmedSinkSeesEverySpan) {
-  CountingTraceSink sink;
+  CapturingSink sink;
   set_trace_sink(&sink);
   set_duration_metrics_enabled(true);
   {
@@ -104,15 +108,14 @@ TEST_F(TimingTest, ArmedSinkSeesEverySpan) {
   set_duration_metrics_enabled(false);
   set_trace_sink(nullptr);  // disarming drains the calling thread's ring
 
-  EXPECT_EQ(sink.spans(DurationMetric::kBookkeepingNs), 1u);
-  EXPECT_EQ(sink.spans(DurationMetric::kDepartureNs), 1u);
-  EXPECT_EQ(sink.spans(DurationMetric::kPlaceNs), 0u);
-  EXPECT_EQ(sink.dropped(), 0u);
-  EXPECT_EQ(thread_flight_record().back().kind, TraceEventKind::kSpan);
-  EXPECT_EQ(thread_flight_record().back().id,
-            static_cast<std::uint8_t>(DurationMetric::kDepartureNs));
+  ASSERT_EQ(sink.events.size(), 2u);
+  EXPECT_EQ(sink.dropped, 0u);
+  EXPECT_EQ(sink.events[0].id,
+            static_cast<std::uint8_t>(DurationMetric::kBookkeepingNs));
+  const TraceEvent& span = sink.events[1];
+  EXPECT_EQ(span.kind, TraceEventKind::kSpan);
+  EXPECT_EQ(span.id, static_cast<std::uint8_t>(DurationMetric::kDepartureNs));
   // Both armed: the span and the sample come from the same clock reads.
-  const TraceEvent span = thread_flight_record().back();
   const MetricHistogram h = snapshot_metrics().duration(
       DurationMetric::kDepartureNs);
   EXPECT_EQ(h.count, 1u);
@@ -120,7 +123,7 @@ TEST_F(TimingTest, ArmedSinkSeesEverySpan) {
 }
 
 // Spans carry their metric's name, from the one table in metrics.cpp, in
-// Chrome exports and crash dumps alike.
+// Chrome exports.
 TEST_F(TimingTest, SpanNamesAreMetricNames) {
   EXPECT_EQ(duration_metric_name(DurationMetric::kPlaceNs), "place_ns");
   EXPECT_EQ(duration_metric_name(DurationMetric::kServeApplyNs),
@@ -140,20 +143,6 @@ TEST_F(TimingTest, SpanNamesAreMetricNames) {
     }
   }
   EXPECT_EQ(names, std::vector<std::string>{"serve_apply_ns"});
-
-  const std::string dump_path =
-      ::testing::TempDir() + "timing_test.crash.json";
-  std::remove(dump_path.c_str());
-  set_crash_dump_path(dump_path);
-  ASSERT_EQ(write_crash_dump("span names"), dump_path);
-  set_crash_dump_path("");
-  const std::optional<std::string> text = util::read_file(dump_path);
-  ASSERT_TRUE(text.has_value());
-  const util::json::Value dump = util::json::parse(*text);
-  const util::json::Value& last = dump.at("flight_record").as_array().back();
-  EXPECT_EQ(last.at("kind").as_string(), "span");
-  EXPECT_EQ(last.at("name").as_string(), "serve_apply_ns");
-  std::remove(dump_path.c_str());
 }
 
 // With tracing and duration metrics both armed, every timed scope's span

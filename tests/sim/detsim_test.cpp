@@ -1,10 +1,11 @@
 // The deterministic fault-injection harness end to end: state digests,
-// recoverable-fault verification, shrinking, and one death test per
-// corruption fault site asserting the crash dump names the injected
-// component and step.
+// recoverable-fault verification, shrinking, one case per corruption
+// fault site asserting the invariant net catches it and names the
+// injected component and step, and plans that mix both.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "core/event.hpp"
 #include "core/factory.hpp"
@@ -197,15 +198,25 @@ TEST(DetSimTest, ReproCarriesTheVerifiedOutcome) {
   options.faults = FaultPlan::parse("corrupt:load_tree@4");
   DetSimReport report;
   report.baseline_digest = 0xabcULL;
+  for (const auto& [outcome, expect] :
+       {std::pair{DetSimOutcome::kCaught, "caught"},
+        std::pair{DetSimOutcome::kDivergence, "divergence"},
+        std::pair{DetSimOutcome::kRecovered, "recovered"},
+        std::pair{DetSimOutcome::kCancelled, "recovered"},
+        std::pair{DetSimOutcome::kSkipped, "recovered"}}) {
+    report.outcome = outcome;
+    EXPECT_EQ(to_repro(options, report).expect, expect);
+  }
+  report.outcome = DetSimOutcome::kCaught;
   const ReproSpec spec = to_repro(options, report);
-  EXPECT_EQ(spec.expect, "crash");
+  EXPECT_EQ(spec.expect, "caught");
   EXPECT_EQ(spec.seed, 3u);
   EXPECT_EQ(spec.faults.to_string(), "corrupt:load_tree@4");
   const ReproSpec reread = read_repro(write_repro(spec));
   EXPECT_EQ(reread, spec);
 }
 
-// --- corruption fault sites: die with a dump naming component and step ------
+// --- corruption fault sites: caught, naming component and step -----------
 
 /// A step by which at least three tasks are active in seed 21's workload,
 /// so every corruption site has state to corrupt (the basic allocator
@@ -235,42 +246,74 @@ DetSimOptions corruption_options(FaultKind kind) {
   return options;
 }
 
+/// Runs a one-corruption plan and requires the net to catch it, with a
+/// detail naming the failed check and the fault.
+void expect_caught_and_named(FaultKind kind) {
+  const DetSimOptions options = corruption_options(kind);
+  const DetSimReport report = run_detsim(options);
+  EXPECT_EQ(report.outcome, DetSimOutcome::kCaught) << report.detail;
+  EXPECT_EQ(report.faults_applied, 1u);
+  const std::string fault = options.faults.faults()[0].to_string();
+  EXPECT_TRUE(report.detail.starts_with("debug check: ") &&
+              report.detail.ends_with(" [injected fault " + fault + "]"))
+      << report.detail;
+}
+
+TEST(DetSimTest, LoadTreeCorruptionIsCaughtAndNamed) {
+  expect_caught_and_named(FaultKind::kCorruptLoadTree);
+}
+
+TEST(DetSimTest, ActiveMapCorruptionIsCaughtAndNamed) {
+  expect_caught_and_named(FaultKind::kCorruptActiveMap);
+}
+
+TEST(DetSimTest, CopySetCorruptionIsCaughtAndNamed) {
+  expect_caught_and_named(FaultKind::kCorruptCopySet);
+}
+
+// --- plans that mix recoverable faults and corruptions ---------------------
+
+// The cancel fires first, so the corruption never runs: the fresh replay
+// decides, exactly as for a cancel alone.
+TEST(DetSimTest, CancelBeforeACorruptionIsCancelled) {
+  DetSimOptions options;
+  options.seed = 1;
+  options.faults = FaultPlan::parse("cancel@3,corrupt:load_tree@40");
+  const DetSimReport report = run_detsim(options);
+  EXPECT_EQ(report.outcome, DetSimOutcome::kCancelled) << report.detail;
+  EXPECT_EQ(report.faults_applied, 1u);
+  EXPECT_EQ(report.run_digest, report.baseline_digest);
+}
+
+// The corruption fires first and is caught at its step; the cancel after
+// it never fires.
+TEST(DetSimTest, CorruptionBeforeACancelIsCaught) {
+  DetSimOptions options = corruption_options(FaultKind::kCorruptLoadTree);
+  const Fault corruption = options.faults.faults()[0];
+  options.faults = FaultPlan({corruption, {corruption.step + 5,
+                                           FaultKind::kCancel}});
+  const DetSimReport report = run_detsim(options);
+  EXPECT_EQ(report.outcome, DetSimOutcome::kCaught) << report.detail;
+  EXPECT_EQ(report.faults_applied, 1u);
+  EXPECT_NE(report.detail.find(corruption.to_string()), std::string::npos)
+      << report.detail;
+}
+
+// greedy keeps no CopySet, so the corruption is inapplicable: the applied
+// alloc_fail alone decides, and it recovers.
+TEST(DetSimTest, InapplicableCorruptionLeavesARecoveredRun) {
+  DetSimOptions options;
+  options.seed = 11;
+  options.allocator = "greedy";
+  options.faults = FaultPlan::parse("alloc_fail@1,corrupt:copy_set@50");
+  const DetSimReport report = run_detsim(options);
+  EXPECT_EQ(report.outcome, DetSimOutcome::kRecovered) << report.detail;
+  EXPECT_EQ(report.faults_applied, 1u);
+  EXPECT_EQ(report.run_digest, report.baseline_digest);
+  EXPECT_EQ(report.run_placement_digest, report.baseline_placement_digest);
+}
+
 using DetSimDeathTest = ::testing::Test;
-
-TEST(DetSimDeathTest, LoadTreeCorruptionDiesWithNamedDump) {
-  const DetSimOptions options =
-      corruption_options(FaultKind::kCorruptLoadTree);
-  const std::string expected =
-      "injected fault corrupt:load_tree@" +
-      std::to_string(options.faults.faults()[0].step);
-  EXPECT_DEATH((void)run_detsim(options), expected.c_str());
-}
-
-TEST(DetSimDeathTest, ActiveMapCorruptionDiesWithNamedDump) {
-  const DetSimOptions options =
-      corruption_options(FaultKind::kCorruptActiveMap);
-  const std::string expected =
-      "injected fault corrupt:active_map@" +
-      std::to_string(options.faults.faults()[0].step);
-  EXPECT_DEATH((void)run_detsim(options), expected.c_str());
-}
-
-TEST(DetSimDeathTest, CopySetCorruptionDiesWithNamedDump) {
-  const DetSimOptions options =
-      corruption_options(FaultKind::kCorruptCopySet);
-  const std::string expected =
-      "injected fault corrupt:copy_set@" +
-      std::to_string(options.faults.faults()[0].step);
-  EXPECT_DEATH((void)run_detsim(options), expected.c_str());
-}
-
-TEST(DetSimDeathTest, CrashCarriesTheFlightRecorderDump) {
-  // The abort path must emit the partree-crash-v1 schema (the replayable
-  // dump), not just an assertion message.
-  const DetSimOptions options =
-      corruption_options(FaultKind::kCorruptLoadTree);
-  EXPECT_DEATH((void)run_detsim(options), "partree-crash-v1");
-}
 
 TEST(DetSimDeathTest, CorruptionWithoutDebugChecksIsRefused) {
   DetSimOptions options = corruption_options(FaultKind::kCorruptLoadTree);

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
+#include "core/event_source.hpp"
 #include "core/factory.hpp"
 #include "core/sequence.hpp"
 #include "obs/metrics.hpp"
+#include "tree/load_tree.hpp"
 #include "workload/synthetic.hpp"
 
 namespace partree::sim {
@@ -153,6 +158,54 @@ TEST(EngineTest, ReallocCountersMatchResultFields) {
       run.metrics.value(obs::ValueMetric::kMigrationsApplied);
   EXPECT_EQ(applied.count, result.reallocation_count);
   EXPECT_EQ(applied.sum, result.migration_count);
+}
+
+// Emits `n_arrivals` unit arrivals and, right before handing out the last
+// one, corrupts the LoadTree's raw add-counts behind the engine's back.
+class CorruptingSource final : public core::EventSource {
+ public:
+  explicit CorruptingSource(std::uint64_t n_arrivals)
+      : n_arrivals_(n_arrivals) {}
+
+  [[nodiscard]] std::optional<core::Event> next(
+      const core::MachineState& state) override {
+    if (emitted_ >= n_arrivals_) return std::nullopt;
+    ++emitted_;
+    if (emitted_ == n_arrivals_) {
+      // The engine owns the state; EventSource::next is the one seam a
+      // test can reach it through, hence the const_cast onto the
+      // documented TEST-ONLY corruption hook.
+      auto& loads = const_cast<tree::LoadTree&>(state.loads());
+      loads.debug_corrupt_add(tree::NodeId{state.n_pes()}, 1000);
+    }
+    return core::Event::arrival(emitted_, 1);
+  }
+
+  [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
+
+ private:
+  std::uint64_t n_arrivals_;
+  std::uint64_t emitted_ = 0;
+};
+
+// debug_checks throws on the event after the corruption -- here the last
+// arrival -- and names the check that failed.
+TEST(EngineTest, DebugChecksThrowOnTheCorruptedArrival) {
+  constexpr std::uint64_t kArrivals = 200;
+  const tree::Topology topo(8);
+  Engine engine(topo, EngineOptions{.debug_checks = true});
+  auto greedy = core::make_allocator("greedy", topo);
+  CorruptingSource source(kArrivals);
+  try {
+    (void)engine.run_interactive(source, *greedy);
+    ADD_FAILURE() << "the corrupted run returned";
+  } catch (const InvariantViolation& e) {
+    EXPECT_EQ(source.emitted(), kArrivals);
+    EXPECT_NE(std::string(e.what()).find(
+                  "debug check: LoadTree max_load != max over pe_loads"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EngineDeathTest, InvalidSequenceRejected) {

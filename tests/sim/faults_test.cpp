@@ -1,6 +1,8 @@
 // Fault-plan grammar, injector bookkeeping, and repro-file round trips.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/faults.hpp"
 #include "util/digest.hpp"
 #include "util/rng.hpp"
@@ -99,6 +101,21 @@ TEST(FaultInjectorTest, WalksThePlanOnceAndTracksApplication) {
   EXPECT_NE(injector.on_step(2), nullptr);
 }
 
+// Only an APPLIED corruption counts: an inapplicable one beside an
+// applied recoverable fault leaves corruption_applied() false.
+TEST(FaultInjectorTest, TracksWhetherACorruptionApplied) {
+  FaultInjector injector(
+      FaultPlan::parse("alloc_fail@1,corrupt:copy_set@4,corrupt:load_tree@9"));
+  injector.begin_run();
+  injector.record_applied(*injector.on_step(1), true);
+  injector.record_applied(*injector.on_step(4), false);
+  EXPECT_EQ(injector.injected(), 1u);
+  EXPECT_FALSE(injector.corruption_applied());
+  injector.record_applied(*injector.on_step(9), true);
+  EXPECT_TRUE(injector.corruption_applied());
+  EXPECT_EQ(injector.context(), "corrupt:load_tree@9");
+}
+
 TEST(FaultInjectorTest, SkipsStepsTheRunNeverReached) {
   // The engine consults increasing steps; a short run simply never asks
   // about late faults, and a re-run starts over.
@@ -115,7 +132,7 @@ TEST(ReproFileTest, WriteReadRoundTrip) {
   spec.allocator = "dmix:d=2";
   spec.seed = 0xdeadbeefcafef00dULL;
   spec.faults = FaultPlan::parse("corrupt:copy_set@17");
-  spec.expect = "crash";
+  spec.expect = "caught";
   spec.baseline_digest = 0xffff'ffff'ffff'fffeULL;  // above 2^53: hex path
   const std::string text = write_repro(spec);
   EXPECT_NE(text.find("partree-detsim-repro-v1"), std::string::npos);
@@ -148,6 +165,24 @@ TEST(ReproFileTest, RejectsWrongSchemaAndBadFields) {
   ASSERT_NE(at, std::string::npos);
   bad_n_pes.replace(at, 11, "\"n_pes\": 96");
   EXPECT_THROW((void)read_repro(bad_n_pes), std::runtime_error);
+
+  // An outcome no replay can check, including the retired "crash".
+  for (const std::string expect : {"bogus", "crash"}) {
+    std::string bad_expect = text;
+    const std::size_t epos = bad_expect.find("\"recovered\"");
+    ASSERT_NE(epos, std::string::npos);
+    bad_expect.replace(epos, 11, "\"" + expect + "\"");
+    try {
+      (void)read_repro(bad_expect);
+      ADD_FAILURE() << "expect " << expect << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "expect field \"" + expect +
+                    "\": expected divergence, caught or recovered"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_NO_THROW((void)read_repro(text));
 }
 
