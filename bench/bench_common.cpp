@@ -1,5 +1,8 @@
 #include "bench_common.hpp"
 
+#include <cstdlib>
+#include <stdexcept>
+
 #include "sim/report.hpp"
 
 namespace partree::bench {
@@ -26,7 +29,13 @@ void verdict(std::uint64_t violations) {
 void emit(const util::Table& table, const std::string& title,
           const util::Cli& cli) {
   table.print(std::cout, title);
-  sim::write_csv_file(table, cli.get("csv"));
+  const std::string path = cli.get("csv");
+  try {
+    sim::write_csv_file(table, path);
+  } catch (const std::runtime_error&) {
+    std::cerr << "cannot write " << path << "\n";
+    std::exit(1);  // the experiments' usage code
+  }
 }
 
 }  // namespace partree::bench

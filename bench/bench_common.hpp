@@ -25,7 +25,8 @@ void banner(const std::string& id, const std::string& claim);
 /// Prints the verdict line: PASS when `violations == 0`.
 void verdict(std::uint64_t violations);
 
-/// Prints a table and optionally writes it as CSV (--csv path).
+/// Prints a table and optionally writes it as CSV (--csv path). When the
+/// CSV cannot be written, prints "cannot write <path>" and exits 1.
 void emit(const util::Table& table, const std::string& title,
           const util::Cli& cli);
 

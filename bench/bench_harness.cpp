@@ -1,5 +1,5 @@
-// What the metrics registry costs on its default path, plus the trace and
-// metrics smoke runs.
+// What the metrics registry costs on its default path, plus the metrics
+// smoke run.
 //
 // Re-times the E2 greedy campaign sweep (exact A_G over every named
 // campaign at N = 1024) in interleaved pairs with the metrics master
@@ -11,22 +11,18 @@
 //   bench_harness                      # the overhead figure
 //   bench_harness --smoke              # tiny sizes, 1 rep; exercises the
 //                                      # machinery (CI), not comparable
-//   bench_harness --trace out.json     # ONE traced greedy sweep ->
-//                                      # Chrome trace JSON, then exit
 //   bench_harness --metrics m.json     # arm duration metrics for the run
 //                                      # and write the final
-//                                      # partree-metrics-v1 snapshot
-//                                      # (composes with --trace)
+//                                      # partree-metrics-v1 snapshot,
+//                                      # read back and validated
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/factory.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
-#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "util/file.hpp"
 #include "util/rng.hpp"
@@ -45,14 +41,11 @@ struct HarnessConfig {
 };
 
 /// The E2 greedy campaign sweep at N = 1024: the body the overhead figure
-/// re-times, and with a sink the traced run behind --trace.
-void greedy_sweep_body(const HarnessConfig& config,
-                       obs::TraceSink* sink = nullptr) {
+/// re-times.
+void greedy_sweep_body(const HarnessConfig& config) {
   const std::uint64_t n = config.smoke ? 128 : 1024;
   const tree::Topology topo(n);
-  sim::EngineOptions options;
-  options.trace = sink;
-  sim::Engine engine(topo, options);
+  sim::Engine engine(topo);
   for (const std::string& campaign : workload::campaign_names()) {
     util::Rng rng(config.seed + n * 13);
     const auto seq =
@@ -64,7 +57,7 @@ void greedy_sweep_body(const HarnessConfig& config,
   }
 }
 
-/// Wall milliseconds of one untraced greedy sweep.
+/// Wall milliseconds of one greedy sweep.
 double timed_sweep(const HarnessConfig& config) {
   const std::uint64_t start_ns = obs::detail::monotonic_ns();
   greedy_sweep_body(config);
@@ -129,30 +122,9 @@ void metrics_overhead(const HarnessConfig& config) {
       pct, default_median_ms, armed_pct);
 }
 
-// --trace: one traced greedy sweep -> Chrome trace JSON.
-int run_traced_sweep(const HarnessConfig& config, const std::string& path) {
-  obs::ChromeTraceSink sink;
-  greedy_sweep_body(config, &sink);
-  if (!sink.write_file(path)) {
-    std::fprintf(stderr, "bench_harness: cannot write %s\n", path.c_str());
-    return 2;
-  }
-  std::printf(
-      "wrote %s (%llu place spans, %llu arrivals, %llu counter samples, "
-      "%llu dropped)\nopen it in chrome://tracing or ui.perfetto.dev\n",
-      path.c_str(),
-      static_cast<unsigned long long>(
-          sink.span_count(obs::DurationMetric::kPlaceNs)),
-      static_cast<unsigned long long>(
-          sink.instant_count(obs::Instant::kArrival)),
-      static_cast<unsigned long long>(sink.counter_samples()),
-      static_cast<unsigned long long>(sink.dropped_events()));
-  return 0;
-}
-
-// Disarm the duration timers, snapshot the metrics registry, and write
-// the canonical partree-metrics-v1 document atomically. Shared by the
-// measuring path and --trace, both of which honor --metrics.
+// Disarm the duration timers, snapshot the metrics registry, write the
+// canonical partree-metrics-v1 document atomically, and read it back:
+// exits 1 naming the violation if the file does not validate.
 int write_metrics_snapshot(const std::string& path) {
   obs::set_duration_metrics_enabled(false);
   const obs::MetricsSnapshot snap = obs::snapshot_metrics();
@@ -161,9 +133,15 @@ int write_metrics_snapshot(const std::string& path) {
     std::fprintf(stderr, "bench_harness: cannot write %s\n", path.c_str());
     return 2;
   }
+  if (const std::string error = obs::validate_metrics_file(path);
+      !error.empty()) {
+    std::fprintf(stderr, "bench_harness: %s: %s\n", path.c_str(),
+                 error.c_str());
+    return 1;
+  }
   std::printf(
-      "wrote %s (%llu arrivals timed; validate / analyze with trace_stats "
-      "--metrics)\n",
+      "wrote %s (%llu arrivals timed; a valid partree-metrics-v1 "
+      "snapshot)\n",
       path.c_str(),
       static_cast<unsigned long long>(
           snap.duration(obs::DurationMetric::kArrivalHandleNs).count));
@@ -182,10 +160,6 @@ int main(int argc, char** argv) {
              "7", util::Cli::Kind::kPositive);
   cli.option("seed", "workload RNG seed", "1", util::Cli::Kind::kU64);
   cli.flag("smoke", "tiny sizes and 1 rep: exercise, don't measure");
-  cli.option("trace",
-             "write a Chrome trace of one traced E2 greedy sweep here and "
-             "exit",
-             "");
   cli.option("metrics",
              "arm duration metrics for the run and write the final "
              "partree-metrics-v1 snapshot here",
@@ -206,12 +180,6 @@ int main(int argc, char** argv) {
   // Duration histograms stay empty unless the timers are armed; --metrics
   // asks for a populated snapshot, so arm them for the whole run.
   if (!metrics_path.empty()) obs::set_duration_metrics_enabled(true);
-
-  if (const std::string trace_path = cli.get("trace"); !trace_path.empty()) {
-    const int rc = bench::run_traced_sweep(config, trace_path);
-    if (rc != 0 || metrics_path.empty()) return rc;
-    return bench::write_metrics_snapshot(metrics_path);
-  }
 
   bench::banner("BENCH harness",
                 "Default-path cost of metrics on the E2 greedy sweep: "

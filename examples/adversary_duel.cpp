@@ -7,6 +7,7 @@
 // phases = 0 selects the maximum log2(N).
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "adversary/det_adversary.hpp"
 #include "adversary/potential.hpp"
@@ -59,7 +60,12 @@ int main(int argc, char** argv) {
 
   const std::string trace = cli.get("trace");
   if (!trace.empty()) {
-    workload::write_trace_file(recorded, trace);
+    try {
+      workload::write_trace_file(recorded, trace);
+    } catch (const std::runtime_error&) {
+      std::fprintf(stderr, "cannot write %s\n", trace.c_str());
+      return 1;
+    }
     std::printf("recorded %zu events to %s\n", recorded.size(),
                 trace.c_str());
   }

@@ -17,14 +17,15 @@
 // time per applied request minus that serial cost) -- perfbench's
 // serve.* definitions.
 // Exit status: 0 verified, 1 digest mismatch, lost requests, or a
-// --metrics snapshot that does not reconcile with the service's stats,
-// 2 a bad option value or an I/O error writing --metrics.
+// --metrics snapshot that does not validate or does not reconcile with
+// the service's stats, 2 a bad option value or an I/O error writing
+// --metrics.
 //
 // --metrics arms the duration timers (queue-wait and apply-latency
 // histograms) and writes a partree-metrics-v1 snapshot of the service's
 // run alone: it is taken after stop() and before the serial replay, so
-// its round and move counts must equal ServiceStats. Validate or
-// pretty-print it with `trace_stats --metrics <file>`.
+// its round and move counts must equal ServiceStats. The written file is
+// read back and validated.
 #include <algorithm>
 #include <cstdio>
 #include <cstdint>
@@ -139,6 +140,9 @@ bool reconciles(const obs::MetricsSnapshot& snap,
       {"serve_apply_ns.count vs applied + failed",
        snap.duration(obs::DurationMetric::kServeApplyNs).count,
        stats.applied + stats.failed},
+      {"serve_queue_wait_ns.count vs applied + failed",
+       snap.duration(obs::DurationMetric::kServeQueueWaitNs).count,
+       stats.applied + stats.failed},
   };
   bool ok = true;
   for (const Pair& p : pairs) {
@@ -181,7 +185,7 @@ int main(int argc, char** argv) {
               util::Cli::Kind::kU64)
       .option("metrics",
               "write a partree-metrics-v1 snapshot here (arms duration "
-              "timers; validate with trace_stats --metrics)",
+              "timers)",
               "");
   if (!cli.parse(argc, argv)) return 2;
   // One OS thread per client: the ceiling keeps a typo from asking for
@@ -297,13 +301,19 @@ int main(int argc, char** argv) {
                    metrics_path.c_str());
       return 2;
     }
+    if (const std::string error = obs::validate_metrics_file(metrics_path);
+        !error.empty()) {
+      std::fprintf(stderr, "FAIL: %s: %s\n", metrics_path.c_str(),
+                   error.c_str());
+      ok = false;
+    }
     std::printf("  wrote %s (%llu queue waits, %llu applies timed)\n",
                 metrics_path.c_str(),
                 static_cast<unsigned long long>(
                     snap.duration(obs::DurationMetric::kServeQueueWaitNs).count),
                 static_cast<unsigned long long>(
                     snap.duration(obs::DurationMetric::kServeApplyNs).count));
-    ok = reconciles(snap, stats);
+    if (!reconciles(snap, stats)) ok = false;
   }
 
   // Self-verification: no lost/duplicated requests, and the serial

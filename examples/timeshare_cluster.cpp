@@ -7,6 +7,7 @@
 // reallocation traffic, and fat-tree congestion at peak.
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "core/factory.hpp"
@@ -57,8 +58,13 @@ int main(int argc, char** argv) {
 
     const std::string csv = cli.get("csv");
     if (!csv.empty()) {
-      sim::write_csv_file(sim::results_table(results),
-                          csv + "." + campaign + ".csv");
+      const std::string path = csv + "." + campaign + ".csv";
+      try {
+        sim::write_csv_file(sim::results_table(results), path);
+      } catch (const std::runtime_error&) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return 1;
+      }
     }
   }
   return 0;

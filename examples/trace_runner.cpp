@@ -1,23 +1,18 @@
-// Trace runner: replay a task trace through any allocator, optionally
-// exporting a Chrome/Perfetto timeline of the run.
+// Trace runner: replay a task trace through any allocator.
 //
 //   ./trace_runner --trace mytrace.csv --n 1024 --allocator dmix:d=2
-//   ./trace_runner --campaign steady-mix --n 256 --timeline run.trace.json
+//   ./trace_runner --campaign steady-mix --n 256 --slowdowns
 //   ./trace_runner --make-demo demo.csv --n 64     # write a demo trace
 //
 // The input format is the library's own CSV (kind,id,size rows; see
 // workload/trace.hpp), so traces recorded from adversary_duel or produced
 // by external schedulers replay bit-for-bit; --campaign generates one of
-// the named workload campaigns instead. --timeline arms the structured
-// tracing layer (obs/trace.hpp) for the replay and writes the resulting
-// phase spans, engine instants, and counter tracks as trace-event JSON --
-// open it in chrome://tracing or ui.perfetto.dev.
+// the named workload campaigns instead.
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
 
 #include "core/factory.hpp"
-#include "obs/chrome_trace.hpp"
 #include "sim/engine.hpp"
 #include "sim/report.hpp"
 #include "util/cli.hpp"
@@ -38,7 +33,6 @@ int main(int argc, char** argv) {
               util::Cli::Kind::kU64)
       .option("scale", "campaign length multiplier", "0.5",
               util::Cli::Kind::kDouble)
-      .option("timeline", "write a Chrome trace of the replay here", "")
       .option("make-demo", "write a demo trace to this path and exit", "")
       .flag("slowdowns", "also report the per-task slowdown distribution");
   if (!cli.parse(argc, argv)) return 1;
@@ -64,7 +58,12 @@ int main(int argc, char** argv) {
     util::Rng rng(cli.get_u64("seed"));
     const core::TaskSequence seq =
         workload::make_campaign("steady-mix", topo, rng, 0.5);
-    workload::write_trace_file(seq, demo);
+    try {
+      workload::write_trace_file(seq, demo);
+    } catch (const std::runtime_error&) {
+      std::fprintf(stderr, "cannot write %s\n", demo.c_str());
+      return 1;
+    }
     std::printf("wrote %zu events to %s\n", seq.size(), demo.c_str());
     return 0;
   }
@@ -100,11 +99,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string timeline = cli.get("timeline");
-  obs::ChromeTraceSink timeline_sink;
   sim::EngineOptions options;
   options.record_slowdowns = cli.get_flag("slowdowns");
-  if (!timeline.empty()) options.trace = &timeline_sink;
   sim::Engine engine(topo, options);
   auto allocator = core::make_allocator(spec, topo, cli.get_u64("seed"));
   const auto result = engine.run(seq, *allocator);
@@ -118,23 +114,6 @@ int main(int argc, char** argv) {
                 result.mean_slowdown,
                 static_cast<unsigned long long>(result.worst_slowdown),
                 result.task_slowdowns.size());
-  }
-  if (!timeline.empty()) {
-    if (!timeline_sink.write_file(timeline)) {
-      std::fprintf(stderr, "cannot write %s\n", timeline.c_str());
-      return 1;
-    }
-    std::uint64_t spans = 0;
-    for (std::size_t m = 0; m < obs::kNumDurationMetrics; ++m) {
-      spans += timeline_sink.span_count(static_cast<obs::DurationMetric>(m));
-    }
-    std::printf(
-        "\nwrote %s (%llu spans, %llu counter samples, %llu dropped) -- "
-        "open it in chrome://tracing or ui.perfetto.dev\n",
-        timeline.c_str(),
-        static_cast<unsigned long long>(spans),
-        static_cast<unsigned long long>(timeline_sink.counter_samples()),
-        static_cast<unsigned long long>(timeline_sink.dropped_events()));
   }
   return 0;
 }

@@ -7,6 +7,7 @@
 // the paper's upper bound min{d+1, ceil((logN+1)/2)}, the reallocation
 // count, and the migrated volume -- the two sides of "the trade".
 #include <iostream>
+#include <stdexcept>
 
 #include "core/factory.hpp"
 #include "sim/engine.hpp"
@@ -62,6 +63,12 @@ int main(int argc, char** argv) {
               "Reallocation/load trade-off on campaign '" +
                   cli.get("campaign") + "', N = " +
                   std::to_string(topo.n_leaves()));
-  sim::write_csv_file(table, cli.get("csv"));
+  const std::string csv = cli.get("csv");
+  try {
+    sim::write_csv_file(table, csv);
+  } catch (const std::runtime_error&) {
+    std::cerr << "cannot write " << csv << "\n";
+    return 1;
+  }
   return 0;
 }

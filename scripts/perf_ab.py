@@ -24,10 +24,13 @@ checked in this order:
   same        everything else.
 
 A higher failed share (failed / attempted, summed over a workload's runs)
-for the change is also worse. The last line printed is one JSON object
-holding every figure and "verdict": "ok" or "worse". Exit status: 0 when
-nothing is worse, 1 when something is or a run failed, 2 on a usage error
-or a failed build.
+for the change is also worse. Each run's latency_samples and digest.* fact
+lines are kept in the report, and a workload's digests read "changed" when
+any pair's two runs (one seed) print different digest.* values, else
+"same"; that label is reported only and does not enter the verdict. The
+last line printed is one JSON object holding every figure and "verdict":
+"ok" or "worse". Exit status: 0 when nothing is worse, 1 when something is
+or a run failed, 2 on a usage error or a failed build.
 """
 
 import argparse
@@ -116,9 +119,36 @@ def label_failed(base_runs, change_runs):
             "label": "worse" if worse else "same"}
 
 
+def label_digests(base_runs, change_runs):
+    """"changed" when any pair's base and change runs, which share a seed,
+    print different digest.* facts (or different digest names), else
+    "same"."""
+    def digests(run):
+        return {k: v for k, v in run["facts"].items()
+                if k.startswith("digest.")}
+
+    changed = any(digests(b) != digests(c)
+                  for b, c in zip(base_runs, change_runs))
+    return "changed" if changed else "same"
+
+
+def parse_facts(lines):
+    """The latency_samples and digest.* fact lines ("name value") of one
+    run's output; a count reads as an int."""
+    facts = {}
+    for line in lines:
+        fields = line.split()
+        if len(fields) == 2 and (fields[0] == "latency_samples"
+                                 or fields[0].startswith("digest.")):
+            value = fields[1]
+            facts[fields[0]] = int(value) if value.isdigit() else value
+    return facts
+
+
 def parse_run(side, workload, pair, code, stdout, metric_names):
-    """Returns one run's result line as a dict, or raises RunFailed naming
-    the side, workload, pair and exit code."""
+    """Returns one run's result line as a dict, with its kept facts under
+    "facts", or raises RunFailed naming the side, workload, pair and exit
+    code."""
     where = f"{side} run of {workload}, pair {pair}, exited {code}"
     if code != 0:
         raise RunFailed(where)
@@ -134,6 +164,7 @@ def parse_run(side, workload, pair, code, stdout, metric_names):
         raise RunFailed(f"{where} but printed no usable result line")
     if result.get("correct") is not True:
         raise RunFailed(f'{where} but read "correct": false')
+    result["facts"] = parse_facts(lines[:-1])
     return result
 
 
@@ -176,7 +207,10 @@ def run_workload(roots, workload, pairs, seconds, metrics):
                 m, [r["metrics"][m["name"]]["value"] for r in runs["base"]],
                 [r["metrics"][m["name"]]["value"] for r in runs["change"]])
                         for m in metrics},
-            "failed": label_failed(runs["base"], runs["change"])}
+            "failed": label_failed(runs["base"], runs["change"]),
+            "facts": {side: [r["facts"] for r in side_runs]
+                      for side, side_runs in runs.items()},
+            "digests": label_digests(runs["base"], runs["change"])}
 
 
 def print_workload(workload, report):
@@ -195,7 +229,13 @@ def print_workload(workload, report):
             f"{m['won']}/{m['pairs']}", m["label"])
     f = report["failed"]
     print(f"  failed share: base {f['base'][0]}/{f['base'][1]}, change "
-          f"{f['change'][0]}/{f['change'][1]}: {f['label']}", flush=True)
+          f"{f['change'][0]}/{f['change'][1]}: {f['label']}")
+    samples = {side: [r.get("latency_samples") for r in facts]
+               for side, facts in report["facts"].items()}
+    print(f"  latency_samples: base {samples['base']}, change "
+          f"{samples['change']}")
+    print(f"  digests: {report['digests']} (reported, not gated)",
+          flush=True)
 
 
 def main():

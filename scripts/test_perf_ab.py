@@ -101,6 +101,39 @@ class LabelTest(unittest.TestCase):
         self.assertEqual(got["change"], [1, 200])
 
 
+class DigestTest(unittest.TestCase):
+    @staticmethod
+    def runs(*facts):
+        return [{"facts": f} for f in facts]
+
+    def test_equal_digests_per_seed_are_the_same(self):
+        seed1 = {"digest.final": "0x1", "latency_samples": 10}
+        seed2 = {"digest.final": "0x2", "latency_samples": 20}
+        # Sample counts differ between sides; only digests are compared.
+        change2 = {"digest.final": "0x2", "latency_samples": 25}
+        self.assertEqual(perf_ab.label_digests(self.runs(seed1, seed2),
+                                               self.runs(seed1, change2)),
+                         "same")
+
+    def test_one_differing_seed_is_changed(self):
+        base = self.runs({"digest.final": "0x1", "digest.epochs": "0xa"},
+                         {"digest.final": "0x2", "digest.epochs": "0xb"})
+        change = self.runs({"digest.final": "0x1", "digest.epochs": "0xa"},
+                           {"digest.final": "0x2", "digest.epochs": "0xc"})
+        self.assertEqual(perf_ab.label_digests(base, change), "changed")
+
+    def test_a_digest_only_one_side_prints_is_changed(self):
+        self.assertEqual(perf_ab.label_digests(
+            self.runs({"digest.final": "0x1"}),
+            self.runs({"digest.final": "0x1", "digest.epochs": "0xa"})),
+            "changed")
+
+    def test_a_workload_without_digests_is_the_same(self):
+        self.assertEqual(perf_ab.label_digests(
+            self.runs({"latency_samples": 1}),
+            self.runs({"latency_samples": 2})), "same")
+
+
 class RunTest(unittest.TestCase):
     def parse(self, code, stdout):
         return perf_ab.parse_run("change", "replay_dmix", 3, code, stdout,
@@ -127,6 +160,17 @@ class RunTest(unittest.TestCase):
                 self.assertIn("change run of replay_dmix, pair 3, exited "
                               f"{code}", message)
 
+    def test_a_run_keeps_its_sample_count_and_digests(self):
+        stdout = ("events_per_s                         5 1/s\n"
+                  "byte_hops                            123\n"
+                  "latency_samples                      2097153\n"
+                  "digest.final                         0x74e916db97ed248d\n"
+                  "events_per_s.passes                  5,6\n"
+                  + result_line(value=5.0))
+        self.assertEqual(self.parse(0, stdout)["facts"],
+                         {"latency_samples": 2097153,
+                          "digest.final": "0x74e916db97ed248d"})
+
     def test_a_metric_only_one_tree_names_is_skipped(self):
         base = {"end_to_end": [{"name": "events_per_s"}, {"name": "old"}]}
         change = {"end_to_end": [{"name": "new"}, {"name": "events_per_s"}]}
@@ -152,7 +196,9 @@ class EndToEndTest(unittest.TestCase):
         # are noise (the verdict rules are pinned by LabelTest), so the
         # verdict may read either way, but it must agree with the exit
         # code and name every workload and metric. Two pairs run both
-        # orders, base first and change first.
+        # orders, base first and change first. One tree on both sides
+        # prints the same digests for a seed, and every run counts its
+        # latency samples.
         proc = self.run_script(perf_ab.ROOT, "--pairs", "2",
                                "--seconds", "0.3")
         self.assertIn(proc.returncode, (0, 1), proc.stdout + proc.stderr)
@@ -170,6 +216,11 @@ class EndToEndTest(unittest.TestCase):
                 self.assertIn(m["label"],
                               ("worse", "unresolved", "better", "same"))
             self.assertIn(w["failed"]["label"], ("worse", "same"))
+            self.assertEqual(w["digests"], "same")
+            for side in ("base", "change"):
+                self.assertEqual(len(w["facts"][side]), 2)
+                for facts in w["facts"][side]:
+                    self.assertIsInstance(facts["latency_samples"], int)
 
 
 if __name__ == "__main__":

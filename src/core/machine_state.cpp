@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/digest.hpp"
 #include "util/math.hpp"
@@ -57,7 +56,6 @@ void MachineState::migrate(std::span<const Migration> migrations) {
     loads_.assign(m.to);
     at.node = m.to;
   }
-  obs::emit_instant(obs::Instant::kMigrationBatch, migrations.size());
 }
 
 const ActiveTask& MachineState::active_task(TaskId id) const {

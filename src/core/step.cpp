@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
-#include "obs/trace.hpp"
 
 namespace partree::core {
 namespace {
@@ -21,9 +20,8 @@ StepRecord apply_arrival(MachineState& state, Allocator& allocator,
   {
     const obs::ScopedTimer realloc_timer(obs::DurationMetric::kReallocateNs);
     // The round is only a round once maybe_reallocate says yes, so its
-    // two histograms bracket decision + application by hand, with no
-    // span, and record nothing for the (overwhelmingly common) no-op
-    // decisions.
+    // two histograms bracket decision + application by hand and record
+    // nothing for the (overwhelmingly common) no-op decisions.
     const std::uint64_t round_t0 =
         obs::duration_metrics_enabled() ? obs::detail::monotonic_ns() : 0;
     auto plan = allocator.maybe_reallocate(state);
@@ -34,7 +32,6 @@ StepRecord apply_arrival(MachineState& state, Allocator& allocator,
     }
     rec.reallocated = true;
     rec.migrations = std::move(*plan);
-    obs::emit_instant(obs::Instant::kReallocRound, rec.migrations.size());
     for (const Migration& m : rec.migrations) {
       rec.migrated_size += state.active_task(m.id).task.size;
     }
@@ -66,13 +63,9 @@ StepRecord apply_departure(MachineState& state, Allocator& allocator,
 StepRecord apply_event(MachineState& state, Allocator& allocator,
                        const Event& event) {
   if (event.kind == EventKind::kArrival) {
-    StepRecord rec = apply_arrival(state, allocator, event.task);
-    obs::emit_instant(obs::Instant::kArrival, event.task.id);
-    return rec;
+    return apply_arrival(state, allocator, event.task);
   }
-  StepRecord rec = apply_departure(state, allocator, event.task.id);
-  obs::emit_instant(obs::Instant::kDeparture, event.task.id);
-  return rec;
+  return apply_departure(state, allocator, event.task.id);
 }
 
 }  // namespace partree::core

@@ -40,11 +40,10 @@ struct StepRecord {
 ///   departure: allocator.on_departure(id, state); state.remove(id)
 ///
 /// and records the instrumentation every caller shares: the place /
-/// reallocate / departure phase spans, realloc_plan_ns and
-/// realloc_round_ns for applied rounds, one migrations_applied sample per
-/// applied round (the plan's length, 0 included), and the realloc-round,
-/// arrival and departure trace instants. A departure must name an active
-/// task; MachineState's validation aborts otherwise.
+/// reallocate / departure timed scopes, realloc_plan_ns and
+/// realloc_round_ns for applied rounds, and one migrations_applied sample
+/// per applied round (the plan's length, 0 included). A departure must
+/// name an active task; MachineState's validation aborts otherwise.
 StepRecord apply_event(MachineState& state, Allocator& allocator,
                        const Event& event);
 

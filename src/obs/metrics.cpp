@@ -4,8 +4,10 @@
 #include <atomic>
 #include <bit>
 #include <limits>
+#include <optional>
 
 #include "obs/shard_registry.hpp"
+#include "util/file.hpp"
 
 namespace partree::obs {
 namespace {
@@ -137,8 +139,7 @@ detail::ShardRegistry<MetricsShard>& registry() {
   return *r;
 }
 
-// JSON names, in enum order; also the trace span names (obs/trace.cpp,
-// obs/chrome_trace.cpp).
+// JSON names, in enum order.
 constexpr std::string_view kDurationNames[kNumDurationMetrics] = {
     "arrival_handle_ns",
     "departure_handle_ns",
@@ -359,6 +360,16 @@ std::string validate_metrics_json(const util::json::Value& v) {
     return std::string("metrics json: ") + e.what();
   }
   return "";
+}
+
+std::string validate_metrics_file(const std::string& path) {
+  const std::optional<std::string> text = util::read_file(path);
+  if (!text) return "cannot read " + path;
+  try {
+    return validate_metrics_json(util::json::parse(*text));
+  } catch (const std::exception& e) {
+    return std::string("metrics json: ") + e.what();
+  }
 }
 
 }  // namespace partree::obs

@@ -11,8 +11,7 @@
 // totals that the code already keeps (events, arrivals, rounds, moves)
 // live on sim::SimResult, not here.
 //
-// Two switches, the process's only obs switches (tracing is armed by
-// installing a sink, obs/trace.hpp):
+// Two switches, the process's only obs switches:
 //
 //   * `set_metrics_enabled` (default ON) gates everything: value
 //     histograms, gauges, and pre-measured duration records. The enabled
@@ -43,11 +42,10 @@
 namespace partree::obs {
 
 /// Duration histograms (nanoseconds). The timed scopes are populated by
-/// obs/timing.hpp's ScopedTimer, which also names its trace spans after
-/// them; the rest are direct record_duration calls that emit no span,
-/// made where the caller already holds a measurement (e.g. a request's
-/// queue wait, from the admission timestamp) or times only part of a
-/// scope (an applied round inside `reallocate_ns`).
+/// obs/timing.hpp's ScopedTimer; the rest are direct record_duration
+/// calls, made where the caller already holds a measurement (e.g. a
+/// request's queue wait, from the admission timestamp) or times only
+/// part of a scope (an applied round inside `reallocate_ns`).
 enum class DurationMetric : std::size_t {
   /// Engine (timed scope): one arrival fully handled (placement + any
   /// reallocation + slowdown bookkeeping).
@@ -64,7 +62,7 @@ enum class DurationMetric : std::size_t {
   /// notification + state removal).
   kDepartureNs,
   /// Engine (timed scope): per-event bookkeeping after the step (peak
-  /// load, series, digests, counter samples, debug checks).
+  /// load, series, digests, debug checks).
   kBookkeepingNs,
   /// core::apply_event: one APPLIED reallocation round (decision +
   /// migration).
@@ -113,8 +111,7 @@ inline constexpr std::size_t kNumValueMetrics =
 inline constexpr std::size_t kNumGaugeMetrics =
     static_cast<std::size_t>(GaugeMetric::kCount);
 
-/// Stable snake_case names used in the JSON document; a timed scope's
-/// trace spans carry its duration metric's name.
+/// Stable snake_case names used in the JSON document.
 [[nodiscard]] std::string_view duration_metric_name(DurationMetric m) noexcept;
 [[nodiscard]] std::string_view value_metric_name(ValueMetric m) noexcept;
 [[nodiscard]] std::string_view gauge_metric_name(GaugeMetric m) noexcept;
@@ -214,5 +211,10 @@ void reset_metrics();
 /// metric present, bucket totals consistent with counts, min <= max.
 /// Returns "" when valid, else a message naming the violation.
 [[nodiscard]] std::string validate_metrics_json(const util::json::Value& v);
+
+/// Reads the file at `path`, parses it and validates it as above, so a
+/// writer can check what it wrote. Returns "" when valid, else a message
+/// naming the unreadable file, the parse error or the violation.
+[[nodiscard]] std::string validate_metrics_file(const std::string& path);
 
 }  // namespace partree::obs

@@ -14,7 +14,6 @@ std::uint64_t monotonic_ns() noexcept {
 
 void close_scope(DurationMetric m, std::uint64_t start_ns) noexcept {
   const std::uint64_t end_ns = monotonic_ns();
-  if (tracing_enabled()) emit_span(m, start_ns, end_ns);
   if (duration_metrics_enabled()) record_duration(m, end_ns - start_ns);
 }
 

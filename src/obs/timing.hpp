@@ -2,18 +2,13 @@
 //
 // Every timed stretch of engine or service work is one
 // DurationMetric, and ScopedTimer is the only RAII timer. It reads the
-// clock only while tracing or duration metrics are armed, and then feeds
-// both from the same two reads: a span into the thread's trace ring while
-// a sink is armed (obs/trace.hpp), and a sample into the metric's
-// duration histogram while duration metrics are on (obs/metrics.hpp). So
-// in a run with both armed, each scope's span count equals its histogram
-// count.
+// clock only while duration metrics are on, and then records one sample
+// into the metric's duration histogram (obs/metrics.hpp).
 #pragma once
 
 #include <cstdint>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace partree::obs {
 
@@ -21,21 +16,18 @@ namespace detail {
 /// Monotonic nanoseconds; never 0, which callers reserve for "no start".
 [[nodiscard]] std::uint64_t monotonic_ns() noexcept;
 
-/// ScopedTimer's exit: reads the clock once more, then emits the span
-/// (while tracing) and records the histogram (while duration metrics
-/// are on).
+/// ScopedTimer's exit: reads the clock once more and records the sample
+/// while duration metrics are still on.
 void close_scope(DurationMetric m, std::uint64_t start_ns) noexcept;
 }  // namespace detail
 
-/// RAII timed scope. Disarmed, it costs at most two relaxed loads and
-/// never reads the clock; armed, it costs two clock reads.
+/// RAII timed scope. Disarmed, it costs one relaxed load and never reads
+/// the clock; armed, it costs two clock reads.
 class ScopedTimer {
  public:
   explicit ScopedTimer(DurationMetric m) noexcept
       : metric_(m),
-        start_ns_(tracing_enabled() || duration_metrics_enabled()
-                      ? detail::monotonic_ns()
-                      : 0) {}
+        start_ns_(duration_metrics_enabled() ? detail::monotonic_ns() : 0) {}
 
   ~ScopedTimer() {
     if (start_ns_ != 0) detail::close_scope(metric_, start_ns_);

@@ -8,7 +8,6 @@
 #include "core/step.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
-#include "obs/trace.hpp"
 #include "util/assert.hpp"
 
 namespace partree::serve {
@@ -237,7 +236,6 @@ ServiceStats PartitionService::apply_batch(std::vector<Request>& batch,
   for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
     it->promise.set_value(it->placement);
   }
-  obs::emit_instant(obs::Instant::kServeBatch, batch.size());
   obs::record_value(obs::ValueMetric::kServeBatchRequests, batch.size());
   delta.batches = 1;
   delta.max_batch = batch.size();

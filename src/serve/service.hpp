@@ -34,11 +34,8 @@
 //
 // Observability: per-request queue-wait and apply-latency histograms
 // (serve_queue_wait_ns / serve_apply_ns, duration-switch gated; the apply
-// latency excludes completing the future, and serve_apply_ns is a timed
-// scope, so a traced service also emits one span per request), a
-// per-batch size histogram (serve_batch_requests), a queue-depth
-// high-watermark gauge, and one kServeBatch trace instant per applied
-// epoch batch.
+// latency excludes completing the future), a per-batch size histogram
+// (serve_batch_requests) and a queue-depth high-watermark gauge.
 #pragma once
 
 #include <cstdint>

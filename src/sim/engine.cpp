@@ -6,7 +6,6 @@
 #include "core/step.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timing.hpp"
-#include "obs/trace.hpp"
 #include "sim/faults.hpp"
 #include "sim/slowdown.hpp"
 #include "util/assert.hpp"
@@ -60,23 +59,6 @@ void check_state_invariants(const core::MachineState& state,
   }
 }
 
-// Arms the trace sink for one traced run and disarms it on scope exit
-// (including the drain, so the sink sees the full run).
-class ScopedTraceArm {
- public:
-  explicit ScopedTraceArm(obs::TraceSink* sink) : armed_(sink != nullptr) {
-    if (armed_) obs::set_trace_sink(sink);
-  }
-  ~ScopedTraceArm() {
-    if (armed_) obs::set_trace_sink(nullptr);  // flushes every live ring
-  }
-  ScopedTraceArm(const ScopedTraceArm&) = delete;
-  ScopedTraceArm& operator=(const ScopedTraceArm&) = delete;
-
- private:
-  bool armed_;
-};
-
 }  // namespace
 
 Engine::Engine(tree::Topology topo, EngineOptions options)
@@ -94,7 +76,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
                                   core::Allocator& allocator,
                                   core::TaskSequence* recorded) {
   const std::uint64_t start_ns = obs::detail::monotonic_ns();
-  const ScopedTraceArm trace_arm(options_.trace);
   allocator.reset();
   core::MachineState state(topo_);
 
@@ -132,7 +113,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
             break;
           case FaultKind::kCancel:
             injector->record_applied(*fault, true);
-            obs::emit_instant(obs::Instant::kFaultInjected, step);
             throw FaultInjectedError(*fault);
           case FaultKind::kCorruptLoadTree:
             state.debug_corrupt_loads(tree::NodeId{state.n_pes()}, 1000);
@@ -148,10 +128,7 @@ SimResult Engine::run_interactive(core::EventSource& source,
             break;
         }
         injector->record_applied(*fault, applied);
-        if (applied) {
-          ++result.faults_injected;
-          obs::emit_instant(obs::Instant::kFaultInjected, step);
-        }
+        if (applied) ++result.faults_injected;
         // A corruption must be caught at the fault step, before the
         // (possibly now-invalid) event is processed against the broken
         // state -- a departure of a dropped task would otherwise abort on
@@ -224,14 +201,8 @@ SimResult Engine::run_interactive(core::EventSource& source,
         placement.mix(step_record.node);
       }
       if (step_record.reallocated) {
-        const std::uint64_t digest = state.digest();
-        result.epoch_digests.push_back({result.events, digest});
-        obs::emit_instant(obs::Instant::kStateDigest, digest);
+        result.epoch_digests.push_back({result.events, state.digest()});
       }
-    }
-    if (obs::tracing_enabled() && result.events % kTraceSampleEvery == 0) {
-      obs::emit_counters(load, state.optimal_load(), state.active_size(),
-                         state.active_count());
     }
     if (options_.debug_checks) {
       check_state_invariants(state, allocator, injector);
@@ -242,7 +213,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
     result.placement_digest = placement.value();
     result.final_digest = state.digest();
     result.epoch_digests.push_back({result.events, result.final_digest});
-    obs::emit_instant(obs::Instant::kStateDigest, result.final_digest);
   }
 
   if (slowdowns) {

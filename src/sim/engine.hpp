@@ -16,10 +16,6 @@
 #include "core/sequence.hpp"
 #include "sim/result.hpp"
 
-namespace partree::obs {
-class TraceSink;
-}  // namespace partree::obs
-
 namespace partree::sim {
 
 class FaultInjector;
@@ -35,9 +31,6 @@ class InvariantViolation : public std::logic_error {
       : std::logic_error(what) {}
 };
 
-/// Events between counter samples while a run is traced.
-inline constexpr std::uint64_t kTraceSampleEvery = 64;
-
 struct EngineOptions {
   /// Record the post-event max-load series (needed for max_tau E[L]).
   bool record_series = false;
@@ -50,17 +43,10 @@ struct EngineOptions {
   /// counts must agree. O(N) per event; on violation, throws
   /// InvariantViolation. For tests.
   bool debug_checks = false;
-  /// When non-null, the run is traced: the global trace layer is armed
-  /// with this sink for the duration, so timed spans, engine instants,
-  /// and a counter sample every kTraceSampleEvery events land in the sink
-  /// (drained at run end). At most one traced run at a time -- the sink
-  /// is process-wide.
-  obs::TraceSink* trace = nullptr;
   /// Record a MachineState digest at every reallocation epoch boundary
   /// (after each applied reallocation and at run end) into
-  /// SimResult::epoch_digests / final_digest, emit each one as a
-  /// kStateDigest trace instant, and fold every event's placement into
-  /// SimResult::placement_digest. The digests are detsim's cheap
+  /// SimResult::epoch_digests / final_digest, and fold every event's
+  /// placement into SimResult::placement_digest. The digests are detsim's cheap
   /// equivalence oracle for differential replay. O(active tasks) per
   /// epoch plus O(moves) per event; off by default so fault-free hot
   /// paths pay nothing.

@@ -1,8 +1,9 @@
 #include "sim/report.hpp"
 
-#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
+#include "util/file.hpp"
 #include "util/str.hpp"
 
 namespace partree::sim {
@@ -31,11 +32,14 @@ util::Table trials_table(std::span<const TrialAggregate> results) {
 
 void write_csv_file(const util::Table& table, const std::string& path) {
   if (path.empty()) return;
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot open CSV output file: " + path);
-  }
+  // Rendered in memory and landed with write_file_atomic, as
+  // workload::write_trace_file does: a plain ofstream swallows write
+  // errors and can leave a partial table behind.
+  std::ostringstream out;
   table.write_csv(out);
+  if (!out || !util::write_file_atomic(path, out.str())) {
+    throw std::runtime_error("cannot write CSV file: " + path);
+  }
 }
 
 }  // namespace partree::sim

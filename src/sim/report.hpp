@@ -18,8 +18,9 @@ namespace partree::sim {
 /// both ratios.
 [[nodiscard]] util::Table trials_table(std::span<const TrialAggregate> results);
 
-/// Writes `table` as CSV to `path` if nonempty; throws std::runtime_error
-/// when the file cannot be opened.
+/// Writes `table` as CSV to `path` if nonempty, atomically (a failed
+/// write leaves any previous file intact); throws std::runtime_error when
+/// the file cannot be written.
 void write_csv_file(const util::Table& table, const std::string& path);
 
 }  // namespace partree::sim

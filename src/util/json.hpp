@@ -1,12 +1,11 @@
-// Minimal JSON for the metrics snapshots, Chrome traces and detsim repro
-// files.
+// Minimal JSON for the metrics snapshots and detsim repro files.
 //
 // A small value type plus a strict recursive-descent parser and a stable
 // pretty-printer. Deliberately tiny: objects are std::map (keys serialize
 // sorted, so equal documents produce byte-identical files), numbers are
 // double (counters fit exactly up to 2^53), and parse errors throw
-// std::runtime_error with an offset -- callers like trace_stats turn that
-// into a clean nonzero exit instead of an abort.
+// std::runtime_error with an offset -- callers like detsim_runner
+// --replay turn that into a clean nonzero exit instead of an abort.
 #pragma once
 
 #include <cstdint>

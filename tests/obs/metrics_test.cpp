@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -171,9 +172,9 @@ TEST_F(MetricsTest, SnapshotWhileRecordingIsRaceFreeAndExactAfterJoin) {
             kThreads * kPerThread);
 }
 
-// Golden pins: the exported document is a public contract (trace_stats
-// --metrics parses it), so the exact text is asserted, not just its
-// shape. Records are made on this thread only.
+// Golden pins: the exported document is a public contract (bench_harness
+// and serve_loadgen write it and read it back), so the exact text is
+// asserted, not just its shape. Records are made on this thread only.
 TEST_F(MetricsTest, GoldenJsonDocument) {
   record_value(ValueMetric::kMigrationsApplied, 0);
   record_value(ValueMetric::kMigrationsApplied, 3);
@@ -282,6 +283,22 @@ TEST_F(MetricsTest, ValidateCatchesTampering) {
   util::json::Value wrong_schema = doc;
   wrong_schema.as_object().at("schema") = util::json::Value("bogus-v0");
   EXPECT_NE(validate_metrics_json(wrong_schema).find("unknown schema"),
+            std::string::npos);
+}
+
+// What bench_harness and serve_loadgen run on the file they just wrote.
+TEST_F(MetricsTest, ValidateMetricsFileReadsBackWhatWasWritten) {
+  const std::string path = ::testing::TempDir() + "metrics_test.json";
+  record_value(ValueMetric::kServeBatchRequests, 7);
+  ASSERT_TRUE(util::write_file_atomic(
+      path, metrics_to_json(snapshot_metrics()).dump() + "\n"));
+  EXPECT_EQ(validate_metrics_file(path), "");
+
+  ASSERT_TRUE(util::write_file_atomic(path, "{\"schema\": "));
+  EXPECT_NE(validate_metrics_file(path).find("metrics json"),
+            std::string::npos);
+  std::remove(path.c_str());
+  EXPECT_NE(validate_metrics_file(path).find("cannot read"),
             std::string::npos);
 }
 

@@ -3,16 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/factory.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "serve/service.hpp"
 #include "sim/engine.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "workload/synthetic.hpp"
 
@@ -22,18 +18,6 @@ namespace {
 std::uint64_t histogram_count(DurationMetric m) {
   return snapshot_metrics().duration(m).count;
 }
-
-// Keeps every drained event, in ring order.
-class CapturingSink final : public TraceSink {
- public:
-  void consume(const ThreadTrace& chunk) override {
-    events.insert(events.end(), chunk.events.begin(), chunk.events.end());
-    dropped += chunk.dropped;
-  }
-
-  std::vector<TraceEvent> events;
-  std::uint64_t dropped = 0;
-};
 
 // Each test starts from an empty registry with duration metrics off and
 // restores that state, so recordings elsewhere in the process never leak
@@ -50,18 +34,8 @@ class TimingTest : public ::testing::Test {
   }
 };
 
-// A scope reads the clock only while something is armed, and feeds each
-// armed consumer: the ring while a sink is armed, the histogram while
-// duration metrics are on. Disarmed or with durations only, it leaves the
-// ring alone, so the traced spans on either side of it are consecutive.
+// A scope reads the clock and records only while duration metrics are on.
 TEST_F(TimingTest, ScopedTimerRecordsOnlyWhenEnabled) {
-  CapturingSink sink;
-  set_trace_sink(&sink);
-  {
-    const ScopedTimer t(DurationMetric::kPlaceNs);
-  }
-  set_trace_sink(nullptr);  // disarming drains the calling thread's ring
-
   {
     const ScopedTimer t(DurationMetric::kDepartureNs);
   }
@@ -74,81 +48,16 @@ TEST_F(TimingTest, ScopedTimerRecordsOnlyWhenEnabled) {
   set_duration_metrics_enabled(false);
   EXPECT_EQ(histogram_count(DurationMetric::kDepartureNs), 1u);
 
-  set_trace_sink(&sink);
-  {
-    const ScopedTimer t(DurationMetric::kReallocateNs);
-  }
-  set_trace_sink(nullptr);
-  {
-    const ScopedTimer t(DurationMetric::kServeApplyNs);
-  }
-
-  ASSERT_EQ(sink.events.size(), 2u);
-  EXPECT_EQ(sink.events[0].kind, TraceEventKind::kSpan);
-  EXPECT_EQ(sink.events[0].id,
-            static_cast<std::uint8_t>(DurationMetric::kPlaceNs));
-  EXPECT_EQ(sink.events[1].id,
-            static_cast<std::uint8_t>(DurationMetric::kReallocateNs));
-  EXPECT_EQ(sink.events[1].seq, sink.events[0].seq + 1);
-  // Tracing alone records no histogram.
-  EXPECT_EQ(histogram_count(DurationMetric::kPlaceNs), 0u);
-  EXPECT_EQ(histogram_count(DurationMetric::kReallocateNs), 0u);
-}
-
-TEST_F(TimingTest, ArmedSinkSeesEverySpan) {
-  CapturingSink sink;
-  set_trace_sink(&sink);
-  set_duration_metrics_enabled(true);
-  {
-    const ScopedTimer t(DurationMetric::kBookkeepingNs);
-  }
   {
     const ScopedTimer t(DurationMetric::kDepartureNs);
   }
-  set_duration_metrics_enabled(false);
-  set_trace_sink(nullptr);  // disarming drains the calling thread's ring
-
-  ASSERT_EQ(sink.events.size(), 2u);
-  EXPECT_EQ(sink.dropped, 0u);
-  EXPECT_EQ(sink.events[0].id,
-            static_cast<std::uint8_t>(DurationMetric::kBookkeepingNs));
-  const TraceEvent& span = sink.events[1];
-  EXPECT_EQ(span.kind, TraceEventKind::kSpan);
-  EXPECT_EQ(span.id, static_cast<std::uint8_t>(DurationMetric::kDepartureNs));
-  // Both armed: the span and the sample come from the same clock reads.
-  const MetricHistogram h = snapshot_metrics().duration(
-      DurationMetric::kDepartureNs);
-  EXPECT_EQ(h.count, 1u);
-  EXPECT_EQ(h.sum, span.b - span.a);
+  EXPECT_EQ(histogram_count(DurationMetric::kDepartureNs), 1u);
 }
 
-// Spans carry their metric's name, from the one table in metrics.cpp, in
-// Chrome exports.
-TEST_F(TimingTest, SpanNamesAreMetricNames) {
-  EXPECT_EQ(duration_metric_name(DurationMetric::kPlaceNs), "place_ns");
-  EXPECT_EQ(duration_metric_name(DurationMetric::kServeApplyNs),
-            "serve_apply_ns");
-
-  ChromeTraceSink sink;
-  set_trace_sink(&sink);
-  {
-    const ScopedTimer t(DurationMetric::kServeApplyNs);
-  }
-  set_trace_sink(nullptr);
-  const util::json::Value doc = util::json::parse(sink.document());
-  std::vector<std::string> names;
-  for (const util::json::Value& ev : doc.at("traceEvents").as_array()) {
-    if (ev.at("ph").as_string() == "X") {
-      names.push_back(ev.at("name").as_string());
-    }
-  }
-  EXPECT_EQ(names, std::vector<std::string>{"serve_apply_ns"});
-}
-
-// With tracing and duration metrics both armed, every timed scope's span
-// count equals its histogram count across the engine and the service, and
-// the direct records -- which time no scope of their own -- emit no span.
-TEST_F(TimingTest, EverySpanReconcilesWithItsHistogram) {
+// With duration metrics armed, every duration histogram counts exactly
+// the work it names: the engine's scopes against its SimResult, the
+// service's against its ServiceStats.
+TEST_F(TimingTest, EveryTimedScopeReconcilesWithItsRun) {
   const tree::Topology topo(64);
   util::Rng rng(12345);
   workload::ClosedLoopParams params;
@@ -156,12 +65,26 @@ TEST_F(TimingTest, EverySpanReconcilesWithItsHistogram) {
   params.size = workload::SizeSpec::uniform_log(0, topo.height());
   const core::TaskSequence seq = workload::closed_loop(topo, params, rng);
 
-  CountingTraceSink sink;
-  set_trace_sink(&sink);
   set_duration_metrics_enabled(true);
   sim::Engine engine(topo);
   const sim::SimResult run =
       engine.run(seq, *core::make_allocator("dmix:d=1", topo));
+  ASSERT_GT(run.reallocation_count, 0u);
+  MetricsSnapshot snap = snapshot_metrics();
+  const auto count = [&](DurationMetric m) { return snap.duration(m).count; };
+  EXPECT_EQ(count(DurationMetric::kArrivalHandleNs), run.arrivals);
+  EXPECT_EQ(count(DurationMetric::kPlaceNs), run.arrivals);
+  EXPECT_EQ(count(DurationMetric::kReallocateNs), run.arrivals);
+  EXPECT_EQ(count(DurationMetric::kDepartureHandleNs), run.departures);
+  EXPECT_EQ(count(DurationMetric::kDepartureNs), run.departures);
+  EXPECT_EQ(count(DurationMetric::kBookkeepingNs), run.events);
+  EXPECT_EQ(count(DurationMetric::kReallocPlanNs), run.reallocation_count);
+  EXPECT_EQ(count(DurationMetric::kReallocRoundNs), run.reallocation_count);
+  EXPECT_EQ(count(DurationMetric::kServeApplyNs), 0u);
+  EXPECT_EQ(count(DurationMetric::kServeQueueWaitNs), 0u);
+
+  reset_metrics();
+  serve::ServiceStats stats;
   {
     serve::PartitionService service(topo,
                                     core::make_allocator("dmix:d=1", topo));
@@ -171,28 +94,23 @@ TEST_F(TimingTest, EverySpanReconcilesWithItsHistogram) {
       (void)t.placed.get();
       (void)service.submit_departure(t.id).get();
     }
-    service.stop();  // joins the apply thread, which flushes its ring
+    // Departs an inactive task: a failed request, applied by no step.
+    EXPECT_FALSE(service.submit_departure(tickets[0].id).get().ok);
+    service.stop();
+    stats = service.stats();
   }
   set_duration_metrics_enabled(false);
-  set_trace_sink(nullptr);  // flushes this thread's ring (the engine's)
-  ASSERT_GT(run.reallocation_count, 0u);
-  EXPECT_EQ(sink.dropped(), 0u);
-
-  const MetricsSnapshot snap = snapshot_metrics();
-  for (const DurationMetric m :
-       {DurationMetric::kArrivalHandleNs, DurationMetric::kDepartureHandleNs,
-        DurationMetric::kPlaceNs, DurationMetric::kReallocateNs,
-        DurationMetric::kDepartureNs, DurationMetric::kBookkeepingNs,
-        DurationMetric::kServeApplyNs}) {
-    EXPECT_GT(sink.spans(m), 0u) << duration_metric_name(m);
-    EXPECT_EQ(sink.spans(m), snap.duration(m).count)
-        << duration_metric_name(m);
-  }
-  for (const DurationMetric m :
-       {DurationMetric::kReallocPlanNs, DurationMetric::kReallocRoundNs,
-        DurationMetric::kServeQueueWaitNs}) {
-    EXPECT_EQ(sink.spans(m), 0u) << duration_metric_name(m);
-  }
+  ASSERT_EQ(stats.failed, 1u);
+  snap = snapshot_metrics();
+  EXPECT_EQ(count(DurationMetric::kServeApplyNs),
+            stats.applied + stats.failed);
+  EXPECT_EQ(count(DurationMetric::kServeQueueWaitNs),
+            stats.applied + stats.failed);
+  EXPECT_EQ(count(DurationMetric::kPlaceNs), stats.arrivals);
+  EXPECT_EQ(count(DurationMetric::kDepartureNs), stats.departures);
+  EXPECT_EQ(count(DurationMetric::kReallocRoundNs), stats.reallocation_count);
+  EXPECT_EQ(count(DurationMetric::kArrivalHandleNs), 0u);
+  EXPECT_EQ(count(DurationMetric::kBookkeepingNs), 0u);
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST(JsonTest, EscapesRoundTrip) {
 
 TEST(JsonTest, Utf8EscapesToAsciiAndRoundTrips) {
   // 2-byte (é), 3-byte (€), and 4-byte astral (𝄞, U+1D11E) sequences mixed
-  // with the short escapes; trace event names exercise exactly this.
+  // with the short escapes.
   const std::string raw = "phase \"réalloc\"\n\t\xe2\x82\xac \xf0\x9d\x84\x9e";
   const std::string quoted = quote(raw);
   for (const char c : quoted) {
