@@ -29,7 +29,7 @@
 #include <utility>
 
 #include "core/factory.hpp"
-#include "obs/timing.hpp"
+#include "obs/clock.hpp"
 #include "sim/detsim.hpp"
 #include "util/cli.hpp"
 #include "util/digest.hpp"
@@ -121,9 +121,9 @@ struct SweepStats {
     return 2;
   }
 
-  const std::uint64_t start_ns = partree::obs::detail::monotonic_ns();
+  const std::uint64_t start_ns = partree::obs::monotonic_ns();
   const auto elapsed_s = [start_ns] {
-    return static_cast<double>(partree::obs::detail::monotonic_ns() -
+    return static_cast<double>(partree::obs::monotonic_ns() -
                                start_ns) /
            1e9;
   };

@@ -3,29 +3,22 @@
 //
 //   ./serve_loadgen                                  # 4 clients, 100k requests
 //   ./serve_loadgen --clients 8 --requests 200000 --alloc greedy
-//   ./serve_loadgen --metrics serve_metrics.json     # + metrics snapshot
 //
 // N client threads each keep a private working set of tasks, submitting
 // arrivals and departures with up to --window requests in flight, and
 // measure per-request latency from submission to future completion. At
 // the end the run SELF-VERIFIES: the recorded admission sequence is
-// replayed serially through Engine::run and the final state digests must
-// match -- any lost, duplicated, or reordered request changes the digest.
+// replayed serially through Engine::run, the final state digests must
+// match -- any lost, duplicated, or reordered request changes the digest
+// -- and the service's own counts (ServiceStats) must equal the replay's
+// SimResult: arrivals, departures, rounds, moves and moved size.
 // The replay is timed too, to split a request's wall time into the
 // serial apply cost (serial_apply_ns_per_event: replay time per replayed
 // event) and the service's overhead around it (overhead_ns_per_req: wall
 // time per applied request minus that serial cost) -- perfbench's
 // serve.* definitions.
-// Exit status: 0 verified, 1 digest mismatch, lost requests, or a
-// --metrics snapshot that does not validate or does not reconcile with
-// the service's stats, 2 a bad option value or an I/O error writing
-// --metrics.
-//
-// --metrics arms the duration timers (queue-wait and apply-latency
-// histograms) and writes a partree-metrics-v1 snapshot of the service's
-// run alone: it is taken after stop() and before the serial replay, so
-// its round and move counts must equal ServiceStats. The written file is
-// read back and validated.
+// Exit status: 0 verified, 1 digest mismatch, lost requests or a count
+// that differs from the replay's, 2 a bad option value.
 #include <algorithm>
 #include <cstdio>
 #include <cstdint>
@@ -34,13 +27,11 @@
 #include <vector>
 
 #include "core/factory.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timing.hpp"
+#include "obs/clock.hpp"
 #include "serve/service.hpp"
 #include "sim/engine.hpp"
 #include "tree/topology.hpp"
 #include "util/cli.hpp"
-#include "util/file.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
 
@@ -66,7 +57,7 @@ void harvest(std::vector<Pending>& window, std::size_t keep,
     Pending p = std::move(window.front());
     window.erase(window.begin());
     (void)p.done.get();
-    out.latencies_ns.push_back(obs::detail::monotonic_ns() - p.submit_ns);
+    out.latencies_ns.push_back(obs::monotonic_ns() - p.submit_ns);
   }
 }
 
@@ -89,7 +80,7 @@ ClientResult run_client(serve::PartitionService& service, std::uint64_t seed,
     const bool depart =
         !mine.empty() && (mine.size() >= kHold || rng.bernoulli(0.45));
     Pending p;
-    p.submit_ns = obs::detail::monotonic_ns();
+    p.submit_ns = obs::monotonic_ns();
     if (depart) {
       const std::uint64_t pick = rng.below(mine.size());
       const core::TaskId id = mine[pick];
@@ -109,7 +100,7 @@ ClientResult run_client(serve::PartitionService& service, std::uint64_t seed,
   // Retire the remaining working set so the machine drains.
   for (const core::TaskId id : mine) {
     Pending p;
-    p.submit_ns = obs::detail::monotonic_ns();
+    p.submit_ns = obs::monotonic_ns();
     p.done = service.submit_departure(id);
     in_flight.push_back(std::move(p));
     ++result.submitted;
@@ -118,38 +109,29 @@ ClientResult run_client(serve::PartitionService& service, std::uint64_t seed,
   return result;
 }
 
-/// Checks that the snapshot counts exactly the service's work; prints
-/// each mismatch and returns false if there is one.
-bool reconciles(const obs::MetricsSnapshot& snap,
-                const serve::ServiceStats& stats) {
+/// Checks that the service counted exactly the work the serial replay
+/// did; prints each mismatch and returns false if there is one.
+bool reconciles(const serve::ServiceStats& stats,
+                const sim::SimResult& serial) {
   struct Pair {
     const char* what;
-    std::uint64_t snapshot;
     std::uint64_t service;
+    std::uint64_t replay;
   };
   const Pair pairs[] = {
-      {"migrations_applied.count vs reallocation_count",
-       snap.value(obs::ValueMetric::kMigrationsApplied).count,
-       stats.reallocation_count},
-      {"realloc_round_ns.count vs reallocation_count",
-       snap.duration(obs::DurationMetric::kReallocRoundNs).count,
-       stats.reallocation_count},
-      {"migrations_applied.sum vs migration_count",
-       snap.value(obs::ValueMetric::kMigrationsApplied).sum,
-       stats.migration_count},
-      {"serve_apply_ns.count vs applied + failed",
-       snap.duration(obs::DurationMetric::kServeApplyNs).count,
-       stats.applied + stats.failed},
-      {"serve_queue_wait_ns.count vs applied + failed",
-       snap.duration(obs::DurationMetric::kServeQueueWaitNs).count,
-       stats.applied + stats.failed},
+      {"arrivals", stats.arrivals, serial.arrivals},
+      {"departures", stats.departures, serial.departures},
+      {"reallocation_count", stats.reallocation_count,
+       serial.reallocation_count},
+      {"migration_count", stats.migration_count, serial.migration_count},
+      {"migrated_size", stats.migrated_size, serial.migrated_size},
   };
   bool ok = true;
   for (const Pair& p : pairs) {
-    if (p.snapshot != p.service) {
-      std::fprintf(stderr, "FAIL: metrics snapshot %s: %llu != %llu\n",
-                   p.what, static_cast<unsigned long long>(p.snapshot),
-                   static_cast<unsigned long long>(p.service));
+    if (p.service != p.replay) {
+      std::fprintf(stderr, "FAIL: service %s %llu != serial replay %llu\n",
+                   p.what, static_cast<unsigned long long>(p.service),
+                   static_cast<unsigned long long>(p.replay));
       ok = false;
     }
   }
@@ -182,11 +164,7 @@ int main(int argc, char** argv) {
       .option("batch", "epoch batch size cap", "64",
               util::Cli::Kind::kPositive)
       .option("seed", "base RNG seed (client c uses seed + c)", "42",
-              util::Cli::Kind::kU64)
-      .option("metrics",
-              "write a partree-metrics-v1 snapshot here (arms duration "
-              "timers)",
-              "");
+              util::Cli::Kind::kU64);
   if (!cli.parse(argc, argv)) return 2;
   // One OS thread per client: the ceiling keeps a typo from asking for
   // thousands of threads.
@@ -214,7 +192,6 @@ int main(int argc, char** argv) {
   const std::uint64_t pes = cli.get_u64("pes");
   const std::string alloc_spec = cli.get("alloc");
   const auto window = static_cast<std::size_t>(cli.get_u64("window"));
-  const std::string metrics_path = cli.get("metrics");
 
   const tree::Topology topo(pes);
   if (!util::check_option(
@@ -225,9 +202,6 @@ int main(int argc, char** argv) {
   options.queue_capacity = static_cast<std::size_t>(cli.get_u64("queue"));
   options.batch_size = static_cast<std::size_t>(cli.get_u64("batch"));
 
-  obs::reset_metrics();
-  if (!metrics_path.empty()) obs::set_duration_metrics_enabled(true);
-
   serve::PartitionService service(topo, core::make_allocator(alloc_spec, topo),
                                   options);
 
@@ -235,7 +209,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = cli.get_u64("seed");
   std::vector<ClientResult> results(clients);
   std::vector<std::thread> threads;
-  const std::uint64_t t_start = obs::detail::monotonic_ns();
+  const std::uint64_t t_start = obs::monotonic_ns();
   for (std::uint64_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       results[c] = run_client(service, seed + c, per_client, window);
@@ -243,7 +217,7 @@ int main(int argc, char** argv) {
   }
   for (auto& t : threads) t.join();
   service.drain();
-  const std::uint64_t t_end = obs::detail::monotonic_ns();
+  const std::uint64_t t_end = obs::monotonic_ns();
   service.stop();
 
   const serve::ServiceStats stats = service.stats();
@@ -290,34 +264,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.migration_count));
 
   bool ok = true;
-  // The snapshot must describe the service alone, so it is taken before
-  // the serial replay below records its own rounds into the registry.
-  if (!metrics_path.empty()) {
-    obs::set_duration_metrics_enabled(false);
-    const obs::MetricsSnapshot snap = obs::snapshot_metrics();
-    const std::string doc = obs::metrics_to_json(snap).dump();
-    if (!util::write_file_atomic(metrics_path, doc + "\n")) {
-      std::fprintf(stderr, "serve_loadgen: cannot write %s\n",
-                   metrics_path.c_str());
-      return 2;
-    }
-    if (const std::string error = obs::validate_metrics_file(metrics_path);
-        !error.empty()) {
-      std::fprintf(stderr, "FAIL: %s: %s\n", metrics_path.c_str(),
-                   error.c_str());
-      ok = false;
-    }
-    std::printf("  wrote %s (%llu queue waits, %llu applies timed)\n",
-                metrics_path.c_str(),
-                static_cast<unsigned long long>(
-                    snap.duration(obs::DurationMetric::kServeQueueWaitNs).count),
-                static_cast<unsigned long long>(
-                    snap.duration(obs::DurationMetric::kServeApplyNs).count));
-    if (!reconciles(snap, stats)) ok = false;
-  }
-
   // Self-verification: no lost/duplicated requests, and the serial
-  // replay of the recorded sequence lands on the same digest.
+  // replay of the recorded sequence counts the same work and lands on the
+  // same digest.
   if (stats.admitted != submitted || stats.applied != stats.admitted ||
       stats.failed != 0) {
     std::fprintf(stderr,
@@ -330,9 +279,9 @@ int main(int argc, char** argv) {
   }
   sim::Engine engine(topo, sim::EngineOptions{.record_digests = true});
   auto replay_alloc = core::make_allocator(alloc_spec, topo);
-  const std::uint64_t replay_start = obs::detail::monotonic_ns();
+  const std::uint64_t replay_start = obs::monotonic_ns();
   const sim::SimResult serial = engine.run(service.recorded(), *replay_alloc);
-  const std::uint64_t replay_ns = obs::detail::monotonic_ns() - replay_start;
+  const std::uint64_t replay_ns = obs::monotonic_ns() - replay_start;
   if (serial.events > 0 && stats.applied > 0) {
     const double serial_ns_per_event = static_cast<double>(replay_ns) /
                                        static_cast<double>(serial.events);
@@ -343,6 +292,7 @@ int main(int argc, char** argv) {
                 util::format_double(wall_ns_per_req - serial_ns_per_event, 1)
                     .c_str());
   }
+  if (!reconciles(stats, serial)) ok = false;
   if (serial.final_digest != stats.final_digest ||
       serial.max_load != stats.max_load) {
     std::fprintf(

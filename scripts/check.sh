@@ -1,18 +1,16 @@
 #!/usr/bin/env bash
-# Sanitized pre-merge gate: builds with ASan+UBSan, runs the tier1 test
-# label (fast unit/property/differential tests, including the
-# min_load_node differential), then runs the bench harness once at
-# --smoke size with duration metrics armed; the harness reads back the
-# snapshot it writes and exits nonzero unless it validates.
+# Sanitized pre-merge gate: builds with ASan+UBSan and runs the tier1
+# test label (fast unit/property/differential tests, including the
+# min_load_node differential), then the Serve and contract suites again
+# by name.
 #
 #   scripts/check.sh [build-dir]     # default build-asan
 #   scripts/check.sh --tsan [build-dir]
 #
 # --tsan swaps the sanitizer to ThreadSanitizer (default dir build-tsan)
-# and runs only the tier1 tests. The partition service is the library's
-# one multithreaded component, so TSan checks its client and apply
-# threads, and the metrics registry read while another thread records. TSan cannot be combined with ASan, hence the
-# separate build tree.
+# and runs the same tests. The partition service is the library's one
+# multithreaded component, so TSan checks its client and apply threads.
+# TSan cannot be combined with ASan, hence the separate build tree.
 set -euo pipefail
 
 MODE=asan
@@ -63,27 +61,17 @@ if [[ "$MODE" == "tsan" ]]; then
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD" -R "$CONTRACT_SUITES" \
       --no-tests=error --output-on-failure -j "$(nproc)"
-  # The registry's snapshot-while-recording test: its race-freedom claim.
-  TSAN_OPTIONS="halt_on_error=1" \
-    ctest --test-dir "$BUILD" -R 'Metrics' \
-      --no-tests=error --output-on-failure -j "$(nproc)"
-  echo "check.sh: OK (TSan tier1 + serve + repack + metrics)"
+  echo "check.sh: OK (TSan tier1 + serve + repack)"
   exit 0
 fi
 
 ctest --test-dir "$BUILD" -L tier1 --output-on-failure -j "$(nproc)"
 
-# tier1 already ran these; --no-tests=error turns "the metrics tests were
+# tier1 already ran these; --no-tests=error turns "the serve tests were
 # filtered out / failed to register" into a hard failure, not a skip.
-ctest --test-dir "$BUILD" -R 'Metrics' --no-tests=error \
-  --output-on-failure -j "$(nproc)"
 ctest --test-dir "$BUILD" -R 'Serve' --no-tests=error \
   --output-on-failure -j "$(nproc)"
 ctest --test-dir "$BUILD" -R "$CONTRACT_SUITES" \
   --no-tests=error --output-on-failure -j "$(nproc)"
 
-# The armed run's snapshot must be a valid partree-metrics-v1 document;
-# bench_harness validates the file it wrote.
-"$BUILD/bench/bench_harness" --smoke --metrics "$BUILD/metrics-smoke.json"
-
-echo "check.sh: OK (ASan/UBSan tier1 + bench harness + metrics smoke)"
+echo "check.sh: OK (ASan/UBSan tier1 + serve + repack)"

@@ -25,9 +25,10 @@ checked in this order:
 
 A higher failed share (failed / attempted, summed over a workload's runs)
 for the change is also worse. Each run's latency_samples and digest.* fact
-lines are kept in the report, and a workload's digests read "changed" when
-any pair's two runs (one seed) print different digest.* values, else
-"same"; that label is reported only and does not enter the verdict. The
+lines are kept in the report, and a workload's digests read "none" when no
+run on either side printed a digest.* fact, "changed" when any pair's two
+runs (one seed) print different digest.* values, else "same"; that label
+is reported only and does not enter the verdict. The
 last line printed is one JSON object holding every figure and "verdict":
 "ok" or "worse". Exit status: 0 when nothing is worse, 1 when something is
 or a run failed, 2 on a usage error or a failed build.
@@ -120,13 +121,16 @@ def label_failed(base_runs, change_runs):
 
 
 def label_digests(base_runs, change_runs):
-    """"changed" when any pair's base and change runs, which share a seed,
-    print different digest.* facts (or different digest names), else
-    "same"."""
+    """"none" when no run on either side printed a digest.* fact, so
+    nothing was compared; "changed" when any pair's base and change runs,
+    which share a seed, print different digest.* facts (or different
+    digest names); else "same"."""
     def digests(run):
         return {k: v for k, v in run["facts"].items()
                 if k.startswith("digest.")}
 
+    if not any(digests(r) for r in [*base_runs, *change_runs]):
+        return "none"
     changed = any(digests(b) != digests(c)
                   for b, c in zip(base_runs, change_runs))
     return "changed" if changed else "same"

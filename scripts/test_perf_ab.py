@@ -128,10 +128,10 @@ class DigestTest(unittest.TestCase):
             self.runs({"digest.final": "0x1", "digest.epochs": "0xa"})),
             "changed")
 
-    def test_a_workload_without_digests_is_the_same(self):
+    def test_a_workload_without_digests_reads_none(self):
         self.assertEqual(perf_ab.label_digests(
             self.runs({"latency_samples": 1}),
-            self.runs({"latency_samples": 2})), "same")
+            self.runs({"latency_samples": 2})), "none")
 
 
 class RunTest(unittest.TestCase):
@@ -197,8 +197,8 @@ class EndToEndTest(unittest.TestCase):
         # verdict may read either way, but it must agree with the exit
         # code and name every workload and metric. Two pairs run both
         # orders, base first and change first. One tree on both sides
-        # prints the same digests for a seed, and every run counts its
-        # latency samples.
+        # prints the same digests for a seed, a workload that prints none
+        # reads "none", and every run counts its latency samples.
         proc = self.run_script(perf_ab.ROOT, "--pairs", "2",
                                "--seconds", "0.3")
         self.assertIn(proc.returncode, (0, 1), proc.stdout + proc.stderr)
@@ -216,7 +216,10 @@ class EndToEndTest(unittest.TestCase):
                 self.assertIn(m["label"],
                               ("worse", "unresolved", "better", "same"))
             self.assertIn(w["failed"]["label"], ("worse", "same"))
-            self.assertEqual(w["digests"], "same")
+            printed = any(name.startswith("digest.")
+                          for runs in w["facts"].values()
+                          for facts in runs for name in facts)
+            self.assertEqual(w["digests"], "same" if printed else "none")
             for side in ("base", "change"):
                 self.assertEqual(len(w["facts"][side]), 2)
                 for facts in w["facts"][side]:

@@ -39,11 +39,9 @@ struct StepRecord {
 ///              state.migrate(plan)
 ///   departure: allocator.on_departure(id, state); state.remove(id)
 ///
-/// and records the instrumentation every caller shares: the place /
-/// reallocate / departure timed scopes, realloc_plan_ns and
-/// realloc_round_ns for applied rounds, and one migrations_applied sample
-/// per applied round (the plan's length, 0 included). A departure must
-/// name an active task; MachineState's validation aborts otherwise.
+/// and returns what the step did; each caller adds the record to the
+/// counts it owns (SimResult, ServiceStats). A departure must name an
+/// active task; MachineState's validation aborts otherwise.
 StepRecord apply_event(MachineState& state, Allocator& allocator,
                        const Event& event);
 

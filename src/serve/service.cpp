@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "core/step.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timing.hpp"
 #include "util/assert.hpp"
 
 namespace partree::serve {
@@ -59,9 +57,8 @@ std::future<Placement> PartitionService::submit_departure(core::TaskId id) {
 // Shared admission path: backpressure, id assignment (arrivals are
 // numbered in admission order under the queue lock, which is what makes
 // the recorded sequence's ids deterministic), and the queue push. The
-// promise/future pair is made before the lock and the depth gauge is
-// recorded after it, so the critical section holds only what must be
-// ordered with the apply thread.
+// promise/future pair is made before the lock, so the critical section
+// holds only what must be ordered with the apply thread.
 PartitionService::Admitted PartitionService::admit(core::EventKind kind,
                                                    core::TaskId id,
                                                    std::uint64_t size) {
@@ -80,15 +77,10 @@ PartitionService::Admitted PartitionService::admit(core::EventKind kind,
 
   req.task = kind == core::EventKind::kArrival ? core::Task{next_id_++, size}
                                                : core::Task{id, 0};
-  if (obs::duration_metrics_enabled()) {
-    req.enqueue_ns = obs::detail::monotonic_ns();
-  }
   admitted.id = req.task.id;
   queue_.push_back(std::move(req));
   ++stats_.admitted;
-  const std::size_t depth = queue_.size();
   lock.unlock();
-  obs::gauge_max(obs::GaugeMetric::kServeQueueDepthHwm, depth);
   cv_work_.notify_one();
   return admitted;
 }
@@ -226,17 +218,10 @@ void PartitionService::apply_loop() {
 ServiceStats PartitionService::apply_batch(std::vector<Request>& batch,
                                            std::uint64_t batch_index) {
   ServiceStats delta;
-  for (Request& req : batch) {
-    if (req.enqueue_ns != 0) {
-      obs::record_duration(obs::DurationMetric::kServeQueueWaitNs,
-                           obs::detail::monotonic_ns() - req.enqueue_ns);
-    }
-    apply_one(req, batch_index, delta);
-  }
+  for (Request& req : batch) apply_one(req, batch_index, delta);
   for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
     it->promise.set_value(it->placement);
   }
-  obs::record_value(obs::ValueMetric::kServeBatchRequests, batch.size());
   delta.batches = 1;
   delta.max_batch = batch.size();
   return delta;
@@ -249,7 +234,6 @@ ServiceStats PartitionService::apply_batch(std::vector<Request>& batch,
 // that apply_batch delivers.
 void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
                                  ServiceStats& delta) {
-  const obs::ScopedTimer apply_timer(obs::DurationMetric::kServeApplyNs);
   Placement& placement = req.placement;
   placement.id = req.task.id;
   placement.batch = batch_index;

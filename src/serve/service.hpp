@@ -32,10 +32,10 @@
 // digest (the canonical MachineState digest) is published in the stats
 // for differential verification.
 //
-// Observability: per-request queue-wait and apply-latency histograms
-// (serve_queue_wait_ns / serve_apply_ns, duration-switch gated; the apply
-// latency excludes completing the future), a per-batch size histogram
-// (serve_batch_requests) and a queue-depth high-watermark gauge.
+// Observability: every count the service keeps is a ServiceStats field
+// (requests, batches and the largest batch, rounds, moves), and
+// queue_depth() reads the queue's length. Request latency is measured
+// from outside, by the caller's clock (serve_loadgen, perfbench).
 #pragma once
 
 #include <cstdint>
@@ -217,7 +217,6 @@ class PartitionService {
   struct Request {
     core::EventKind kind = core::EventKind::kArrival;
     core::Task task;
-    std::uint64_t enqueue_ns = 0;  ///< 0 unless duration metrics armed
     std::promise<Placement> promise;
     Placement placement;  ///< filled at apply, delivered at batch end
   };

@@ -4,8 +4,7 @@
 #include <optional>
 
 #include "core/step.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timing.hpp"
+#include "obs/clock.hpp"
 #include "sim/faults.hpp"
 #include "sim/slowdown.hpp"
 #include "util/assert.hpp"
@@ -27,7 +26,7 @@ namespace {
 // EngineOptions::debug_checks: recompute the aggregates the O(log N)
 // incremental updates maintain and compare, then let the allocator audit
 // its own bookkeeping (e.g. a CopySet's indexes). Catches drift introduced
-// by hot-path changes (e.g. instrumentation edits) immediately, next to
+// by hot-path changes immediately, next to
 // the event that caused it.
 void check_state_invariants(const core::MachineState& state,
                             const core::Allocator& allocator,
@@ -75,7 +74,7 @@ SimResult Engine::run(const core::TaskSequence& sequence,
 SimResult Engine::run_interactive(core::EventSource& source,
                                   core::Allocator& allocator,
                                   core::TaskSequence* recorded) {
-  const std::uint64_t start_ns = obs::detail::monotonic_ns();
+  const std::uint64_t start_ns = obs::monotonic_ns();
   allocator.reset();
   core::MachineState state(topo_);
 
@@ -142,8 +141,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
     // The step applies the event; the engine observes around it.
     core::StepRecord step_record;
     if (event->kind == core::EventKind::kArrival) {
-      const obs::ScopedTimer arrival_timer(
-          obs::DurationMetric::kArrivalHandleNs);
       const core::Task& task = event->task;
       if (recorded != nullptr) recorded->arrive_as(task.id, task.size);
       step_record = core::apply_event(state, allocator, *event);
@@ -172,8 +169,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
       }
       ++result.arrivals;
     } else {
-      const obs::ScopedTimer departure_timer(
-          obs::DurationMetric::kDepartureHandleNs);
       if (recorded != nullptr) recorded->depart(event->task.id);
       // Before the step: the tracker reads the departing placement.
       if (slowdowns) slowdowns->on_departure(event->task.id, state);
@@ -182,8 +177,6 @@ SimResult Engine::run_interactive(core::EventSource& source,
     }
     ++result.events;
 
-    const obs::ScopedTimer bookkeeping_timer(
-        obs::DurationMetric::kBookkeepingNs);
     const std::uint64_t load = state.max_load();
     result.max_load = std::max(result.max_load, load);
     if (options_.record_series) result.load_series.push_back(load);
@@ -222,7 +215,7 @@ SimResult Engine::run_interactive(core::EventSource& source,
   }
   result.optimal_load = state.optimal_load();
   result.wall_seconds =
-      static_cast<double>(obs::detail::monotonic_ns() - start_ns) / 1e9;
+      static_cast<double>(obs::monotonic_ns() - start_ns) / 1e9;
   return result;
 }
 

@@ -1,8 +1,9 @@
 // The event-replay engine: drives an allocator over an event source, one
 // core::apply_event step per event, and observes around each step (fault
-// injection, slowdowns, load series, digests, invariant checks) to
-// collect metrics. A failed invariant check throws InvariantViolation; an
-// injected cancel throws FaultInjectedError (sim/faults.hpp).
+// injection, slowdowns, load series, digests, invariant checks) to fill
+// the run's SimResult, which holds every count the run keeps. A failed
+// invariant check throws InvariantViolation; an injected cancel throws
+// FaultInjectedError (sim/faults.hpp).
 #pragma once
 
 #include <cstdint>

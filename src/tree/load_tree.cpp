@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "util/digest.hpp"
 
 namespace partree::tree {
@@ -122,15 +121,25 @@ void LoadTree::min_load_dfs(NodeId v, std::uint32_t levels_left,
                visits);
 }
 
-NodeId LoadTree::min_load_node(std::uint64_t size) const {
-  const std::uint32_t target_depth = topo_.depth_for_size(size);
+NodeId LoadTree::min_load_search(std::uint64_t size,
+                                 std::uint64_t& visits) const {
   NodeId best = kInvalidNode;
   std::uint64_t best_load = UINT64_MAX;
-  std::uint64_t visits = 0;
-  min_load_dfs(Topology::root(), target_depth, 0, best, best_load, visits);
-  obs::record_value(obs::ValueMetric::kMinLoadNodeVisits, visits);
+  min_load_dfs(Topology::root(), topo_.depth_for_size(size), 0, best,
+               best_load, visits);
   PARTREE_ASSERT(best != kInvalidNode, "min_load_node found no candidate");
   return best;
+}
+
+NodeId LoadTree::min_load_node(std::uint64_t size) const {
+  std::uint64_t visits = 0;
+  return min_load_search(size, visits);
+}
+
+std::uint64_t LoadTree::min_load_node_visits(std::uint64_t size) const {
+  std::uint64_t visits = 0;
+  (void)min_load_search(size, visits);
+  return visits;
 }
 
 std::uint64_t LoadTree::digest() const {

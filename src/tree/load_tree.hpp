@@ -58,6 +58,12 @@ class LoadTree {
   /// scan. Allocation-free (recursive DFS, depth at most log N).
   [[nodiscard]] NodeId min_load_node(std::uint64_t size) const;
 
+  /// Nodes that min_load_node(size) visits on the current loads, the
+  /// measure of its pruning: on an empty or evenly covered machine it
+  /// stays within 2 log N + 2 instead of growing with the N / size
+  /// candidates.
+  [[nodiscard]] std::uint64_t min_load_node_visits(std::uint64_t size) const;
+
   /// Sum over PEs of their load == total size of active tasks. O(1).
   [[nodiscard]] std::uint64_t total_active_size() const noexcept {
     return active_size_;
@@ -100,6 +106,10 @@ class LoadTree {
   static_assert(sizeof(Node) == 12);
 
   void update_path(NodeId v);
+  // min_load_node's DFS from the root; adds the nodes it visits to
+  // `visits`.
+  [[nodiscard]] NodeId min_load_search(std::uint64_t size,
+                                       std::uint64_t& visits) const;
   void min_load_dfs(NodeId v, std::uint32_t levels_left, std::uint64_t prefix,
                     NodeId& best, std::uint64_t& best_load,
                     std::uint64_t& visits) const;

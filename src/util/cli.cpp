@@ -24,6 +24,11 @@ Cli& Cli::declare(std::string name, Spec spec) {
 
 namespace {
 
+/// The largest machine size a kPow2 or kPow2List value may name: N = 2^20,
+/// the largest machine any test or benchmark builds. Far larger sizes
+/// exhaust memory in the tree arrays instead of failing cleanly.
+constexpr std::uint64_t kMaxMachineSize = std::uint64_t{1} << 20;
+
 /// True iff `text` is one value of `kind`, or of one entry of a list kind.
 bool matches_one(Cli::Kind kind, std::string_view text) {
   switch (kind) {
@@ -58,6 +63,20 @@ bool matches(Cli::Kind kind, std::string_view raw) {
   return std::all_of(fields.begin(), fields.end(), [&](const std::string& f) {
     return matches_one(kind, trim(f));
   });
+}
+
+/// The first entry of a kPow2 or kPow2List value `raw` above
+/// kMaxMachineSize, if any; `raw` already matches its kind.
+std::optional<std::string> above_max_machine_size(Cli::Kind kind,
+                                                  std::string_view raw) {
+  if (kind != Cli::Kind::kPow2 && kind != Cli::Kind::kPow2List) {
+    return std::nullopt;
+  }
+  for (const std::string& field : split(raw, ',')) {
+    const std::string_view entry = trim(field);
+    if (*parse_u64(entry) > kMaxMachineSize) return std::string(entry);
+  }
+  return std::nullopt;
 }
 
 const char* expectation(Cli::Kind kind) {
@@ -140,10 +159,18 @@ bool Cli::parse(int argc, const char* const* argv) {
   }
   for (const auto& [name, spec] : specs_) {
     if (spec.kind == Kind::kAny || !has(name)) continue;
-    if (const std::string raw = get(name); !matches(spec.kind, raw)) {
+    const std::string raw = get(name);
+    if (!matches(spec.kind, raw)) {
       std::fprintf(stderr, "option --%s expects %s, got '%s'\n%s",
                    name.c_str(), expectation(spec.kind), raw.c_str(),
                    usage(argv[0]).c_str());
+      return false;
+    }
+    if (const auto big = above_max_machine_size(spec.kind, raw)) {
+      std::fprintf(stderr, "option --%s must be at most %llu, got %s\n%s",
+                   name.c_str(),
+                   static_cast<unsigned long long>(kMaxMachineSize),
+                   big->c_str(), usage(argv[0]).c_str());
       return false;
     }
   }

@@ -19,16 +19,16 @@ class Cli {
  public:
   /// The values an option accepts. parse() checks every given and default
   /// value against its option's kind, so a malformed number or a bad
-  /// machine size is a usage error instead of an exception or an
-  /// assertion deep in the library.
+  /// machine size is a usage error instead of an exception, an assertion
+  /// deep in the library or an allocation that exhausts memory.
   enum class Kind : std::uint8_t {
     kAny,       ///< any string; the typed getters check it when read
     kU64,       ///< an unsigned integer, as get_u64 reads it
     kPositive,  ///< an unsigned integer >= 1, e.g. a trial count
     kDouble,    ///< a finite number, as get_double reads it
     kU64List,   ///< a comma-separated list of unsigned integers
-    kPow2,      ///< a power of two >= 1, e.g. a machine size
-    kPow2List,  ///< a comma-separated list of powers of two >= 1
+    kPow2,      ///< a power of two in [1, 2^20], e.g. a machine size
+    kPow2List,  ///< a comma-separated list of powers of two in [1, 2^20]
   };
 
   /// Declares an option with a help string, optional default and value

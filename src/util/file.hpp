@@ -1,7 +1,7 @@
 // Durable file I/O helpers.
 //
-// Everything the harness persists across a crash (detsim repro files,
-// metrics snapshots) goes through write_file_atomic: the
+// Everything the tools persist across a crash (detsim repro files, CSV
+// tables, trace files) goes through write_file_atomic: the
 // contents land in a sibling ".tmp" file, are flushed to disk (fsync), and
 // only then renamed over the destination. POSIX rename is atomic within a
 // filesystem, so a reader -- including this process after a restart --

@@ -1,4 +1,4 @@
-// Minimal JSON for the metrics snapshots and detsim repro files.
+// Minimal JSON for the detsim repro files.
 //
 // A small value type plus a strict recursive-descent parser and a stable
 // pretty-printer. Deliberately tiny: objects are std::map (keys serialize

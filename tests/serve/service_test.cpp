@@ -20,7 +20,6 @@
 
 #include "core/factory.hpp"
 #include "core/sequence.hpp"
-#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "util/rng.hpp"
 
@@ -333,28 +332,6 @@ TEST(ServeBatchTest, OldestFutureReadyMeansBatchReady) {
     EXPECT_EQ(tickets[i].placed.get().batch, batch);
   }
   service.stop();
-}
-
-TEST(ServeMetricsTest, RecordsQueueAndApplyDistributions) {
-  const tree::Topology topo(8);
-  obs::reset_metrics();
-  obs::set_duration_metrics_enabled(true);
-  {
-    PartitionService service(topo, make("greedy", topo));
-    std::vector<ArrivalTicket> tickets;
-    for (int i = 0; i < 16; ++i) tickets.push_back(service.submit_arrival(1));
-    for (auto& t : tickets) (void)t.placed.get();
-    service.stop();
-  }
-  obs::set_duration_metrics_enabled(false);
-
-  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
-  EXPECT_EQ(snap.duration(obs::DurationMetric::kServeApplyNs).count, 16u);
-  EXPECT_EQ(snap.duration(obs::DurationMetric::kServeQueueWaitNs).count, 16u);
-  EXPECT_GE(snap.value(obs::ValueMetric::kServeBatchRequests).count, 1u);
-  EXPECT_EQ(snap.value(obs::ValueMetric::kServeBatchRequests).sum, 16u);
-  EXPECT_GE(snap.gauge(obs::GaugeMetric::kServeQueueDepthHwm), 1u);
-  obs::reset_metrics();
 }
 
 /// One closed-loop client: keeps ~`hold` tasks active, alternating

@@ -8,7 +8,6 @@
 #include "core/event_source.hpp"
 #include "core/factory.hpp"
 #include "core/sequence.hpp"
-#include "obs/metrics.hpp"
 #include "tree/load_tree.hpp"
 #include "workload/synthetic.hpp"
 
@@ -116,48 +115,21 @@ TEST(EngineTest, DebugChecksAcceptConsistentRuns) {
   }
 }
 
-// Runs Figure 1 under `spec` with the metrics registry bracketed around
-// the run, so the snapshot holds exactly what this run recorded.
-struct MeteredRun {
-  SimResult result;
-  obs::MetricsSnapshot metrics;
-};
-
-MeteredRun run_figure1_metered(const char* spec) {
+// Every count lives on the run's SimResult, so two runs in one process
+// each report their own work: the second run of Figure 1 on the same
+// engine counts what the first did, not the sum of both.
+TEST(EngineTest, CountersAttributedToTheRun) {
   const tree::Topology topo(4);
   Engine engine(topo);
-  auto alloc = core::make_allocator(spec, topo);
-  obs::reset_metrics();
-  MeteredRun run;
-  run.result = engine.run(core::figure1_sequence(), *alloc);
-  run.metrics = obs::snapshot_metrics();
-  return run;
-}
-
-TEST(EngineTest, CountersAttributedToTheRun) {
-  const MeteredRun run = run_figure1_metered("greedy");
-  const SimResult& result = run.result;
-  // Greedy never migrates.
-  EXPECT_EQ(result.reallocation_count, 0u);
-  EXPECT_EQ(result.migration_count, 0u);
-  EXPECT_EQ(run.metrics.value(obs::ValueMetric::kMigrationsApplied).count, 0u);
-  EXPECT_EQ(run.metrics.value(obs::ValueMetric::kMigrationsApplied).sum, 0u);
-  // Greedy answers each arrival with one min_load_node query.
-  const obs::MetricHistogram visits =
-      run.metrics.value(obs::ValueMetric::kMinLoadNodeVisits);
-  EXPECT_EQ(visits.count, result.arrivals);
-  EXPECT_GE(visits.sum, result.arrivals);
-}
-
-// One migrations_applied record per round, summing every move.
-TEST(EngineTest, ReallocCountersMatchResultFields) {
-  const MeteredRun run = run_figure1_metered("dmix:d=1");
-  const SimResult& result = run.result;
-  EXPECT_GT(result.reallocation_count, 0u);
-  const obs::MetricHistogram applied =
-      run.metrics.value(obs::ValueMetric::kMigrationsApplied);
-  EXPECT_EQ(applied.count, result.reallocation_count);
-  EXPECT_EQ(applied.sum, result.migration_count);
+  auto alloc = core::make_allocator("dmix:d=1", topo);
+  const SimResult first = engine.run(core::figure1_sequence(), *alloc);
+  const SimResult second = engine.run(core::figure1_sequence(), *alloc);
+  EXPECT_GT(first.reallocation_count, 0u);
+  EXPECT_EQ(second.events, first.events);
+  EXPECT_EQ(second.arrivals, first.arrivals);
+  EXPECT_EQ(second.reallocation_count, first.reallocation_count);
+  EXPECT_EQ(second.migration_count, first.migration_count);
+  EXPECT_EQ(second.migrated_size, first.migrated_size);
 }
 
 // Emits `n_arrivals` unit arrivals and, right before handing out the last

@@ -1,17 +1,16 @@
 // Differential test: LoadTree::min_load_node (pruned DFS over the `down`
 // and `min` aggregates) against a brute-force oracle that recomputes every
 // candidate submachine's max PE load from raw per-PE loads. The DFS is the
-// greedy allocator's hot path and carries observability instrumentation,
-// so this guards it against behavior drift: 1,000 randomized
-// assign/release schedules across N in {4, 16, 64, 256}, checking every
-// submachine size after every mutation.
+// greedy allocator's hot path, so this guards it against behavior drift:
+// 1,000 randomized assign/release schedules across N in {4, 16, 64, 256},
+// checking every submachine size after every mutation. The pruning pins
+// bound the nodes it visits (LoadTree::min_load_node_visits).
 #include "tree/load_tree.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace partree::tree {
@@ -79,30 +78,20 @@ TEST(MinLoadNodeDiffTest, MatchesOracleOverRandomSchedules) {
 
 TEST(MinLoadNodeDiffTest, VisitCounterAdvancesPerQuery) {
   const Topology topo(64);
-  LoadTree tree(topo);
-  obs::reset_metrics();
-  (void)tree.min_load_node(1);
-  (void)tree.min_load_node(64);
-  const obs::MetricHistogram visits =
-      obs::snapshot_metrics().value(obs::ValueMetric::kMinLoadNodeVisits);
-  EXPECT_EQ(visits.count, 2u);
-  // size-64 query answers at the root (1 visit); size-1 visits at least
-  // one node per level on the way down.
-  EXPECT_EQ(visits.min, 1u);
-  EXPECT_GE(visits.sum, 2u);
+  const LoadTree tree(topo);
+  // A size-64 query answers at the root (1 visit); a size-1 query visits
+  // at least one node per level on the way down.
+  EXPECT_EQ(tree.min_load_node_visits(64), 1u);
+  EXPECT_GE(tree.min_load_node_visits(1), topo.height() + 1u);
 }
 
 TEST(MinLoadNodeDiffTest, PrunedSearchVisitsFewNodesWhenBalanced) {
   // On an empty machine every candidate ties at load 0; the DFS must
   // prune to the leftmost path rather than enumerate all N leaves.
   const Topology topo(256);
-  LoadTree tree(topo);
-  obs::reset_metrics();
+  const LoadTree tree(topo);
   EXPECT_EQ(tree.min_load_node(1), topo.leaf_node(0));
-  const obs::MetricHistogram visits =
-      obs::snapshot_metrics().value(obs::ValueMetric::kMinLoadNodeVisits);
-  EXPECT_EQ(visits.count, 1u);
-  EXPECT_LE(visits.sum, 2u * topo.height() + 2u);
+  EXPECT_LE(tree.min_load_node_visits(1), 2u * topo.height() + 2u);
 }
 
 TEST(MinLoadNodeDiffTest, PrunedSearchSkipsCoveredSubtrees) {
@@ -113,12 +102,8 @@ TEST(MinLoadNodeDiffTest, PrunedSearchSkipsCoveredSubtrees) {
   const Topology topo(4096);
   LoadTree tree(topo);
   for (PeId pe = 0; pe < 3072; ++pe) tree.assign(topo.leaf_node(pe));
-  obs::reset_metrics();
   EXPECT_EQ(tree.min_load_node(1), topo.leaf_node(3072));
-  const obs::MetricHistogram visits =
-      obs::snapshot_metrics().value(obs::ValueMetric::kMinLoadNodeVisits);
-  EXPECT_EQ(visits.count, 1u);
-  EXPECT_LE(visits.sum, 2u * topo.height() + 2u);
+  EXPECT_LE(tree.min_load_node_visits(1), 2u * topo.height() + 2u);
 }
 
 }  // namespace

@@ -187,6 +187,39 @@ TEST(CliTest, Pow2ListKindRejectsAnyBadEntry) {
   EXPECT_EQ(good.get_u64_list("counts"), (std::vector<std::uint64_t>{1, 2}));
 }
 
+// A power of two above 2^20 names a machine whose tree arrays cannot be
+// allocated, so both kinds reject it by name, after the power-of-two
+// check; 2^20 itself, the largest machine anything builds, passes.
+TEST(CliTest, Pow2KindsRejectMachinesAboveTheLargest) {
+  struct Case {
+    Cli::Kind kind;
+    std::string value;
+    std::string got;
+  };
+  const std::vector<Case> cases = {
+      {Cli::Kind::kPow2, "2097152", "2097152"},
+      {Cli::Kind::kPow2, "4611686018427387904", "4611686018427387904"},
+      {Cli::Kind::kPow2List, "4, 2097152,16", "2097152"},
+  };
+  for (const Case& c : cases) {
+    Cli cli;
+    cli.option("n", "machine size", "64", c.kind);
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parse(cli, {"--n", c.value.c_str()})) << c.value;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("option --n must be at most 1048576, got " + c.got +
+                       "\nusage: prog"),
+              std::string::npos)
+        << err;
+  }
+
+  Cli largest;
+  largest.option("n", "machine size", "1048576", Cli::Kind::kPow2);
+  largest.option("sizes", "machine sizes", "1,1048576", Cli::Kind::kPow2List);
+  ASSERT_TRUE(parse(largest, {}));
+  EXPECT_EQ(largest.get_u64("n"), 1048576u);
+}
+
 TEST(CliTest, KindChecksTheDefaultToo) {
   Cli cli;
   cli.option("n", "machine size", "100", Cli::Kind::kPow2);
