@@ -7,11 +7,13 @@
 //                    oracle), or, for an applied corruption, is caught by
 //                    the engine's invariant net. Divergences are shrunk
 //                    (with --shrink) and written as
-//                    partree-detsim-repro-v1 files. --n-pes and --events
-//                    apply to every run, and the summary line prints
-//                    n_pes=.
-//   --replay FILE    Re-run one repro file and report whether the recorded
-//                    outcome reproduces (exit 0 iff it does).
+//                    partree-detsim-repro-v2 files (CSV key,value rows,
+//                    sim/faults.hpp). --n-pes and --events apply to every
+//                    run, and the summary line prints n_pes=.
+//   --replay FILE    Re-run one repro file, at its own machine size, event
+//                    count and fault plan, and report whether the recorded
+//                    run and outcome reproduce (exit 0 iff both do; 2 for a
+//                    file that does not parse).
 //   --one            Single faulted run, exactly as specified (exit 0
 //                    unless it diverges).
 //
@@ -20,7 +22,7 @@
 //   detsim_runner --seed-sweep 200 --budget-seconds 60 --repro-dir out
 //   detsim_runner --seed-sweep 12 --n-pes 65536
 //   detsim_runner --one --seed 21 --faults corrupt:load_tree@40
-//   detsim_runner --replay out/repro_seed42.json
+//   detsim_runner --replay out/repro_seed42.csv
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -29,9 +31,9 @@
 #include <utility>
 
 #include "core/factory.hpp"
-#include "obs/clock.hpp"
 #include "sim/detsim.hpp"
 #include "util/cli.hpp"
+#include "util/clock.hpp"
 #include "util/digest.hpp"
 #include "util/file.hpp"
 #include "util/rng.hpp"
@@ -57,13 +59,13 @@ const char* const kSweepAllocators[] = {"greedy", "basic", "dmix:d=1",
   return *std::move(text);
 }
 
-/// Writes `spec` as repro_seed<seed>.json under `dir` atomically, so a kill
+/// Writes `spec` as repro_seed<seed>.csv under `dir` atomically, so a kill
 /// mid-write leaves the previous file or none, never a truncated one that
 /// --replay would reject.
 void write_repro_or_exit(const std::string& dir,
                          const partree::sim::ReproSpec& spec) {
   const std::string path =
-      dir + "/repro_seed" + std::to_string(spec.seed) + ".json";
+      dir + "/repro_seed" + std::to_string(spec.seed) + ".csv";
   if (!partree::util::write_file_atomic(path,
                                         partree::sim::write_repro(spec))) {
     std::fprintf(stderr, "detsim_runner: cannot write %s\n", path.c_str());
@@ -121,9 +123,9 @@ struct SweepStats {
     return 2;
   }
 
-  const std::uint64_t start_ns = partree::obs::monotonic_ns();
+  const std::uint64_t start_ns = partree::util::monotonic_ns();
   const auto elapsed_s = [start_ns] {
-    return static_cast<double>(partree::obs::monotonic_ns() -
+    return static_cast<double>(partree::util::monotonic_ns() -
                                start_ns) /
            1e9;
   };
@@ -202,22 +204,20 @@ struct SweepStats {
                  e.what());
     return 2;
   }
-  DetSimOptions options;
-  options.n_pes = spec.n_pes;
-  options.allocator = spec.allocator;
-  options.seed = spec.seed;
-  options.n_events = cli.get_u64("events");
-  options.faults = spec.faults;
-
+  const DetSimOptions options = partree::sim::from_repro(spec);
   const DetSimReport report = partree::sim::run_detsim(options);
   print_report(options, report);
-  if (spec.baseline_digest != 0 &&
-      report.baseline_digest != spec.baseline_digest) {
-    std::printf("  note: baseline digest changed since the repro (%s vs %s)\n",
-                partree::util::digest_hex(report.baseline_digest).c_str(),
-                partree::util::digest_hex(spec.baseline_digest).c_str());
+  // Another baseline placement is another run, whatever its outcome.
+  const bool same_run =
+      report.baseline_placement_digest == spec.baseline_placement_digest;
+  if (!same_run) {
+    std::printf(
+        "  baseline placement digest %s differs from the repro's %s\n",
+        partree::util::digest_hex(report.baseline_placement_digest).c_str(),
+        partree::util::digest_hex(spec.baseline_placement_digest).c_str());
   }
   const bool reproduced =
+      same_run &&
       partree::sim::to_repro(options, report).expect == spec.expect;
   std::printf("replay: expected %s -> %s\n", spec.expect.c_str(),
               reproduced ? "reproduced" : "NOT reproduced");
@@ -234,8 +234,9 @@ int main(int argc, char** argv) {
       .option("alloc", "allocator spec (sweep default: rotate)", "")
       .option("n-pes", "machine size (power of two)", "64",
               partree::util::Cli::Kind::kPow2)
-      .option("events", "workload length; 0 = seed-derived", "0",
-              partree::util::Cli::Kind::kU64)
+      .option("events",
+              "workload length for --one and --seed-sweep; 0 = seed-derived",
+              "0", partree::util::Cli::Kind::kU64)
       .option("faults", "explicit fault plan for --one", "")
       .option("replay", "repro file to re-run", "")
       .option("repro-dir", "where repro files land", "detsim_repros")

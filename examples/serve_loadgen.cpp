@@ -10,8 +10,9 @@
 // the end the run SELF-VERIFIES: the recorded admission sequence is
 // replayed serially through Engine::run, the final state digests must
 // match -- any lost, duplicated, or reordered request changes the digest
-// -- and the service's own counts (ServiceStats) must equal the replay's
-// SimResult: arrivals, departures, rounds, moves and moved size.
+// -- and so must the placement digests; the service's own counts
+// (ServiceStats) must equal the replay's SimResult: arrivals, departures,
+// rounds, moves and moved size.
 // The replay is timed too, to split a request's wall time into the
 // serial apply cost (serial_apply_ns_per_event: replay time per replayed
 // event) and the service's overhead around it (overhead_ns_per_req: wall
@@ -27,11 +28,11 @@
 #include <vector>
 
 #include "core/factory.hpp"
-#include "obs/clock.hpp"
 #include "serve/service.hpp"
 #include "sim/engine.hpp"
 #include "tree/topology.hpp"
 #include "util/cli.hpp"
+#include "util/clock.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
 
@@ -57,7 +58,7 @@ void harvest(std::vector<Pending>& window, std::size_t keep,
     Pending p = std::move(window.front());
     window.erase(window.begin());
     (void)p.done.get();
-    out.latencies_ns.push_back(obs::monotonic_ns() - p.submit_ns);
+    out.latencies_ns.push_back(util::monotonic_ns() - p.submit_ns);
   }
 }
 
@@ -80,7 +81,7 @@ ClientResult run_client(serve::PartitionService& service, std::uint64_t seed,
     const bool depart =
         !mine.empty() && (mine.size() >= kHold || rng.bernoulli(0.45));
     Pending p;
-    p.submit_ns = obs::monotonic_ns();
+    p.submit_ns = util::monotonic_ns();
     if (depart) {
       const std::uint64_t pick = rng.below(mine.size());
       const core::TaskId id = mine[pick];
@@ -100,7 +101,7 @@ ClientResult run_client(serve::PartitionService& service, std::uint64_t seed,
   // Retire the remaining working set so the machine drains.
   for (const core::TaskId id : mine) {
     Pending p;
-    p.submit_ns = obs::monotonic_ns();
+    p.submit_ns = util::monotonic_ns();
     p.done = service.submit_departure(id);
     in_flight.push_back(std::move(p));
     ++result.submitted;
@@ -209,7 +210,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = cli.get_u64("seed");
   std::vector<ClientResult> results(clients);
   std::vector<std::thread> threads;
-  const std::uint64_t t_start = obs::monotonic_ns();
+  const std::uint64_t t_start = util::monotonic_ns();
   for (std::uint64_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       results[c] = run_client(service, seed + c, per_client, window);
@@ -217,7 +218,7 @@ int main(int argc, char** argv) {
   }
   for (auto& t : threads) t.join();
   service.drain();
-  const std::uint64_t t_end = obs::monotonic_ns();
+  const std::uint64_t t_end = util::monotonic_ns();
   service.stop();
 
   const serve::ServiceStats stats = service.stats();
@@ -279,9 +280,9 @@ int main(int argc, char** argv) {
   }
   sim::Engine engine(topo, sim::EngineOptions{.record_digests = true});
   auto replay_alloc = core::make_allocator(alloc_spec, topo);
-  const std::uint64_t replay_start = obs::monotonic_ns();
+  const std::uint64_t replay_start = util::monotonic_ns();
   const sim::SimResult serial = engine.run(service.recorded(), *replay_alloc);
-  const std::uint64_t replay_ns = obs::monotonic_ns() - replay_start;
+  const std::uint64_t replay_ns = util::monotonic_ns() - replay_start;
   if (serial.events > 0 && stats.applied > 0) {
     const double serial_ns_per_event = static_cast<double>(replay_ns) /
                                        static_cast<double>(serial.events);
@@ -294,14 +295,17 @@ int main(int argc, char** argv) {
   }
   if (!reconciles(stats, serial)) ok = false;
   if (serial.final_digest != stats.final_digest ||
+      serial.placement_digest != stats.placement_digest ||
       serial.max_load != stats.max_load) {
     std::fprintf(
         stderr,
-        "FAIL: serve digest %016llx load %llu != serial replay digest "
-        "%016llx load %llu\n",
+        "FAIL: serve digest %016llx placement %016llx load %llu != serial "
+        "replay digest %016llx placement %016llx load %llu\n",
         static_cast<unsigned long long>(stats.final_digest),
+        static_cast<unsigned long long>(stats.placement_digest),
         static_cast<unsigned long long>(stats.max_load),
         static_cast<unsigned long long>(serial.final_digest),
+        static_cast<unsigned long long>(serial.placement_digest),
         static_cast<unsigned long long>(serial.max_load));
     ok = false;
   }

@@ -43,4 +43,15 @@ StepRecord apply_event(MachineState& state, Allocator& allocator,
   return apply_departure(state, allocator, event.task.id);
 }
 
+void fold_placement(util::Fnv& digest, std::uint64_t step, const Event& event,
+                    const StepRecord& record, const MachineState& state) {
+  if (event.kind != EventKind::kArrival) {
+    digest.mix(record.node);
+    return;
+  }
+  for (const Migration& m : record.migrations) digest.mix(m.id).mix(m.to);
+  digest.mix(step).mix(event.task.id).mix(
+      state.active_task(event.task.id).node);
+}
+
 }  // namespace partree::core

@@ -12,6 +12,7 @@
 #include "core/allocator.hpp"
 #include "core/event.hpp"
 #include "core/machine_state.hpp"
+#include "util/digest.hpp"
 
 namespace partree::core {
 
@@ -44,5 +45,14 @@ struct StepRecord {
 /// active task; MachineState's validation aborts otherwise.
 StepRecord apply_event(MachineState& state, Allocator& allocator,
                        const Event& event);
+
+/// Folds where one applied event left its task into a placement digest
+/// (SimResult::placement_digest, ServiceStats::placement_digest): for an
+/// arrival, each planned move's id and destination, then the 0-based
+/// event index `step`, the task id and the node `state` holds the task
+/// on; for a departure, the node the task left. Call it once the step is
+/// over, so the node read is where the task ended up.
+void fold_placement(util::Fnv& digest, std::uint64_t step, const Event& event,
+                    const StepRecord& record, const MachineState& state);
 
 }  // namespace partree::core

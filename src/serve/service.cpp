@@ -206,6 +206,7 @@ void PartitionService::apply_loop() {
   const std::uint64_t digest = state_.digest();
   lock.lock();
   stats_.final_digest = digest;
+  stats_.placement_digest = placement_.value();
   stats_.optimal_load = state_.optimal_load();
   lock.unlock();
   cv_applied_.notify_all();
@@ -230,8 +231,9 @@ ServiceStats PartitionService::apply_batch(std::vector<Request>& batch,
 // One request through core::apply_event -- the same step Engine::run
 // takes per event, so serve == serial replay holds by construction. The
 // service only adds what is service-specific around it: rejecting
-// departures of inactive tasks, recording, and filling the placement
-// that apply_batch delivers.
+// departures of inactive tasks, recording, folding the placement digest
+// as the engine does, and filling the placement that apply_batch
+// delivers.
 void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
                                  ServiceStats& delta) {
   Placement& placement = req.placement;
@@ -248,13 +250,16 @@ void PartitionService::apply_one(Request& req, std::uint64_t batch_index,
     placement.error = ServiceErrorCode::kBadRequest;
     return;
   }
+  const std::uint64_t step_index = recorded_.size();
   if (arrival) {
     recorded_.arrive_as(req.task.id, req.task.size);
   } else {
     recorded_.depart(req.task.id);
   }
-  const core::StepRecord step = core::apply_event(
-      state_, *allocator_, core::Event{req.kind, req.task});
+  const core::Event event{req.kind, req.task};
+  const core::StepRecord step =
+      core::apply_event(state_, *allocator_, event);
+  core::fold_placement(placement_, step_index, event, step, state_);
   placement.size = step.size;
   placement.node = step.node;
   if (arrival) {

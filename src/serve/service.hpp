@@ -29,8 +29,9 @@
 // frees, or until stop() refuses it with ServiceError::kStopped.
 // stop() is graceful: every admitted request is still applied and its
 // future completed before the apply thread exits, and the final state
-// digest (the canonical MachineState digest) is published in the stats
-// for differential verification.
+// digest (the canonical MachineState digest) and the placement digest
+// (core::fold_placement over every applied request) are published in
+// the stats for differential verification.
 //
 // Observability: every count the service keeps is a ServiceStats field
 // (requests, batches and the largest batch, rounds, moves), and
@@ -53,6 +54,7 @@
 #include "core/machine_state.hpp"
 #include "core/sequence.hpp"
 #include "tree/topology.hpp"
+#include "util/digest.hpp"
 
 namespace partree::serve {
 
@@ -151,6 +153,11 @@ struct ServiceStats {
   /// Canonical MachineState digest at stop; compare against the
   /// Engine::run final_digest of the recorded sequence.
   std::uint64_t final_digest = 0;
+  /// core::fold_placement over every applied request, in apply order, at
+  /// stop; compare against the Engine::run placement_digest of the
+  /// recorded sequence (EngineOptions::record_digests). A drained
+  /// final_digest cannot tell placements apart; this one can.
+  std::uint64_t placement_digest = 0;
 };
 
 class PartitionService {
@@ -244,6 +251,7 @@ class PartitionService {
   // stop()).
   core::MachineState state_;
   core::TaskSequence recorded_;
+  util::Fnv placement_;  ///< ServiceStats::placement_digest, published at stop
 
   mutable std::mutex mutex_;
   std::condition_variable cv_space_;    ///< submitters: queue has room

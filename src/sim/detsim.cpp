@@ -242,14 +242,25 @@ ReproSpec to_repro(const DetSimOptions& options, const DetSimReport& report) {
   spec.n_pes = options.n_pes;
   spec.allocator = options.allocator;
   spec.seed = options.seed;
+  spec.n_events = options.n_events;
   spec.faults = options.faults;
   switch (report.outcome) {
     case DetSimOutcome::kDivergence: spec.expect = "divergence"; break;
     case DetSimOutcome::kCaught: spec.expect = "caught"; break;
     default: spec.expect = "recovered"; break;
   }
-  spec.baseline_digest = report.baseline_digest;
+  spec.baseline_placement_digest = report.baseline_placement_digest;
   return spec;
+}
+
+DetSimOptions from_repro(const ReproSpec& spec) {
+  DetSimOptions options;
+  options.n_pes = spec.n_pes;
+  options.allocator = spec.allocator;
+  options.seed = spec.seed;
+  options.n_events = spec.n_events;
+  options.faults = spec.faults;
+  return options;
 }
 
 }  // namespace partree::sim

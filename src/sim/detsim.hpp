@@ -126,9 +126,14 @@ struct DetSimReport {
     DetSimOptions failing,
     const std::function<bool(const DetSimOptions&)>& still_fails);
 
-/// Repro file contents for a run: `expect` is "divergence", "caught" or,
-/// for every other outcome, "recovered".
+/// Repro file contents for a run: its options, the baseline's placement
+/// digest, and `expect`: "divergence", "caught" or, for every other
+/// outcome, "recovered".
 [[nodiscard]] ReproSpec to_repro(const DetSimOptions& options,
                                  const DetSimReport& report);
+
+/// The options that replay a repro file's run: its machine size,
+/// allocator, seed, event count and fault plan.
+[[nodiscard]] DetSimOptions from_repro(const ReproSpec& spec);
 
 }  // namespace partree::sim

@@ -4,10 +4,10 @@
 #include <optional>
 
 #include "core/step.hpp"
-#include "obs/clock.hpp"
 #include "sim/faults.hpp"
 #include "sim/slowdown.hpp"
 #include "util/assert.hpp"
+#include "util/clock.hpp"
 #include "util/digest.hpp"
 
 namespace partree::sim {
@@ -74,7 +74,7 @@ SimResult Engine::run(const core::TaskSequence& sequence,
 SimResult Engine::run_interactive(core::EventSource& source,
                                   core::Allocator& allocator,
                                   core::TaskSequence* recorded) {
-  const std::uint64_t start_ns = obs::monotonic_ns();
+  const std::uint64_t start_ns = util::monotonic_ns();
   allocator.reset();
   core::MachineState state(topo_);
 
@@ -181,18 +181,9 @@ SimResult Engine::run_interactive(core::EventSource& source,
     result.max_load = std::max(result.max_load, load);
     if (options_.record_series) result.load_series.push_back(load);
     if (options_.record_digests) {
-      if (event->kind == core::EventKind::kArrival) {
-        for (const core::Migration& m : step_record.migrations) {
-          placement.mix(m.id).mix(m.to);
-        }
-        // Where the state holds the task now: after any alloc_fail
-        // roll-back, so a re-place onto the wrong node shows up even for
-        // allocators that never read the state.
-        placement.mix(step).mix(event->task.id).mix(
-            state.active_task(event->task.id).node);
-      } else {
-        placement.mix(step_record.node);
-      }
+      // After any alloc_fail roll-back, so a re-place onto the wrong node
+      // shows up even for allocators that never read the state.
+      core::fold_placement(placement, step, *event, step_record, state);
       if (step_record.reallocated) {
         result.epoch_digests.push_back({result.events, state.digest()});
       }
@@ -215,7 +206,7 @@ SimResult Engine::run_interactive(core::EventSource& source,
   }
   result.optimal_load = state.optimal_load();
   result.wall_seconds =
-      static_cast<double>(obs::monotonic_ns() - start_ns) / 1e9;
+      static_cast<double>(util::monotonic_ns() - start_ns) / 1e9;
   return result;
 }
 

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <charconv>
+#include <map>
+#include <sstream>
 
 #include "util/assert.hpp"
+#include "util/cli.hpp"
+#include "util/csv.hpp"
 #include "util/digest.hpp"
-#include "util/json.hpp"
 #include "util/math.hpp"
+#include "util/str.hpp"
 
 namespace partree::sim {
 namespace {
@@ -19,6 +23,12 @@ constexpr FaultKind kInjectableKinds[] = {
     FaultKind::kCorruptCopySet,
 };
 constexpr std::size_t kNumRecoverableKinds = 2;
+
+constexpr std::string_view kReproSchema = "partree-detsim-repro-v2";
+/// A repro file's keys, in the order write_repro writes them.
+constexpr std::string_view kReproKeys[] = {
+    "schema", "n_pes",  "allocator", "seed", "n_events",
+    "faults", "expect", "baseline_placement_digest"};
 
 [[nodiscard]] std::optional<FaultKind> kind_from_name(std::string_view name) {
   for (const FaultKind kind : kInjectableKinds) {
@@ -182,47 +192,103 @@ std::string FaultInjector::context() const {
 }
 
 std::string write_repro(const ReproSpec& spec) {
-  util::json::Object root;
-  root.emplace("schema", "partree-detsim-repro-v1");
-  root.emplace("n_pes", spec.n_pes);
-  root.emplace("allocator", spec.allocator);
-  // Seeds are full 64-bit values; util::json numbers are doubles (exact
-  // only to 2^53), so the seed travels as hex like the digest.
-  root.emplace("seed", util::digest_hex(spec.seed));
-  root.emplace("faults", spec.faults.to_string());
-  root.emplace("expect", spec.expect);
-  root.emplace("baseline_digest", util::digest_hex(spec.baseline_digest));
-  return util::json::Value(std::move(root)).dump() + "\n";
+  std::ostringstream out;
+  util::CsvWriter csv(out);
+  csv.row_of("schema", kReproSchema);
+  csv.row_of("n_pes", spec.n_pes);
+  csv.row_of("allocator", spec.allocator);
+  csv.row_of("seed", util::digest_hex(spec.seed));
+  csv.row_of("n_events", spec.n_events);
+  csv.row_of("faults", spec.faults.to_string());
+  csv.row_of("expect", spec.expect);
+  csv.row_of("baseline_placement_digest",
+             util::digest_hex(spec.baseline_placement_digest));
+  return out.str();
 }
 
 ReproSpec read_repro(std::string_view text) {
-  const util::json::Value root = util::json::parse(text);
-  if (root.at("schema").as_string() != "partree-detsim-repro-v1") {
-    throw std::runtime_error("repro file has unknown schema: " +
-                             root.at("schema").as_string());
+  std::istringstream in{std::string(text)};
+  const std::vector<util::CsvRow> rows = util::read_csv_lines(in);
+  const auto at = [](std::size_t line, const std::string& problem) {
+    return std::runtime_error("repro file line " + std::to_string(line) +
+                              ": " + problem);
+  };
+  if (rows.empty() ||
+      rows[0].fields !=
+          std::vector<std::string>{"schema", std::string(kReproSchema)}) {
+    throw at(rows.empty() ? 1 : rows[0].line,
+             "expected the schema row \"schema," + std::string(kReproSchema) +
+                 "\"");
   }
+  std::map<std::string_view, const util::CsvRow*> by_key;
+  for (const util::CsvRow& row : rows) {
+    if (row.fields.size() != 2) {
+      throw at(row.line, "expected 2 fields (key,value), got " +
+                             std::to_string(row.fields.size()));
+    }
+    const std::string& key = row.fields[0];
+    if (std::find(std::begin(kReproKeys), std::end(kReproKeys), key) ==
+        std::end(kReproKeys)) {
+      throw at(row.line, "unknown key \"" + key + "\"");
+    }
+    if (const auto [first, fresh] = by_key.emplace(key, &row); !fresh) {
+      throw at(row.line, "duplicate key \"" + key + "\" (first on line " +
+                             std::to_string(first->second->line) + ")");
+    }
+  }
+
+  // Each key's value, and the error for a bad one, naming field and line.
+  const auto row_of = [&](std::string_view key) -> const util::CsvRow& {
+    const auto it = by_key.find(key);
+    if (it == by_key.end()) {
+      throw at(rows.back().line,
+               "the file ends with no " + std::string(key) + " row");
+    }
+    return *it->second;
+  };
+  const auto value = [&](std::string_view key) -> const std::string& {
+    return row_of(key).fields[1];
+  };
+  const auto bad = [&](std::string_view key, const std::string& problem) {
+    return std::runtime_error("repro file " + std::string(key) + " field \"" +
+                              value(key) + "\" on line " +
+                              std::to_string(row_of(key).line) + ": " +
+                              problem);
+  };
+  const auto u64 = [&](std::string_view key) {
+    const std::optional<std::uint64_t> parsed = util::parse_u64(value(key));
+    if (!parsed) throw bad(key, "expected an unsigned integer");
+    return *parsed;
+  };
+  const auto hex = [&](std::string_view key) {
+    try {
+      return util::parse_digest_hex(value(key));
+    } catch (const std::runtime_error&) {
+      throw bad(key, "expected 0x and 1 to 16 hex digits");
+    }
+  };
+
   ReproSpec spec;
-  spec.n_pes = root.at("n_pes").as_u64();
-  if (!util::is_pow2(spec.n_pes)) {
-    throw std::runtime_error("repro file n_pes " + std::to_string(spec.n_pes) +
-                             " is not a power of two");
+  spec.n_pes = u64("n_pes");
+  if (!util::is_pow2(spec.n_pes)) throw bad("n_pes", "not a power of two");
+  if (spec.n_pes > util::kMaxMachineSize) {
+    throw bad("n_pes",
+              "must be at most " + std::to_string(util::kMaxMachineSize));
   }
-  spec.allocator = root.at("allocator").as_string();
-  spec.seed = util::parse_digest_hex(root.at("seed").as_string());
+  spec.allocator = value("allocator");
+  spec.seed = hex("seed");
+  spec.n_events = u64("n_events");
   try {
-    spec.faults = FaultPlan::parse(root.at("faults").as_string());
+    spec.faults = FaultPlan::parse(value("faults"));
   } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("repro file faults field: ") +
-                             e.what());
+    throw bad("faults", e.what());
   }
-  spec.expect = root.at("expect").as_string();
+  spec.expect = value("expect");
   if (spec.expect != "divergence" && spec.expect != "caught" &&
       spec.expect != "recovered") {
-    throw std::runtime_error("repro file expect field \"" + spec.expect +
-                             "\": expected divergence, caught or recovered");
+    throw bad("expect", "expected divergence, caught or recovered");
   }
-  spec.baseline_digest =
-      util::parse_digest_hex(root.at("baseline_digest").as_string());
+  spec.baseline_placement_digest = hex("baseline_placement_digest");
   return spec;
 }
 

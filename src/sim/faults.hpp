@@ -174,26 +174,42 @@ class FaultInjector {
   std::uint64_t skipped_ = 0;
 };
 
-/// Repro file ("partree-detsim-repro-v1" JSON): everything needed to
-/// replay one failing run byte-for-byte.
+/// Repro file: everything needed to replay one failing run
+/// byte-for-byte, as `key,value` CSV rows (util::CsvWriter quotes a value
+/// that holds commas, such as a two-fault plan):
+///
+///   schema,partree-detsim-repro-v2    always the first row
+///   n_pes,64                          a power of two, at most 2^20
+///   allocator,greedy                  a core::make_allocator spec
+///   seed,0x0000000000000015           hex, like the digest
+///   n_events,300                      0 = seed-derived (DetSimOptions)
+///   faults,alloc_fail@250             the plan grammar above
+///   expect,recovered
+///   baseline_placement_digest,0x...   hex
+///
+/// After the schema row the keys may come in any order, each exactly once.
 struct ReproSpec {
   std::uint64_t n_pes = 0;
   std::string allocator;
   std::uint64_t seed = 0;
+  std::uint64_t n_events = 0;
   FaultPlan faults;
   /// What the original run did: "divergence", "caught" or "recovered"
   /// (sim::to_repro maps a run's outcome to one of them; read_repro
   /// rejects any other value).
   std::string expect;
-  /// Fault-free baseline final digest (0 when not applicable).
-  std::uint64_t baseline_digest = 0;
+  /// The fault-free baseline's SimResult::placement_digest, which names
+  /// the run (a drained final digest is the same for every allocator).
+  std::uint64_t baseline_placement_digest = 0;
 
   friend bool operator==(const ReproSpec&, const ReproSpec&) = default;
 };
 
 /// Serializes/parses the repro file. read_repro throws std::runtime_error
-/// on schema violations (naming the field), so a stale or truncated file
-/// fails loudly instead of replaying the wrong thing.
+/// naming the 1-based line on a wrong schema row, a row that is not two
+/// fields, an unknown, duplicate or missing key, or a value that does not
+/// parse (naming the field too), so a stale or truncated file fails loudly
+/// instead of replaying the wrong thing.
 [[nodiscard]] std::string write_repro(const ReproSpec& spec);
 [[nodiscard]] ReproSpec read_repro(std::string_view text);
 

@@ -24,11 +24,6 @@ Cli& Cli::declare(std::string name, Spec spec) {
 
 namespace {
 
-/// The largest machine size a kPow2 or kPow2List value may name: N = 2^20,
-/// the largest machine any test or benchmark builds. Far larger sizes
-/// exhaust memory in the tree arrays instead of failing cleanly.
-constexpr std::uint64_t kMaxMachineSize = std::uint64_t{1} << 20;
-
 /// True iff `text` is one value of `kind`, or of one entry of a list kind.
 bool matches_one(Cli::Kind kind, std::string_view text) {
   switch (kind) {

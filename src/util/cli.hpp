@@ -15,6 +15,12 @@
 
 namespace partree::util {
 
+/// The largest machine size a kPow2 or kPow2List value, or a detsim repro
+/// file, may name: N = 2^20, the largest machine any test or benchmark
+/// builds. Far larger sizes exhaust memory in the tree arrays instead of
+/// failing cleanly.
+inline constexpr std::uint64_t kMaxMachineSize = std::uint64_t{1} << 20;
+
 class Cli {
  public:
   /// The values an option accepts. parse() checks every given and default

@@ -1,8 +1,8 @@
-#include "obs/clock.hpp"
+#include "util/clock.hpp"
 
 #include <chrono>
 
-namespace partree::obs {
+namespace partree::util {
 
 std::uint64_t monotonic_ns() noexcept {
   const auto now = std::chrono::steady_clock::now().time_since_epoch();
@@ -10,4 +10,4 @@ std::uint64_t monotonic_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(now).count());
 }
 
-}  // namespace partree::obs
+}  // namespace partree::util

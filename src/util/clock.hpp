@@ -5,9 +5,9 @@
 
 #include <cstdint>
 
-namespace partree::obs {
+namespace partree::util {
 
 /// Monotonic nanoseconds since an arbitrary epoch.
 [[nodiscard]] std::uint64_t monotonic_ns() noexcept;
 
-}  // namespace partree::obs
+}  // namespace partree::util

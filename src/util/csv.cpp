@@ -65,12 +65,6 @@ std::vector<std::string> parse_csv_line(std::string_view line) {
   return fields;
 }
 
-std::vector<std::vector<std::string>> read_csv(std::istream& in) {
-  std::vector<std::vector<std::string>> rows;
-  for (CsvRow& row : read_csv_lines(in)) rows.push_back(std::move(row.fields));
-  return rows;
-}
-
 std::vector<CsvRow> read_csv_lines(std::istream& in) {
   std::vector<CsvRow> rows;
   std::string line;

@@ -1,8 +1,8 @@
-// Minimal CSV writing/reading for traces and benchmark output.
+// Minimal CSV writing/reading for traces, repro files and benchmark output.
 //
 // Quoting follows RFC 4180: fields containing comma, quote, or newline are
-// quoted and embedded quotes doubled. That is enough for task traces and
-// result tables; we deliberately do not support multi-line fields on read.
+// quoted and embedded quotes doubled. That is enough for those files; we
+// deliberately do not support multi-line fields on read.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +48,6 @@ class CsvWriter {
 /// Parses one CSV line into fields (handles RFC 4180 quoting, single line).
 [[nodiscard]] std::vector<std::string> parse_csv_line(std::string_view line);
 
-/// Reads all rows from a stream, skipping blank lines.
-[[nodiscard]] std::vector<std::vector<std::string>> read_csv(std::istream& in);
-
 /// One parsed row together with the 1-based line it came from. Blank lines
 /// are skipped but still advance the line count, so `line` is the real
 /// position in the file -- use it for error messages.
@@ -59,7 +56,7 @@ struct CsvRow {
   std::vector<std::string> fields;
 };
 
-/// As read_csv, but each row carries its 1-based source line.
+/// Reads every row from a stream, skipping blank lines.
 [[nodiscard]] std::vector<CsvRow> read_csv_lines(std::istream& in);
 
 }  // namespace partree::util

@@ -64,8 +64,7 @@ class Fnv {
   return acc + element;
 }
 
-/// Fixed-width hex form ("0x" + 16 lowercase digits). Digests exceed the
-/// 2^53 exact-integer range of util::json's double numbers, so any digest
+/// Fixed-width hex form ("0x" + 16 lowercase digits). Any digest or seed
 /// that crosses a file boundary (repro files, golden pins) travels as this
 /// string.
 [[nodiscard]] inline std::string digest_hex(std::uint64_t digest) {

@@ -70,6 +70,7 @@ TEST(ServeBasicTest, SingleThreadMatchesSerialReplay) {
 
   const auto serial = replay(topo, "greedy", service.recorded());
   EXPECT_EQ(stats.final_digest, serial.final_digest);
+  EXPECT_EQ(stats.placement_digest, serial.placement_digest);
   EXPECT_EQ(stats.max_load, serial.max_load);
   EXPECT_EQ(stats.optimal_load, serial.optimal_load);
 }
@@ -135,8 +136,10 @@ TEST(ServeBasicTest, UnknownDepartureFailsOnlyThatFuture) {
   EXPECT_EQ(stats.failed, 2u);
   // The failed departure is NOT recorded, so the sequence still replays.
   EXPECT_EQ(service.recorded().events().size(), 2u);
-  EXPECT_EQ(service.stats().final_digest,
-            replay(topo, "greedy", service.recorded()).final_digest);
+  const sim::SimResult serial = replay(topo, "greedy", service.recorded());
+  EXPECT_EQ(stats.final_digest, serial.final_digest);
+  // A failed request takes no event index, as it takes no recorded event.
+  EXPECT_EQ(stats.placement_digest, serial.placement_digest);
 }
 
 TEST(ServeBasicTest, DoubleDepartureSecondFails) {
@@ -391,8 +394,8 @@ struct DifferentialShape {
 
 /// The differential oracle: client threads hammer the service; the
 /// recorded admission sequence replayed serially through Engine::run
-/// must reproduce the exact same final digest and max load. Run under
-/// TSan in CI (threadsanitize job).
+/// must reproduce the exact same final digest, placement digest, max
+/// load and counts. Run under TSan in CI (threadsanitize job).
 void run_differential(const std::string& spec,
                       const DifferentialShape& shape = {}) {
   const tree::Topology topo(shape.pes);
@@ -419,6 +422,7 @@ void run_differential(const std::string& spec,
 
   const auto serial = replay(topo, spec, service.recorded());
   EXPECT_EQ(stats.final_digest, serial.final_digest) << spec;
+  EXPECT_EQ(stats.placement_digest, serial.placement_digest) << spec;
   EXPECT_EQ(stats.max_load, serial.max_load) << spec;
   EXPECT_EQ(stats.arrivals, serial.arrivals) << spec;
   EXPECT_EQ(stats.departures, serial.departures) << spec;

@@ -196,8 +196,9 @@ TEST(DetSimTest, ReproCarriesTheVerifiedOutcome) {
   options.seed = 3;
   options.allocator = "greedy";
   options.faults = FaultPlan::parse("corrupt:load_tree@4");
+  options.n_events = 40;
   DetSimReport report;
-  report.baseline_digest = 0xabcULL;
+  report.baseline_placement_digest = 0xabcULL;
   for (const auto& [outcome, expect] :
        {std::pair{DetSimOutcome::kCaught, "caught"},
         std::pair{DetSimOutcome::kDivergence, "divergence"},
@@ -212,8 +213,38 @@ TEST(DetSimTest, ReproCarriesTheVerifiedOutcome) {
   EXPECT_EQ(spec.expect, "caught");
   EXPECT_EQ(spec.seed, 3u);
   EXPECT_EQ(spec.faults.to_string(), "corrupt:load_tree@4");
+  EXPECT_EQ(spec.n_events, 40u);
+  EXPECT_EQ(spec.baseline_placement_digest, 0xabcULL);
   const ReproSpec reread = read_repro(write_repro(spec));
   EXPECT_EQ(reread, spec);
+}
+
+// The run tests/cli/good_repro.csv records: --replay rebuilds it from the
+// file alone, and its placement digest tells it from other runs.
+TEST(DetSimTest, ReplayOfAReproMatchesTheOriginalPlacement) {
+  DetSimOptions options;
+  options.allocator = "greedy";
+  options.seed = 21;
+  options.n_events = 300;
+  options.faults = FaultPlan::parse("alloc_fail@250");
+  const DetSimReport original = run_detsim(options);
+  ASSERT_EQ(original.outcome, DetSimOutcome::kRecovered);
+  const ReproSpec spec =
+      read_repro(write_repro(to_repro(options, original)));
+
+  DetSimOptions replay = from_repro(spec);
+  const DetSimReport again = run_detsim(replay);
+  EXPECT_EQ(again.outcome, original.outcome);
+  EXPECT_EQ(again.baseline_placement_digest, spec.baseline_placement_digest);
+  EXPECT_EQ(again.run_placement_digest, original.run_placement_digest);
+
+  // At the seed-derived length alloc_fail@250 does not apply, and only
+  // the placement digest tells the runs apart.
+  replay.n_events = 0;
+  const DetSimReport other = run_detsim(replay);
+  EXPECT_EQ(other.outcome, DetSimOutcome::kSkipped);
+  EXPECT_EQ(other.baseline_digest, original.baseline_digest);
+  EXPECT_NE(other.baseline_placement_digest, spec.baseline_placement_digest);
 }
 
 // --- corruption fault sites: caught, naming component and step -----------

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <string>
+#include <tuple>
 
 #include "core/event_source.hpp"
 #include "core/factory.hpp"
@@ -56,20 +57,49 @@ TEST(EngineTest, ResetsAllocatorBetweenRuns) {
   EXPECT_EQ(first.max_load, second.max_load);
 }
 
-TEST(EngineTest, ReallocationHookObservesMigrations) {
-  const tree::Topology topo(4);
-  std::uint64_t hook_calls = 0;
-  std::uint64_t hook_migrations = 0;
+/// Runs `seq` under dmix:d=1 and returns the result with the number of
+/// on_reallocation calls and the summed lengths of the plans they saw.
+std::tuple<SimResult, std::uint64_t, std::uint64_t> run_with_hook(
+    const tree::Topology& topo, const core::TaskSequence& seq) {
+  std::uint64_t calls = 0;
+  std::uint64_t moves = 0;
   EngineOptions options;
-  options.on_reallocation = [&](std::span<const core::Migration> migs) {
-    ++hook_calls;
-    hook_migrations += migs.size();
+  options.on_reallocation = [&](std::span<const core::Migration> plan) {
+    ++calls;
+    moves += plan.size();
   };
   Engine engine(topo, options);
   auto alloc = core::make_allocator("dmix:d=1", topo);
-  const auto result = engine.run(core::figure1_sequence(), *alloc);
-  EXPECT_EQ(hook_calls, result.reallocation_count);
-  EXPECT_GE(hook_migrations, result.migration_count);
+  const SimResult result = engine.run(seq, *alloc);
+  return {result, calls, moves};
+}
+
+// A plan lists only the tasks its round moves, so the hook sees exactly
+// the moves the run counts: one call per round, and plan lengths that sum
+// to migration_count.
+TEST(EngineTest, ReallocationHookObservesMigrations) {
+  const tree::Topology topo(4);
+  const auto [result, calls, moves] =
+      run_with_hook(topo, core::figure1_sequence());
+  EXPECT_EQ(calls, result.reallocation_count);
+  EXPECT_EQ(moves, result.migration_count);
+}
+
+// Figure 1 at N = 4 has few rounds; a closed loop under churn has many,
+// and long plans.
+TEST(EngineTest, ReallocationHookSeesEveryPlanUnderChurn) {
+  const tree::Topology topo(256);
+  util::Rng rng(7);
+  workload::ClosedLoopParams params;
+  params.n_events = 3000;
+  params.utilization = 0.9;
+  params.size = workload::SizeSpec::geometric(0.5, topo.height());
+  const auto [result, calls, moves] =
+      run_with_hook(topo, workload::closed_loop(topo, params, rng));
+  ASSERT_GT(result.reallocation_count, 10u);
+  ASSERT_GT(result.migration_count, result.reallocation_count);
+  EXPECT_EQ(calls, result.reallocation_count);
+  EXPECT_EQ(moves, result.migration_count);
 }
 
 TEST(EngineTest, MigratedSizeCountsOnlyRealMoves) {

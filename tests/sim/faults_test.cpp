@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "sim/faults.hpp"
 #include "util/digest.hpp"
@@ -126,64 +127,122 @@ TEST(FaultInjectorTest, SkipsStepsTheRunNeverReached) {
   ASSERT_NE(injector.on_step(90), nullptr);  // still reachable in order
 }
 
+/// read_repro's error message for `text`, or "" when it accepts it.
+std::string repro_error(const std::string& text) {
+  try {
+    (void)read_repro(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// `text` with the row for `row`'s key replaced by `row`, or dropped when
+/// `row` is the bare key.
+std::string with_row(const std::string& text, const std::string& row) {
+  const std::string key = row.substr(0, row.find(','));
+  const std::size_t at = text.find("\n" + key + ",");
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t end = text.find('\n', at + 1);
+  return text.substr(0, at + 1) + (row == key ? "" : row + "\n") +
+         text.substr(end + 1);
+}
+
+// Commas and quotes in a value (a two-fault plan, an allocator spec) are
+// quoted by CsvWriter and read back by read_csv_lines.
 TEST(ReproFileTest, WriteReadRoundTrip) {
   ReproSpec spec;
   spec.n_pes = 128;
-  spec.allocator = "dmix:d=2";
+  spec.allocator = "dmix:d=2,\"x\"";
   spec.seed = 0xdeadbeefcafef00dULL;
-  spec.faults = FaultPlan::parse("corrupt:copy_set@17");
+  spec.n_events = 300;
+  spec.faults = FaultPlan::parse("alloc_fail@3,corrupt:copy_set@17");
   spec.expect = "caught";
-  spec.baseline_digest = 0xffff'ffff'ffff'fffeULL;  // above 2^53: hex path
+  spec.baseline_placement_digest = 0xffff'ffff'ffff'fffeULL;
   const std::string text = write_repro(spec);
-  EXPECT_NE(text.find("partree-detsim-repro-v1"), std::string::npos);
+  EXPECT_EQ(text.substr(0, text.find('\n')), "schema,partree-detsim-repro-v2");
+  EXPECT_NE(text.find("\nfaults,\"alloc_fail@3,corrupt:copy_set@17\"\n"),
+            std::string::npos)
+      << text;
   EXPECT_EQ(read_repro(text), spec);
 }
 
-TEST(ReproFileTest, RejectsWrongSchemaAndBadFields) {
+/// A good file: schema on line 1, then n_pes, allocator, seed, n_events,
+/// faults, expect and the placement digest on lines 2-8.
+std::string good_repro() {
   ReproSpec spec;
   spec.n_pes = 64;
   spec.allocator = "basic";
   spec.faults = FaultPlan::parse("cancel@1");
   spec.expect = "recovered";
-  std::string text = write_repro(spec);
+  return write_repro(spec);
+}
 
+// Every error names its 1-based line.
+TEST(ReproFileTest, RejectsWrongSchemaAndBadFields) {
+  const std::string text = good_repro();
+  EXPECT_EQ(repro_error(text), "");
+  EXPECT_EQ(repro_error(with_row(text, "n_pes,1048576")), "");
+
+  const std::string schema_error =
+      "repro file line 1: expected the schema row "
+      "\"schema,partree-detsim-repro-v2\"";
   std::string wrong = text;
-  const std::size_t pos = wrong.find("repro-v1");
-  ASSERT_NE(pos, std::string::npos);
-  wrong.replace(pos, 8, "repro-v9");
-  EXPECT_THROW((void)read_repro(wrong), std::runtime_error);
+  wrong.replace(wrong.find("repro-v2"), 8, "repro-v9");
+  EXPECT_EQ(repro_error(wrong), schema_error);
+  EXPECT_EQ(repro_error(""), schema_error);
+  EXPECT_EQ(repro_error("kind,id,size\narrive,0,4\n"), schema_error);
+  // A v1 (JSON) file is refused on its first line.
+  EXPECT_EQ(repro_error("{\n  \"schema\": \"partree-detsim-repro-v1\"\n}\n"),
+            schema_error);
 
-  std::string bad_faults = text;
-  const std::size_t fpos = bad_faults.find("cancel@1");
-  ASSERT_NE(fpos, std::string::npos);
-  bad_faults.replace(fpos, 8, "cancel@x");
-  EXPECT_THROW((void)read_repro(bad_faults), std::runtime_error);
-
-  // A machine size no replay can build.
-  std::string bad_n_pes = text;
-  const std::size_t at = bad_n_pes.find("\"n_pes\": 64");
-  ASSERT_NE(at, std::string::npos);
-  bad_n_pes.replace(at, 11, "\"n_pes\": 96");
-  EXPECT_THROW((void)read_repro(bad_n_pes), std::runtime_error);
-
-  // An outcome no replay can check, including the retired "crash".
-  for (const std::string expect : {"bogus", "crash"}) {
-    std::string bad_expect = text;
-    const std::size_t epos = bad_expect.find("\"recovered\"");
-    ASSERT_NE(epos, std::string::npos);
-    bad_expect.replace(epos, 11, "\"" + expect + "\"");
-    try {
-      (void)read_repro(bad_expect);
-      ADD_FAILURE() << "expect " << expect << " was accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(
-                    "expect field \"" + expect +
-                    "\": expected divergence, caught or recovered"),
-                std::string::npos)
-          << e.what();
-    }
+  const std::pair<std::string, std::string> bad_rows[] = {
+      {"n_pes,96", "n_pes field \"96\" on line 2: not a power of two"},
+      {"n_pes,0", "n_pes field \"0\" on line 2: not a power of two"},
+      {"n_pes,64.0",
+       "n_pes field \"64.0\" on line 2: expected an unsigned integer"},
+      // Above util::Cli's --n-pes ceiling: --replay aborted in the trees.
+      {"n_pes,4611686018427387904",
+       "n_pes field \"4611686018427387904\" on line 2: must be at most "
+       "1048576"},
+      {"seed,21",
+       "seed field \"21\" on line 4: expected 0x and 1 to 16 hex digits"},
+      {"n_events,-3",
+       "n_events field \"-3\" on line 5: expected an unsigned integer"},
+      {"faults,cancel@x",
+       "faults field \"cancel@x\" on line 6: malformed fault step: cancel@x"},
+      // An outcome no replay can check, including the retired "crash".
+      {"expect,bogus",
+       "expect field \"bogus\" on line 7: expected divergence, caught or "
+       "recovered"},
+      {"expect,crash",
+       "expect field \"crash\" on line 7: expected divergence, caught or "
+       "recovered"},
+      {"baseline_placement_digest,0xzz",
+       "baseline_placement_digest field \"0xzz\" on line 8: expected 0x and "
+       "1 to 16 hex digits"},
+  };
+  for (const auto& [row, message] : bad_rows) {
+    EXPECT_EQ(repro_error(with_row(text, row)), "repro file " + message);
   }
-  EXPECT_NO_THROW((void)read_repro(text));
+}
+
+TEST(ReproFileTest, RejectsBadRowsAndMissingDuplicateOrUnknownKeys) {
+  const std::string text = good_repro();
+  EXPECT_EQ(repro_error(with_row(text, "seed,0x1,0x2")),
+            "repro file line 4: expected 2 fields (key,value), got 3");
+  EXPECT_EQ(repro_error(text + "alocator,basic\n"),
+            "repro file line 9: unknown key \"alocator\"");
+  EXPECT_EQ(repro_error(text + "seed,0x1\n"),
+            "repro file line 9: duplicate key \"seed\" (first on line 4)");
+  EXPECT_EQ(repro_error(text + "schema,partree-detsim-repro-v2\n"),
+            "repro file line 9: duplicate key \"schema\" (first on line 1)");
+  for (const std::string key :
+       {"n_pes", "allocator", "seed", "n_events", "faults", "expect",
+        "baseline_placement_digest"}) {
+    EXPECT_EQ(repro_error(with_row(text, key)),
+              "repro file line 7: the file ends with no " + key + " row");
+  }
 }
 
 TEST(DigestHexTest, RoundTripsAndRejectsGarbage) {

@@ -75,10 +75,10 @@ TEST(CsvTest, RoundTrip) {
 
 TEST(CsvTest, ReadCsvSkipsBlankLines) {
   std::istringstream in("a,b\n\nc,d\n   \n");
-  const auto rows = read_csv(in);
+  const auto rows = read_csv_lines(in);
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0][0], "a");
-  EXPECT_EQ(rows[1][1], "d");
+  EXPECT_EQ(rows[0].fields[0], "a");
+  EXPECT_EQ(rows[1].fields[1], "d");
 }
 
 TEST(CsvTest, ReadCsvLinesReportsOneBasedFileLines) {
@@ -108,10 +108,10 @@ TEST(CsvTest, ReadCsvLinesCountsSkippedBlankLines) {
 // the last field.
 TEST(CsvTest, ReadCsvToleratesCrlfLineEndings) {
   std::istringstream in("a,b\r\nc,d\r\n");
-  const auto rows = read_csv(in);
+  const auto rows = read_csv_lines(in);
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(rows[1], (std::vector<std::string>{"c", "d"}));
+  EXPECT_EQ(rows[0].fields, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(rows[1].fields, (std::vector<std::string>{"c", "d"}));
 }
 
 // A \r INSIDE a quoted field is data, not a terminator, and must survive
@@ -127,9 +127,9 @@ TEST(CsvTest, ParsePreservesCarriageReturnInsideQuotes) {
 // still yields its row.
 TEST(CsvTest, ReadCsvHandlesMissingFinalNewline) {
   std::istringstream in("a,b\nc,d");
-  const auto rows = read_csv(in);
+  const auto rows = read_csv_lines(in);
   ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1], (std::vector<std::string>{"c", "d"}));
+  EXPECT_EQ(rows[1].fields, (std::vector<std::string>{"c", "d"}));
 }
 
 // Writer quotes \r-bearing fields, so a write -> read round-trip through
@@ -140,9 +140,9 @@ TEST(CsvTest, CarriageReturnRoundTripsThroughWriterAndReader) {
   const std::vector<std::string> original{"a\rb", "plain", "c\rd"};
   writer.row(original);
   std::istringstream in(out.str());
-  const auto rows = read_csv(in);
+  const auto rows = read_csv_lines(in);
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0], original);
+  EXPECT_EQ(rows[0].fields, original);
 }
 
 }  // namespace
